@@ -4,10 +4,7 @@ benchmark problems, an NSGA-II baseline, and IGD evaluation tooling."""
 
 from .core import (
     ConfigurationError,
-    EvaluationCounter,
     EvaluationError,
-    Individual,
-    Population,
     RandomSource,
     TrainingError,
     evaluate,
@@ -18,22 +15,19 @@ from .metrics import IgdResult, aggregate_runs, igd
 from .problems import PROBLEM_NAMES, ProblemDef, dtlz, lsmop, make_problem, sample_front
 from .refvec import ReferenceVectorSet, adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
 from .selection import elitism_select, partition, translate
-from .variation import MutationConfig, polynomial_mutation, sbx_crossover
+from .variation import MutationConfig, sbx_crossover
 from .wgan import GanConfig, OffspringGan, TrainingCorpus
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "EvaluationCounter",
     "EvaluationError",
     "GanConfig",
     "IgdResult",
-    "Individual",
     "MutationConfig",
     "OffspringGan",
     "PROBLEM_NAMES",
-    "Population",
     "ProblemDef",
     "RandomSource",
     "ReferenceVectorSet",
@@ -53,7 +47,6 @@ __all__ = [
     "make_problem",
     "nsga2_run",
     "partition",
-    "polynomial_mutation",
     "run_experiment",
     "run_single",
     "rvea_wg_run",

@@ -1,19 +1,10 @@
 """NSGA-II comparison algorithm: dominance sorting, crowding, one full generation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import EvaluationCounter, Individual, Population, RandomSource, evaluate
+from .core import RandomSource, evaluate
 from .variation import MutationConfig, mutate_matrix, sbx_crossover
-
-
-@dataclass
-class RankedPopulation:
-    members: list[Individual]
-    rank: np.ndarray      # non-domination front index per member, 0 = best
-    crowding: np.ndarray  # crowding distance per member, boundaries +inf
 
 
 def dominates(a, b) -> bool:
@@ -74,64 +65,57 @@ def crowding_distance(objectives: np.ndarray, front: list[int]) -> np.ndarray:
     return dist
 
 
-def rank_population(pop: Population) -> RankedPopulation:
-    objs = pop.objective_matrix()
-    rank, fronts = fast_nondominated_sort(objs)
-    crowding = np.zeros(len(pop))
-    for front in fronts:
-        crowding[front] = crowding_distance(objs, front)
-    return RankedPopulation(members=list(pop.members), rank=rank, crowding=crowding)
-
-
-def _tournament(ranked: RankedPopulation, i: int, j: int) -> int:
-    if ranked.rank[i] != ranked.rank[j]:
-        return i if ranked.rank[i] < ranked.rank[j] else j
-    if ranked.crowding[i] != ranked.crowding[j]:
-        return i if ranked.crowding[i] > ranked.crowding[j] else j
+def _tournament(rank: np.ndarray, crowding: np.ndarray, i: int, j: int) -> int:
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
     return i
 
 
-def environmental_select(union: Population, n_pop: int) -> Population:
+def environmental_select(objs: np.ndarray, n_pop: int) -> np.ndarray:
     """Elitist truncation: fill whole fronts in rank order, split the boundary
-    front by descending crowding distance."""
-    rank, fronts = fast_nondominated_sort(union.objective_matrix())
+    front by descending crowding distance. Returns the survivors' row indices."""
+    rank, fronts = fast_nondominated_sort(objs)
     survivors: list[int] = []
     for front in fronts:
         if len(survivors) + len(front) <= n_pop:
             survivors.extend(front)
             continue
-        objs = union.objective_matrix()
         crowd = crowding_distance(objs, front)
         order = np.argsort(-crowd, kind="stable")
         remaining = n_pop - len(survivors)
         survivors.extend(front[k] for k in order[:remaining])
         break
-    return Population(members=[union.members[i] for i in survivors], generation=union.generation)
+    return np.array(survivors, dtype=int)
 
 
 def nsga2_generation(
-    pop: Population,
+    xs: np.ndarray,
+    fs: np.ndarray,
     problem,
     mutation: MutationConfig,
     eta_c: float,
     rng: RandomSource,
-    counter: EvaluationCounter | None = None,
-) -> Population:
-    """One generation: tournament mating, SBX + mutation, elitist truncation to N."""
-    n_pop = len(pop)
-    ranked = rank_population(pop)
-    xs = pop.decision_matrix()
+) -> tuple[np.ndarray, np.ndarray]:
+    """One generation: tournament mating, SBX + mutation, elitist truncation to N.
+
+    Returns the survivors' decision and objective matrices.
+    """
+    n_pop = len(xs)
+    rank, fronts = fast_nondominated_sort(fs)
+    crowding = np.zeros(n_pop)
+    for front in fronts:
+        crowding[front] = crowding_distance(fs, front)
     children = []
     while len(children) < n_pop:
         picks = rng.integers(0, n_pop, size=4)
-        p1 = _tournament(ranked, int(picks[0]), int(picks[1]))
-        p2 = _tournament(ranked, int(picks[2]), int(picks[3]))
+        p1 = _tournament(rank, crowding, int(picks[0]), int(picks[1]))
+        p2 = _tournament(rank, crowding, int(picks[2]), int(picks[3]))
         c1, c2 = sbx_crossover(xs[p1], xs[p2], problem.lower, problem.upper, eta_c, rng)
         children.extend([c1, c2])
     child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, mutation, rng)
-    offspring = Population(members=[Individual(x=row.copy()) for row in child_x])
-    offspring = evaluate(offspring, problem, counter)
-
-    union = Population(members=list(pop.members) + list(offspring.members))
-    selected = environmental_select(union, n_pop)
-    return Population(members=selected.members, generation=pop.generation + 1)
+    union_x = np.vstack([xs, child_x])
+    union_f = np.vstack([fs, evaluate(child_x, problem)])
+    survivors = environmental_select(union_f, n_pop)
+    return union_x[survivors], union_f[survivors]

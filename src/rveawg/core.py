@@ -1,9 +1,8 @@
-"""Shared domain types: box-bounded decision vectors, populations, seeded RNG streams."""
+"""Shared domain types: error classes, seeded RNG streams, and the initial
+decision matrix and objective evaluation of box-bounded problems."""
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -62,56 +61,6 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, key={self._key})"
 
 
-@dataclass(frozen=True)
-class Individual:
-    """One candidate solution: decision vector plus cached objectives (None until evaluated)."""
-
-    x: np.ndarray
-    f: Optional[np.ndarray] = None
-
-    @property
-    def evaluated(self) -> bool:
-        return self.f is not None
-
-
-@dataclass
-class Population:
-    members: list[Individual] = field(default_factory=list)
-    generation: int = 0
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Individual]:
-        return iter(self.members)
-
-    def __getitem__(self, i: int) -> Individual:
-        return self.members[i]
-
-    def decision_matrix(self) -> np.ndarray:
-        """Stack decision vectors into an (N, n) matrix."""
-        return np.array([ind.x for ind in self.members], dtype=float)
-
-    def objective_matrix(self) -> np.ndarray:
-        """Stack objective vectors into an (N, M) matrix; requires full evaluation."""
-        if not self.all_evaluated():
-            raise EvaluationError("population contains unevaluated individuals")
-        return np.array([ind.f for ind in self.members], dtype=float)
-
-    def all_evaluated(self) -> bool:
-        return all(ind.evaluated for ind in self.members)
-
-
-@dataclass
-class EvaluationCounter:
-    """Mutable tally of objective-function evaluations consumed by a run."""
-
-    count: int = 0
-
-    def add(self, n: int) -> None:
-        self.count += int(n)
-
-
 def check_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -122,30 +71,23 @@ def check_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.n
     return lower, upper
 
 
-def init_population(problem, size: int, rng: RandomSource) -> Population:
-    """Draw `size` individuals uniformly inside the problem box, unevaluated."""
+def init_population(problem, size: int, rng: RandomSource) -> np.ndarray:
+    """Draw `size` decision vectors uniformly inside the problem box, as an (N, n) matrix."""
     if size < 1:
         raise ConfigurationError(f"population size must be >= 1, got {size}")
     lower, upper = check_bounds(problem.lower, problem.upper)
-    xs = rng.uniform(lower, upper, size=(size, len(lower)))
-    return Population(members=[Individual(x=xs[i].copy()) for i in range(size)], generation=0)
+    return rng.uniform(lower, upper, size=(size, len(lower)))
 
 
-def evaluate(pop: Population, problem, counter: EvaluationCounter | None = None) -> Population:
-    """Evaluate every individual; pure, so re-evaluation reproduces cached objectives."""
-    if len(pop) == 0:
-        return Population(members=[], generation=pop.generation)
-    xs = pop.decision_matrix()
+def evaluate(xs: np.ndarray, problem) -> np.ndarray:
+    """Objective matrix (N, M) of an (N, n) decision matrix; pure, so re-evaluation reproduces it."""
     fs = np.asarray(problem.evaluate(xs), dtype=float)
-    if fs.shape != (len(pop), problem.m):
+    if fs.shape != (len(xs), problem.m):
         raise EvaluationError(
-            f"problem '{problem.name}' returned shape {fs.shape}, expected {(len(pop), problem.m)}"
+            f"problem '{problem.name}' returned shape {fs.shape}, expected {(len(xs), problem.m)}"
         )
     bad = ~np.all(np.isfinite(fs), axis=1)
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise EvaluationError(f"non-finite objectives for individual {idx}: {fs[idx]}")
-    if counter is not None:
-        counter.add(len(pop))
-    members = [Individual(x=ind.x, f=fs[i].copy()) for i, ind in enumerate(pop.members)]
-    return Population(members=members, generation=pop.generation)
+    return fs

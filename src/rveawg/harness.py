@@ -3,6 +3,7 @@ counterpart, repeated-run experiments, and CSV/plot-data persistence."""
 from __future__ import annotations
 
 import csv
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -11,19 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import nsga2_generation
-from .core import (
-    ConfigurationError,
-    EvaluationCounter,
-    Population,
-    RandomSource,
-    evaluate,
-    init_population,
-)
+from .core import ConfigurationError, RandomSource, evaluate, init_population
 from .metrics import aggregate_runs, igd
 from .problems import ProblemDef, make_problem, sample_front
 from .refvec import adapt, lattice_for, to_unit_vectors
 from .selection import elitism_select
-from .variation import MutationConfig, mutate_population
+from .variation import MutationConfig, mutate_matrix
 from .wgan import EpochStats, GanConfig, OffspringGan, TrainingCorpus, normalize_to_net
 
 ALGORITHMS = ("rvea-wg", "nsga2")
@@ -110,47 +104,44 @@ def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
     n_pop = weights.shape[0]
     refs = to_unit_vectors(weights)
     front = sample_front(problem, reference_front_size(problem.m))
-    counter = EvaluationCounter()
     started = time.perf_counter()
 
-    pop = evaluate(init_population(problem, n_pop, rng.child("init")), problem, counter)
+    xs = init_population(problem, n_pop, rng.child("init"))
+    fs = evaluate(xs, problem)
+    evaluations = len(xs)
     gan = OffspringGan(problem.n, cfg.gan, rng.child("gan"))
     mut_rng = rng.child("mutation")
-    eliminated = Population()
+    eliminated_x = np.zeros((0, problem.n))
     trace: list[float] = []
     gan_trace: list[EpochStats] = []
 
     for t in range(cfg.generations):
         corpus = TrainingCorpus(
-            real=normalize_to_net(pop.decision_matrix(), problem.lower, problem.upper),
-            bad=(
-                normalize_to_net(eliminated.decision_matrix(), problem.lower, problem.upper)
-                if len(eliminated)
-                else np.zeros((0, problem.n))
-            ),
+            real=normalize_to_net(xs, problem.lower, problem.upper),
+            bad=normalize_to_net(eliminated_x, problem.lower, problem.upper),
         )
         gan_trace.extend(gan.next_generation(corpus))
         offspring = gan.sample(n_pop, problem.lower, problem.upper)
-        offspring = mutate_population(offspring, problem.lower, problem.upper, cfg.mutation, mut_rng)
-        offspring = evaluate(offspring, problem, counter)
+        offspring = mutate_matrix(offspring, problem.lower, problem.upper, cfg.mutation, mut_rng)
+        union_x = np.vstack([xs, offspring])
+        union_f = np.vstack([fs, evaluate(offspring, problem)])
+        evaluations += len(offspring)
 
-        union = Population(members=list(pop.members) + list(offspring.members), generation=t)
-        result = elitism_select(union, refs, t, cfg.generations, cfg.alpha)
+        result = elitism_select(union_f, refs, t, cfg.generations, cfg.alpha)
         refs = adapt(refs, result.z_max, result.z_min)
-        kept = set(int(i) for i in result.selected_indices)
-        eliminated = Population(
-            members=[union.members[i] for i in range(len(union)) if i not in kept]
-        )
-        pop = Population(members=list(result.population.members), generation=t + 1)
-        trace.append(igd(front, pop.objective_matrix()).value)
+        eliminated = np.ones(len(union_x), dtype=bool)
+        eliminated[result.selected_indices] = False
+        eliminated_x = union_x[eliminated]
+        xs, fs = union_x[result.selected_indices], union_f[result.selected_indices]
+        trace.append(igd(front, fs).value)
 
     return RunRecord(
         config=config_snapshot(cfg, n_pop),
         seed=rng.seed,
         igd_trace=trace,
-        final_x=pop.decision_matrix(),
-        final_f=pop.objective_matrix(),
-        evaluations=counter.count,
+        final_x=xs,
+        final_f=fs,
+        evaluations=evaluations,
         duration=time.perf_counter() - started,
         gan_trace=gan_trace,
         networks={"generator": gan.generator, "critic": gan.critic},
@@ -160,25 +151,27 @@ def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
 def nsga2_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
     """NSGA-II under the same evaluation protocol (N offspring per generation)."""
     problem, weights = resolve_setup(cfg)
-    n_pop = weights.shape[0] if cfg.pop_size is None else cfg.pop_size
+    n_pop = weights.shape[0]
     front = sample_front(problem, reference_front_size(problem.m))
-    counter = EvaluationCounter()
     started = time.perf_counter()
 
-    pop = evaluate(init_population(problem, n_pop, rng.child("init")), problem, counter)
+    xs = init_population(problem, n_pop, rng.child("init"))
+    fs = evaluate(xs, problem)
+    evaluations = len(xs)
     loop_rng = rng.child("nsga2")
     trace: list[float] = []
     for _ in range(cfg.generations):
-        pop = nsga2_generation(pop, problem, cfg.mutation, cfg.eta_c, loop_rng, counter)
-        trace.append(igd(front, pop.objective_matrix()).value)
+        xs, fs = nsga2_generation(xs, fs, problem, cfg.mutation, cfg.eta_c, loop_rng)
+        evaluations += len(xs)  # the generation evaluated one child per parent
+        trace.append(igd(front, fs).value)
 
     return RunRecord(
         config=config_snapshot(cfg, n_pop),
         seed=rng.seed,
         igd_trace=trace,
-        final_x=pop.decision_matrix(),
-        final_f=pop.objective_matrix(),
-        evaluations=counter.count,
+        final_x=xs,
+        final_f=fs,
+        evaluations=evaluations,
         duration=time.perf_counter() - started,
     )
 
@@ -207,7 +200,7 @@ def _run_job(args: tuple[RunConfig, int]) -> float:
     try:
         return run_single(cfg, seed).final_igd
     except Exception as exc:  # noqa: BLE001 - failed runs become NaN cells
-        print(f"run failed ({cfg.algorithm}, {cfg.problem}, seed {seed}): {exc}")
+        print(f"run failed ({cfg.algorithm}, {cfg.problem}, seed {seed}): {exc}", file=sys.stderr)
         return float("nan")
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvaluationError, Population
+from .core import EvaluationError
 from .refvec import ReferenceVectorSet
 
 
@@ -26,8 +26,7 @@ class Partition:
 
 @dataclass
 class SelectionResult:
-    population: Population
-    selected_indices: np.ndarray  # indices into the input population, by partition order
+    selected_indices: np.ndarray  # row indices into the input objectives, by partition order
     z_min: np.ndarray             # column minima of the combined population
     z_max: np.ndarray             # column maxima of the combined population
 
@@ -73,21 +72,19 @@ def apd(translated_row, angle: float, gamma_j: float, t: int, t_max: int, alpha:
 
 
 def elitism_select(
-    pop: Population,
+    objectives: np.ndarray,
     refs: ReferenceVectorSet,
     t: int,
     t_max: int,
     alpha: float = 2.0,
 ) -> SelectionResult:
-    """Keep the minimum-APD individual of every non-empty partition.
+    """Keep the minimum-APD row of a (P, M) objective matrix in every non-empty partition.
 
-    APD ties resolve to the lowest individual index. Empty partitions are
+    APD ties resolve to the lowest row index. Empty partitions are
     skipped, so the output may be smaller than the vector count. The combined
     population's objective extrema are returned for vector adaptation.
     """
-    if not pop.all_evaluated():
-        raise EvaluationError("selection requires a fully evaluated population")
-    translated = translate(pop.objective_matrix())
+    translated = translate(objectives)
     part = partition(translated, refs)
     norms = np.linalg.norm(translated.rows, axis=1)
     angles = np.arccos(np.clip(part.cosines, -1.0, 1.0))
@@ -101,11 +98,8 @@ def elitism_select(
         if members.size == 0:
             continue
         selected.append(members[int(np.argmin(distances[members]))])
-    selected = np.array(selected, dtype=int)
-    kept = Population(members=[pop.members[i] for i in selected], generation=pop.generation)
     return SelectionResult(
-        population=kept,
-        selected_indices=selected,
+        selected_indices=np.array(selected, dtype=int),
         z_min=translated.z_min,
         z_max=translated.z_max,
     )

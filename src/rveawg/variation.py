@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, Individual, Population, RandomSource
+from .core import ConfigurationError, RandomSource
 
 
 @dataclass
@@ -52,33 +52,6 @@ def mutate_matrix(
     moved = xs + mutation_delta(u, delta1, delta2, cfg.eta_m) * span
     out = np.where(mask, moved, xs)
     return np.clip(out, lower, upper)
-
-
-def polynomial_mutation(
-    x: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    cfg: MutationConfig,
-    rng: RandomSource,
-) -> np.ndarray:
-    """Mutate one decision vector; each variable moves with probability p_m."""
-    return mutate_matrix(np.asarray(x, dtype=float)[None, :], lower, upper, cfg, rng)[0]
-
-
-def mutate_population(
-    pop: Population,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    cfg: MutationConfig,
-    rng: RandomSource,
-) -> Population:
-    if len(pop) == 0:
-        return pop
-    xs = mutate_matrix(pop.decision_matrix(), lower, upper, cfg, rng)
-    return Population(
-        members=[Individual(x=xs[i].copy()) for i in range(len(pop))],
-        generation=pop.generation,
-    )
 
 
 def sbx_crossover(

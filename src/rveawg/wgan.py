@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Individual, Population, RandomSource, TrainingError
+from .core import ConfigurationError, RandomSource, TrainingError
 from .neuronet import (
     AdamState,
     Mlp,
@@ -55,11 +55,11 @@ class GanConfig:
 
     def validate(self) -> None:
         if min(self.epochs, self.critic_steps, self.batch_size, self.pretrain_epochs) < 0:
-            raise ValueError("GAN loop counts must be non-negative")
+            raise ConfigurationError("GAN loop counts must be non-negative")
         if self.lambda_gp < 0:
-            raise ValueError("gradient-penalty coefficient must be >= 0")
+            raise ConfigurationError("gradient-penalty coefficient must be >= 0")
         if self.noise not in ("normal", "uniform"):
-            raise ValueError(f"unknown noise model '{self.noise}'")
+            raise ConfigurationError(f"unknown noise model '{self.noise}'")
 
 
 @dataclass
@@ -198,20 +198,19 @@ def sample_offspring(
     upper: np.ndarray,
     rng: RandomSource,
     cfg: GanConfig,
-) -> Population:
-    """Decode `count` latent draws into unevaluated in-bounds individuals."""
+) -> np.ndarray:
+    """Decode `count` latent draws into an in-bounds (count, n) decision matrix."""
     if count < 1:
         raise ValueError(f"offspring count must be >= 1, got {count}")
     y, _ = forward(gen, _noise(cfg, count, rng))
-    xs = denormalize_from_net(y, lower, upper)
-    return Population(members=[Individual(x=xs[i].copy()) for i in range(count)])
+    return denormalize_from_net(y, lower, upper)
 
 
 class OffspringGan:
     """Generator/critic pair owned by one optimization run.
 
-    With warm starting (the default) the networks persist across generations;
-    otherwise they are reinitialized before every training call.
+    By default (``warm_start=False``) the networks are reinitialized before
+    every training call; with warm starting they persist across generations.
     """
 
     def __init__(self, n_var: int, cfg: GanConfig, rng: RandomSource):
@@ -241,5 +240,5 @@ class OffspringGan:
             self.generator, self.gen_opt, self.critic, self.critic_opt, corpus, self.cfg, self._rng
         )
 
-    def sample(self, count: int, lower: np.ndarray, upper: np.ndarray) -> Population:
+    def sample(self, count: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         return sample_offspring(self.generator, count, lower, upper, self._rng, self.cfg)

@@ -28,7 +28,7 @@ from rveawg.wgan import TrainingCorpus, pretrain_discriminator, train
 from test_baselines import brute_force_fronts
 from test_metrics import naive_igd
 from test_neuronet import assert_grads_close, fd_param_gradient, random_net
-from test_selection import make_pop, oracle_select
+from test_selection import oracle_select
 
 
 def report(number, name, started, limit):
@@ -57,7 +57,7 @@ def test_criterion_2_selection_oracle():
         objs = rng.uniform(0.0, 10.0, size=(p, m))
         t_max = int(rng.integers(1, 30))
         t = int(rng.integers(0, t_max + 1))
-        got = elitism_select(make_pop(objs), refs, t=t, t_max=t_max, alpha=2.0)
+        got = elitism_select(objs, refs, t=t, t_max=t_max, alpha=2.0)
         assert list(got.selected_indices) == oracle_select(
             objs.tolist(), refs.current.tolist(), t, t_max, 2.0
         )

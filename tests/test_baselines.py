@@ -5,6 +5,7 @@ from rveawg import MutationConfig, RandomSource, evaluate, init_population, make
 from rveawg.baselines import (
     crowding_distance,
     dominates,
+    environmental_select,
     fast_nondominated_sort,
     nsga2_generation,
 )
@@ -78,54 +79,37 @@ def test_crowding_small_front_all_infinite():
 def test_generation_preserves_size():
     problem = make_problem("dtlz2", 3)
     rng = RandomSource(5)
-    pop = evaluate(init_population(problem, 24, rng.child("init")), problem)
+    xs = init_population(problem, 24, rng.child("init"))
+    fs = evaluate(xs, problem)
     cfg = MutationConfig()
     loop = rng.child("loop")
     for _ in range(10):
-        pop = nsga2_generation(pop, problem, cfg, 20.0, loop)
-        assert len(pop) == 24
+        xs, fs = nsga2_generation(xs, fs, problem, cfg, 20.0, loop)
+        assert xs.shape == (24, problem.n) and fs.shape == (24, 3)
+        assert np.array_equal(fs, evaluate(xs, problem))
 
 
 def test_environmental_selection_is_rank_prefix():
     # No discarded individual may outrank a kept one.
-    from rveawg.baselines import environmental_select
-    from rveawg.core import Individual, Population
-
     rng = RandomSource(55)
     for _ in range(20):
         size = int(rng.integers(10, 40))
         objs = rng.uniform(0, 1, size=(size, 3))
-        union = Population(
-            members=[Individual(x=np.zeros(2), f=objs[i]) for i in range(size)]
-        )
         keep = int(rng.integers(1, size))
-        selected = environmental_select(union, keep)
-        assert len(selected) == keep
+        selected = environmental_select(objs, keep)
+        assert len(selected) == keep == len(set(selected.tolist()))
         rank, _ = fast_nondominated_sort(objs)
-        kept_ids = {id(ind) for ind in selected.members}
-        kept_ranks = [rank[i] for i in range(size) if id(union.members[i]) in kept_ids]
-        dropped_ranks = [rank[i] for i in range(size) if id(union.members[i]) not in kept_ids]
-        assert max(kept_ranks) <= min(dropped_ranks)
+        dropped = np.setdiff1d(np.arange(size), selected)
+        assert rank[selected].max() <= rank[dropped].min()
 
 
 def test_generation_handles_identical_population():
     problem = make_problem("dtlz2", 3)
     rng = RandomSource(6)
-    one = evaluate(init_population(problem, 1, rng), problem)
-    clones = one.members * 12
-    from rveawg.core import Population
-
-    pop = Population(members=list(clones))
-    out = nsga2_generation(pop, problem, MutationConfig(), 20.0, rng)
-    assert len(out) == 12
-
-
-def test_generation_bumps_generation_counter():
-    problem = make_problem("dtlz1", 3)
-    rng = RandomSource(7)
-    pop = evaluate(init_population(problem, 10, rng), problem)
-    out = nsga2_generation(pop, problem, MutationConfig(), 20.0, rng)
-    assert out.generation == pop.generation + 1
+    xs = np.repeat(init_population(problem, 1, rng), 12, axis=0)
+    fs = evaluate(xs, problem)
+    out_x, out_f = nsga2_generation(xs, fs, problem, MutationConfig(), 20.0, rng)
+    assert out_x.shape == (12, problem.n) and out_f.shape == (12, 3)
 
 
 def test_nsga2_improves_dtlz2_quickly():

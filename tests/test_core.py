@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from rveawg import (
+    PROBLEM_NAMES,
     ConfigurationError,
-    EvaluationCounter,
     EvaluationError,
-    Population,
     RandomSource,
     evaluate,
     init_population,
     make_problem,
 )
-from rveawg.core import Individual
 from rveawg.problems import ProblemDef
 
 
@@ -23,16 +21,15 @@ def test_init_population_rejects_size_zero():
 
 def test_init_population_within_bounds():
     problem = make_problem("dtlz2", 3)
-    pop = init_population(problem, 50, RandomSource(3))
-    xs = pop.decision_matrix()
+    xs = init_population(problem, 50, RandomSource(3))
+    assert xs.shape == (50, problem.n)
     assert np.all(xs >= problem.lower) and np.all(xs <= problem.upper)
-    assert not any(ind.evaluated for ind in pop)
 
 
 def test_init_population_seed_replay_bit_exact():
     problem = make_problem("lsmop1", 3)
-    a = init_population(problem, 20, RandomSource(42)).decision_matrix()
-    b = init_population(problem, 20, RandomSource(42)).decision_matrix()
+    a = init_population(problem, 20, RandomSource(42))
+    b = init_population(problem, 20, RandomSource(42))
     assert np.array_equal(a, b)
 
 
@@ -54,34 +51,25 @@ def test_evaluate_dtlz2_analytic_point():
     problem = make_problem("dtlz2", 3)
     x = np.full(problem.n, 0.5)
     x[:2] = 0.0
-    pop = Population(members=[Individual(x=x)])
-    out = evaluate(pop, problem)
-    f = out.members[0].f
+    f = evaluate(x[None, :], problem)[0]
     assert np.allclose(f, [1.0, 0.0, 0.0], atol=1e-12)
     assert abs(np.sum(f**2) - 1.0) < 1e-12
 
 
 def test_evaluate_empty_population():
-    problem = make_problem("dtlz2", 3)
-    out = evaluate(Population(members=[]), problem)
-    assert len(out) == 0
+    for name in PROBLEM_NAMES:
+        problem = make_problem(name, 3)
+        assert evaluate(np.zeros((0, problem.n)), problem).shape == (0, 3)
 
 
 def test_evaluate_is_pure():
     problem = make_problem("dtlz4", 3)
-    pop = init_population(problem, 10, RandomSource(7))
-    once = evaluate(pop, problem)
-    twice = evaluate(once, problem)
-    assert np.array_equal(once.objective_matrix(), twice.objective_matrix())
-
-
-def test_evaluate_counter_bookkeeping():
-    problem = make_problem("dtlz1", 3)
-    counter = EvaluationCounter()
-    pop = init_population(problem, 12, RandomSource(5))
-    evaluate(pop, problem, counter)
-    evaluate(pop, problem, counter)
-    assert counter.count == 24
+    xs = init_population(problem, 10, RandomSource(7))
+    before = xs.copy()
+    once = evaluate(xs, problem)
+    twice = evaluate(xs, problem)
+    assert np.array_equal(once, twice)
+    assert np.array_equal(xs, before)
 
 
 def test_evaluate_reports_nonfinite_individual():
@@ -99,9 +87,9 @@ def test_evaluate_reports_nonfinite_individual():
         evaluate=broken,
         front_sampler=lambda count: np.zeros((count, 2)),
     )
-    pop = init_population(problem, 3, RandomSource(0))
+    xs = init_population(problem, 3, RandomSource(0))
     with pytest.raises(EvaluationError, match="individual 1"):
-        evaluate(pop, problem)
+        evaluate(xs, problem)
 
 
 def test_random_source_children_independent_and_reproducible():

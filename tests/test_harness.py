@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from rveawg import ConfigurationError, RandomSource, RunConfig, run_experiment, run_single
+from rveawg import ConfigurationError, RandomSource, RunConfig, harness, run_experiment, run_single
 from rveawg.cli import main, parse_config_file
 from rveawg.harness import emit_plot_data, resolve_setup, rvea_wg_run, write_experiment_csv
 
@@ -42,6 +42,13 @@ def test_trace_length_matches_generations():
         assert len(record.igd_trace) == 4
 
 
+def test_evaluations_count_rows_evaluated():
+    # N initial rows plus N offspring per generation, for both algorithms.
+    for alg in ("rvea-wg", "nsga2"):
+        record = run_single(small_cfg(alg, generations=3), 5)
+        assert record.evaluations == 15 * (3 + 1)
+
+
 def test_population_never_exceeds_lattice_size():
     cfg = small_cfg(generations=5)
     record = rvea_wg_run(cfg, RandomSource(9))
@@ -69,6 +76,26 @@ def test_config_validation():
 def test_resolved_pop_size_snaps_to_lattice():
     problem, weights = resolve_setup(RunConfig(problem="dtlz2", objectives=3, pop_size=16))
     assert weights.shape[0] == 21  # smallest 3-objective lattice count >= 16
+
+
+def test_both_algorithms_snap_pop_size_alike():
+    for alg in ("rvea-wg", "nsga2"):
+        record = run_single(small_cfg(alg, generations=1, pop_size=16), 0)
+        assert record.config["resolved_pop_size"] == 21
+    assert record.final_x.shape[0] == 21  # NSGA-II keeps exactly N
+
+
+def test_failed_run_reported_on_stderr(monkeypatch, capsys):
+    def broken(cfg, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "run_single", broken)
+    row = run_experiment([small_cfg("nsga2", runs=2)])[0]
+    assert all(np.isnan(v) for v in row.per_run)
+    out, err = capsys.readouterr()
+    assert "run failed" not in out
+    assert err.count("run failed (nsga2, dtlz2, seed") == 2
+    assert "boom" in err
 
 
 def test_experiment_rows_paired_seeds_and_best_flag(tmp_path):
@@ -197,6 +224,7 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("objectives = 1\n")  # lattice needs M >= 2
     assert main(["sweep", "--config", str(bad)]) == 1
+    assert main(["run", "--epochs", "-1", "--out", str(tmp_path / "out")]) == 1
 
 
 def test_cli_sweep_small(tmp_path):

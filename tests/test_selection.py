@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rveawg import Population, RandomSource, elitism_select, to_unit_vectors, translate
-from rveawg.core import EvaluationError, Individual
+from rveawg import RandomSource, elitism_select, to_unit_vectors, translate
+from rveawg.core import EvaluationError
 from rveawg.selection import apd, partition
-
-
-def make_pop(objs):
-    rng = np.random.default_rng(0)
-    return Population(
-        members=[Individual(x=rng.random(2), f=np.asarray(f, dtype=float)) for f in objs]
-    )
 
 
 def oracle_select(objs, vectors, t, t_max, alpha):
@@ -110,31 +103,24 @@ def test_apd_rejects_bad_gamma():
 
 def test_elitism_keeps_each_aligned_individual():
     refs = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
-    pop = make_pop([[2.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
-    result = elitism_select(pop, refs, t=0, t_max=10)
+    objs = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
+    result = elitism_select(objs, refs, t=0, t_max=10)
     assert list(result.selected_indices) == [0, 1, 2]
 
 
 def test_elitism_min_norm_wins_at_t0():
     refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    pop = make_pop([[3.0, 0.2], [2.0, 0.1], [0.1, 5.0]])
-    result = elitism_select(pop, refs, t=0, t_max=10)
+    objs = np.array([[3.0, 0.2], [2.0, 0.1], [0.1, 5.0]])
+    result = elitism_select(objs, refs, t=0, t_max=10)
     assert 1 in result.selected_indices and 0 not in result.selected_indices
-
-
-def test_elitism_rejects_unevaluated():
-    pop = Population(members=[Individual(x=np.zeros(2))])
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(EvaluationError):
-        elitism_select(pop, refs, 0, 10)
 
 
 def test_elitism_never_doubles_a_partition():
     rng = RandomSource(11)
     refs = to_unit_vectors(np.abs(rng.standard_normal((8, 3))) + 1e-3)
-    pop = make_pop(rng.uniform(0, 5, size=(40, 3)))
-    result = elitism_select(pop, refs, t=3, t_max=10)
-    part = partition(translate(pop.objective_matrix()), refs)
+    objs = rng.uniform(0, 5, size=(40, 3))
+    result = elitism_select(objs, refs, t=3, t_max=10)
+    part = partition(translate(objs), refs)
     chosen = part.assignment[result.selected_indices]
     assert len(set(chosen.tolist())) == len(chosen)
 
@@ -143,8 +129,8 @@ def test_translation_invariance_of_selection():
     rng = RandomSource(13)
     refs = to_unit_vectors(np.abs(rng.standard_normal((6, 3))) + 1e-3)
     objs = rng.uniform(0, 4, size=(25, 3))
-    base = elitism_select(make_pop(objs), refs, t=4, t_max=15)
-    shifted = elitism_select(make_pop(objs + np.array([7.0, -2.0, 11.0])), refs, t=4, t_max=15)
+    base = elitism_select(objs, refs, t=4, t_max=15)
+    shifted = elitism_select(objs + np.array([7.0, -2.0, 11.0]), refs, t=4, t_max=15)
     assert np.array_equal(base.selected_indices, shifted.selected_indices)
 
 
@@ -159,14 +145,14 @@ def test_selection_matches_bruteforce_oracle_on_random_instances():
         objs = rng.uniform(0.0, 10.0, size=(p, m))
         t_max = int(rng.integers(1, 30))
         t = int(rng.integers(0, t_max + 1))
-        result = elitism_select(make_pop(objs), refs, t=t, t_max=t_max, alpha=2.0)
+        result = elitism_select(objs, refs, t=t, t_max=t_max, alpha=2.0)
         expected = oracle_select(objs.tolist(), refs.current.tolist(), t, t_max, 2.0)
         assert list(result.selected_indices) == expected, f"case {case}"
 
 
 def test_selection_returns_extrema_for_adaptation():
-    pop = make_pop([[1.0, 5.0], [4.0, 2.0]])
+    objs = np.array([[1.0, 5.0], [4.0, 2.0]])
     refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    result = elitism_select(pop, refs, 0, 10)
+    result = elitism_select(objs, refs, 0, 10)
     assert np.array_equal(result.z_min, [1.0, 2.0])
     assert np.array_equal(result.z_max, [4.0, 5.0])

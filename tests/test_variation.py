@@ -1,7 +1,7 @@
 import numpy as np
 
-from rveawg import MutationConfig, RandomSource, polynomial_mutation, sbx_crossover
-from rveawg.variation import mutation_delta
+from rveawg import MutationConfig, RandomSource, sbx_crossover
+from rveawg.variation import mutate_matrix, mutation_delta
 
 LOWER = np.zeros(6)
 UPPER = np.ones(6)
@@ -11,7 +11,7 @@ def test_zero_probability_is_identity():
     rng = RandomSource(1)
     x = rng.uniform(0, 1, 6)
     cfg = MutationConfig(p_m=0.0)
-    assert np.array_equal(polynomial_mutation(x, LOWER, UPPER, cfg, RandomSource(2)), x)
+    assert np.array_equal(mutate_matrix(x[None], LOWER, UPPER, cfg, RandomSource(2))[0], x)
 
 
 def test_delta_zero_at_symmetry_point():
@@ -26,7 +26,7 @@ def test_mutation_stays_in_bounds():
     cfg = MutationConfig(p_m=1.0)
     for _ in range(200):
         x = rng.uniform(0, 1, 6)
-        y = polynomial_mutation(x, LOWER, UPPER, cfg, rng)
+        y = mutate_matrix(x[None], LOWER, UPPER, cfg, rng)[0]
         assert np.all(y >= LOWER) and np.all(y <= UPPER)
 
 
@@ -35,9 +35,6 @@ def test_mutation_distribution_symmetric_at_midpoint():
     cfg = MutationConfig(p_m=1.0, eta_m=20.0)
     n = 100_000
     x = np.full((n, 1), 0.5)
-    moved = np.empty(n)
-    from rveawg.variation import mutate_matrix
-
     moved = mutate_matrix(x, np.zeros(1), np.ones(1), cfg, rng)[:, 0] - 0.5
     stderr = moved.std() / np.sqrt(n)
     assert abs(moved.mean()) < 3 * stderr
@@ -46,8 +43,8 @@ def test_mutation_distribution_symmetric_at_midpoint():
 def test_mutation_seed_replay():
     cfg = MutationConfig()
     x = np.linspace(0.1, 0.9, 6)
-    a = polynomial_mutation(x, LOWER, UPPER, cfg, RandomSource(9))
-    b = polynomial_mutation(x, LOWER, UPPER, cfg, RandomSource(9))
+    a = mutate_matrix(x[None], LOWER, UPPER, cfg, RandomSource(9))
+    b = mutate_matrix(x[None], LOWER, UPPER, cfg, RandomSource(9))
     assert np.array_equal(a, b)
 
 

@@ -72,6 +72,19 @@ def test_pretrain_separates_clusters():
     assert forward(critic, good)[0].mean() > forward(critic, bad)[0].mean()
 
 
+def test_critic_divergence_leaves_critic_untouched():
+    cfg = GanConfig()
+    _, _, critic, copt, rng = fresh_pair(4, cfg, 6)
+    before = [p.tobytes() for p in params_of(critic)]
+    bad = np.ones((10, 4))
+    bad[:, 1] = np.nan  # every batch, so the first step diverges
+    corpus = TrainingCorpus(real=np.zeros((10, 4)), bad=bad)
+    with pytest.raises(TrainingError, match="critic loss diverged"):
+        pretrain_discriminator(critic, copt, corpus, cfg, rng)
+    assert [p.tobytes() for p in params_of(critic)] == before
+    assert copt.step == 0
+
+
 def test_train_zero_epochs_is_noop():
     cfg = GanConfig(epochs=0)
     gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 4)
@@ -127,11 +140,10 @@ def test_sample_offspring_zero_generator_hits_midpoint():
         biases=[np.zeros(4), np.zeros(4), np.zeros(4)],
         output_tanh=True,
     )
-    pop = sample_offspring(gen, 5, LOWER4, UPPER4, RandomSource(1), cfg)
+    xs = sample_offspring(gen, 5, LOWER4, UPPER4, RandomSource(1), cfg)
     mid = (LOWER4 + UPPER4) / 2
-    for ind in pop:
-        assert np.allclose(ind.x, mid, atol=1e-12)
-        assert not ind.evaluated
+    assert xs.shape == (5, 4)
+    assert np.allclose(xs, mid, atol=1e-12)
 
 
 def test_sample_offspring_count_and_bounds():
@@ -140,8 +152,7 @@ def test_sample_offspring_count_and_bounds():
     gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=rng)
     # Saturate the outputs to check clamping stays inside the box.
     gen.weights[-1] *= 50.0
-    pop = sample_offspring(gen, 37, LOWER4, UPPER4, rng, cfg)
-    xs = pop.decision_matrix()
+    xs = sample_offspring(gen, 37, LOWER4, UPPER4, rng, cfg)
     assert xs.shape == (37, 4)
     assert np.all(xs >= LOWER4) and np.all(xs <= UPPER4)
 
@@ -149,8 +160,8 @@ def test_sample_offspring_count_and_bounds():
 def test_sample_offspring_seed_replay():
     cfg = GanConfig()
     gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=RandomSource(77))
-    a = sample_offspring(gen, 10, LOWER4, UPPER4, RandomSource(5), cfg).decision_matrix()
-    b = sample_offspring(gen, 10, LOWER4, UPPER4, RandomSource(5), cfg).decision_matrix()
+    a = sample_offspring(gen, 10, LOWER4, UPPER4, RandomSource(5), cfg)
+    b = sample_offspring(gen, 10, LOWER4, UPPER4, RandomSource(5), cfg)
     assert np.array_equal(a, b)
 
 
@@ -163,7 +174,7 @@ def test_offspring_gan_generation_is_reproducible():
         cfg = GanConfig(epochs=3, pretrain_epochs=2)
         gan = OffspringGan(4, cfg, RandomSource(seed))
         gan.next_generation(TrainingCorpus(real=real, bad=bad))
-        return gan.sample(8, LOWER4, UPPER4).decision_matrix()
+        return gan.sample(8, LOWER4, UPPER4)
 
     assert np.array_equal(one(3), one(3))
     assert not np.array_equal(one(3), one(4))
