@@ -2,31 +2,86 @@
 
 Provides exactly what adversarial offspring generation needs: a batched
 forward pass, backpropagation to parameters, per-sample gradients of a
-scalar-output critic with respect to its input, and the derivative of the
-unit-gradient-norm penalty with respect to the critic parameters. The penalty
-derivative is computed analytically: the input gradient is differentiated in
-the penalty's descent direction with a forward (tangent) sweep, and that
-extended computation is then swept in reverse. Hidden activations are tanh
-throughout, which keeps this second differentiation smooth everywhere.
+scalar-output critic with respect to its input, the derivative of the
+unit-gradient-norm penalty with respect to the critic parameters, and the two
+training gradients of a WGAN-GP built from them. The penalty derivative is
+computed analytically: the input gradient is differentiated in the penalty's
+descent direction with a forward (tangent) sweep, and that extended
+computation is then swept in reverse. Hidden activations are tanh throughout,
+which keeps this second differentiation smooth everywhere.
+
+Parameters are flat: a network keeps all its weights and biases in one
+contiguous ``params`` vector, layer by layer, the row-major weight matrix and
+then the bias. ``weights`` and ``biases`` are views into it, gradients and the
+Adam moments use the same layout, and an Adam update is a few whole-vector
+operations.
+
+``critic_gradient`` does a whole critic step in one forward pass over the
+stacked [good; bad; mixed] rows and one reverse sweep over all of them,
+seeded with -1/b, +1/b and 1. Weight-gradient products are taken per b-row
+block, bad rows first, so every sum is accumulated in the same order as
+separate ``backward`` calls would; the penalty's tangent and adjoint sweeps
+run on the mixed block of the same pass. Whether a matrix product over the
+3b stacked rows gives each row the same bits as one over its b rows alone is
+up to the BLAS: with OpenBLAS it does at b = 32, the training batch, but at
+some other b the kernel chosen for the row count changes the last bits.
+``generator_gradient`` takes the critic's input gradient from the forward
+pass that gives the scores. The public ``forward``, ``backward``,
+``input_gradient`` and ``gradient_penalty_backward`` run the same sweeps on a
+single batch.
 
 All arithmetic is float64. Weight matrices are stored (out, in); batches are
 row-major (batch, features).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import RandomSource, TrainingError
 
 
+def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat vector (weights then bias per layer)."""
+    weights, biases, start = [], [], 0
+    for out_dim, in_dim in shapes:
+        end = start + out_dim * in_dim
+        weights.append(flat[start:end].reshape(out_dim, in_dim))
+        biases.append(flat[end:end + out_dim])
+        start = end + out_dim
+    return weights, biases
+
+
 @dataclass
 class Mlp:
+    """A network whose layers are views into one flat ``params`` vector.
+
+    The constructor copies the given layers into ``params``, so writing
+    through ``weights[k]`` or ``biases[k]`` updates ``params`` and back.
+    """
+
     weights: list[np.ndarray]  # each (out, in)
     biases: list[np.ndarray]   # each (out,)
     output_tanh: bool
     version: int = 0           # bumped on every parameter update; guards stale caches
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = [np.shape(w) for w in self.weights]
+        self.params = np.concatenate(
+            [np.ravel(a) for w, b in zip(self.weights, self.biases) for a in (w, b)], dtype=float
+        )
+        self.weights, self.biases = _layer_views(self.params, shapes)
+
+    def __reduce__(self):
+        # Pickle the layers: unpickling packs them into a fresh params vector
+        # that the views alias again.
+        return Mlp, (self.weights, self.biases, self.output_tanh, self.version)
+
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        return [w.shape for w in self.weights]
 
     @property
     def n_layers(self) -> int:
@@ -41,35 +96,15 @@ class Mlp:
         return self.weights[-1].shape[0]
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            output_tanh=self.output_tanh,
-            version=self.version,
-        )
+        return Mlp(self.weights, self.biases, self.output_tanh, self.version)
 
 
-@dataclass
 class Grads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """Parameter gradients of one network, laid out like its ``params``."""
 
-    def __add__(self, other: "Grads") -> "Grads":
-        return Grads(
-            weights=[a + b for a, b in zip(self.weights, other.weights)],
-            biases=[a + b for a, b in zip(self.biases, other.biases)],
-        )
-
-    def scaled(self, factor: float) -> "Grads":
-        return Grads(
-            weights=[factor * w for w in self.weights],
-            biases=[factor * b for b in self.biases],
-        )
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
+    def __init__(self, flat: np.ndarray, shapes):
+        self.flat = flat
+        self.weights, self.biases = _layer_views(flat, shapes)
 
 
 @dataclass
@@ -80,19 +115,12 @@ class ForwardCache:
 
 
 def zero_grads(net: Mlp) -> Grads:
-    return Grads(
-        weights=[np.zeros_like(w) for w in net.weights],
-        biases=[np.zeros_like(b) for b in net.biases],
-    )
+    return Grads(np.zeros_like(net.params), net.shapes)
 
 
 def save_params(net: Mlp, path) -> None:
     """Debug dump: little-endian float64, row-major, weights then bias per layer."""
-    parts = []
-    for w, b in zip(net.weights, net.biases):
-        parts.append(w.reshape(-1))
-        parts.append(b)
-    np.concatenate(parts).astype("<f8").tofile(path)
+    net.params.astype("<f8").tofile(path)
 
 
 def init_mlp(layer_sizes: list[int], output_tanh: bool, rng: RandomSource) -> Mlp:
@@ -107,10 +135,15 @@ def init_mlp(layer_sizes: list[int], output_tanh: bool, rng: RandomSource) -> Ml
     return Mlp(weights=weights, biases=biases, output_tanh=output_tanh)
 
 
-def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def _as_batch(net: Mlp, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ValueError(f"expected batch of shape (b, {net.in_dim}), got {x.shape}")
+    return x
+
+
+def _forward_sweep(net: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """Post-activation output of every layer; the last entry is the network output."""
     hs = []
     h = x
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -118,65 +151,35 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         last = k == net.n_layers - 1
         h = a if (last and not net.output_tanh) else np.tanh(a)
         hs.append(h)
-    return hs[-1], ForwardCache(version=net.version, x=x, hs=hs)
+    return hs
 
 
-def backward(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> Grads:
-    """Gradients of sum(loss_grad * output) with respect to all weights and biases."""
-    if cache.version != net.version:
-        raise ValueError("stale forward cache: parameters were updated after the forward pass")
-    loss_grad = np.asarray(loss_grad, dtype=float)
-    y = cache.hs[-1]
-    if loss_grad.shape != y.shape:
-        raise ValueError(f"loss_grad shape {loss_grad.shape} does not match output {y.shape}")
-    delta = loss_grad * (1.0 - y * y) if net.output_tanh else loss_grad
-    grads = zero_grads(net)
-    for k in range(net.n_layers - 1, -1, -1):
-        prev = cache.x if k == 0 else cache.hs[k - 1]
-        grads.weights[k] += delta.T @ prev
-        grads.biases[k] += delta.sum(axis=0)
-        if k > 0:
-            h = cache.hs[k - 1]
-            delta = (delta @ net.weights[k]) * (1.0 - h * h)
-    return grads
-
-
-def _require_scalar_critic(net: Mlp) -> None:
-    if net.output_tanh or net.out_dim != 1:
-        raise ValueError("input gradients require a linear scalar-output network")
-
-
-def input_gradient(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the critic's scalar output with respect to its input."""
-    _require_scalar_critic(net)
-    _, cache = forward(net, x)
-    d = np.ones((x.shape[0], 1))
+def _reverse_sweep(net: Mlp, hs: list[np.ndarray], top: np.ndarray) -> tuple[list, list]:
+    """Per row, the derivative of sum(top * output) with respect to each
+    layer's pre-activation, and the tanh derivative 1 - h*h of each hidden layer."""
+    y = hs[-1]
+    sech2 = [1.0 - h * h for h in hs[:-1]]
+    ds = [None] * net.n_layers
+    ds[-1] = top * (1.0 - y * y) if net.output_tanh else top
     for k in range(net.n_layers - 1, 0, -1):
-        h = cache.hs[k - 1]
-        d = (d @ net.weights[k]) * (1.0 - h * h)
-    return d @ net.weights[0]
+        ds[k - 1] = (ds[k] @ net.weights[k]) * sech2[k - 1]
+    return ds, sech2
 
 
-def gradient_penalty_backward(net: Mlp, interpolated: np.ndarray) -> tuple[float, Grads]:
-    """Mean squared deviation of the input-gradient norm from 1, and its parameter gradient.
+def _add_param_grads(x, hs, ds, rows: slice, grads: Grads) -> None:
+    """Add the parameter gradient carried by the given rows of a reverse sweep to grads."""
+    for k, d in enumerate(ds):
+        prev = x if k == 0 else hs[k - 1]
+        grads.weights[k] += d[rows].T @ prev[rows]
+        grads.biases[k] += d[rows].sum(axis=0)
 
-    The parameter gradient never touches the output bias (the input gradient
-    does not depend on it). A sample whose input gradient is exactly zero
-    contributes the subgradient 0 at the norm kink.
-    """
-    _require_scalar_critic(net)
-    x = np.asarray(interpolated, dtype=float)
+
+def _penalty_backward(net: Mlp, x, hs, sech2, ds, grads: Grads) -> float:
+    """The gradient penalty at rows x, given their forward sweep and their
+    reverse sweep seeded with 1; its parameter gradient is added to grads."""
     b = x.shape[0]
     L = net.n_layers
-    _, cache = forward(net, x)
-    hs = cache.hs
-
-    # Reverse sweep of the primal network: d[k] = dD/da_k per sample.
-    d = [None] * L
-    d[L - 1] = np.ones((b, 1))
-    for k in range(L - 1, 0, -1):
-        d[k - 1] = (d[k] @ net.weights[k]) * (1.0 - hs[k - 1] * hs[k - 1])
-    g = d[0] @ net.weights[0]  # (b, in), per-sample input gradient
+    g = ds[0] @ net.weights[0]  # (b, in), per-sample input gradient
 
     norms = np.linalg.norm(g, axis=1)
     penalty = float(np.mean((norms - 1.0) ** 2))
@@ -193,21 +196,19 @@ def gradient_penalty_backward(net: Mlp, interpolated: np.ndarray) -> tuple[float
     t_prev = u
     for k in range(L - 1):
         ta[k] = t_prev @ net.weights[k].T
-        th[k] = (1.0 - hs[k] * hs[k]) * ta[k]
+        th[k] = sech2[k] * ta[k]
         t_prev = th[k]
     # The scalar u.g per sample would be th[L-2] @ W_L^T; only its parameter
     # gradient is needed.
 
-    grads = zero_grads(net)
     hbar = [np.zeros_like(hs[k]) for k in range(L - 1)]
 
     # Reverse through the tangent chain.
     last_t = u if L == 1 else th[L - 2]
     grads.weights[L - 1] += last_t.sum(axis=0)[None, :]
-    tbar = np.broadcast_to(net.weights[L - 1][0], (b, net.weights[L - 1].shape[1])).copy()
+    tbar = net.weights[L - 1][0]  # the same for every row until the first product below
     for k in range(L - 2, -1, -1):
-        sech2 = 1.0 - hs[k] * hs[k]
-        tabar = tbar * sech2
+        tabar = tbar * sech2[k]
         hbar[k] += tbar * (-2.0 * hs[k] * ta[k])
         prev_t = u if k == 0 else th[k - 1]
         grads.weights[k] += tabar.T @ prev_t
@@ -216,20 +217,117 @@ def gradient_penalty_backward(net: Mlp, interpolated: np.ndarray) -> tuple[float
 
     # Reverse through the primal chain for the activation dependencies.
     for k in range(L - 2, -1, -1):
-        abar = hbar[k] * (1.0 - hs[k] * hs[k])
+        abar = hbar[k] * sech2[k]
         prev = x if k == 0 else hs[k - 1]
         grads.weights[k] += abar.T @ prev
         grads.biases[k] += abar.sum(axis=0)
         if k > 0:
             hbar[k - 1] += abar @ net.weights[k]
 
+    return penalty
+
+
+def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    x = _as_batch(net, x)
+    hs = _forward_sweep(net, x)
+    return hs[-1], ForwardCache(version=net.version, x=x, hs=hs)
+
+
+def backward(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> Grads:
+    """Gradients of sum(loss_grad * output) with respect to all weights and biases."""
+    if cache.version != net.version:
+        raise ValueError("stale forward cache: parameters were updated after the forward pass")
+    loss_grad = np.asarray(loss_grad, dtype=float)
+    y = cache.hs[-1]
+    if loss_grad.shape != y.shape:
+        raise ValueError(f"loss_grad shape {loss_grad.shape} does not match output {y.shape}")
+    ds, _ = _reverse_sweep(net, cache.hs, loss_grad)
+    grads = zero_grads(net)
+    _add_param_grads(cache.x, cache.hs, ds, slice(None), grads)
+    return grads
+
+
+def _require_scalar_critic(net: Mlp) -> None:
+    if net.output_tanh or net.out_dim != 1:
+        raise ValueError("input gradients require a linear scalar-output network")
+
+
+def _ones_sweep(net: Mlp, cache: ForwardCache) -> tuple[list, list]:
+    return _reverse_sweep(net, cache.hs, np.ones((cache.x.shape[0], 1)))
+
+
+def input_gradient(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """Per-sample gradient of the critic's scalar output with respect to its input."""
+    _require_scalar_critic(net)
+    _, cache = forward(net, x)
+    ds, _ = _ones_sweep(net, cache)
+    return ds[0] @ net.weights[0]
+
+
+def gradient_penalty_backward(net: Mlp, interpolated: np.ndarray) -> tuple[float, Grads]:
+    """Mean squared deviation of the input-gradient norm from 1, and its parameter gradient.
+
+    The parameter gradient never touches the output bias (the input gradient
+    does not depend on it). A sample whose input gradient is exactly zero
+    contributes the subgradient 0 at the norm kink.
+    """
+    _require_scalar_critic(net)
+    _, cache = forward(net, interpolated)
+    ds, sech2 = _ones_sweep(net, cache)
+    grads = zero_grads(net)
+    penalty = _penalty_backward(net, cache.x, cache.hs, sech2, ds, grads)
     return penalty, grads
+
+
+def critic_gradient(
+    net: Mlp, good: np.ndarray, bad: np.ndarray, mixed: np.ndarray, lambda_gp: float
+) -> tuple[np.ndarray, np.ndarray, float, Grads]:
+    """Scores and parameter gradient of one critic step of a WGAN-GP.
+
+    The loss is mean D(bad) - mean D(good) + lambda_gp * penalty(mixed) over
+    b rows each. Returns (D(good), D(bad), penalty, gradient); the gradient is
+    backward on bad, plus backward on good, plus lambda_gp times
+    gradient_penalty_backward on mixed, summed in that order. It is equal to
+    that sum bit for bit when the BLAS gives each row of the stacked batch the
+    same product as it does in a batch of b rows (see the module docstring).
+    """
+    _require_scalar_critic(net)
+    b = len(good)
+    x = _as_batch(net, np.vstack([good, bad, mixed]))
+    hs = _forward_sweep(net, x)
+    good_rows, bad_rows, mixed_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
+    top = np.ones((3 * b, 1))
+    top[good_rows] = -1.0 / b
+    top[bad_rows] = 1.0 / b
+    ds, sech2 = _reverse_sweep(net, hs, top)
+    grads = zero_grads(net)
+    _add_param_grads(x, hs, ds, bad_rows, grads)
+    _add_param_grads(x, hs, ds, good_rows, grads)
+    pen = zero_grads(net)
+    mixed_hs, mixed_sech2, mixed_ds = (
+        [a[mixed_rows] for a in arrays] for arrays in (hs, sech2, ds)
+    )
+    penalty = _penalty_backward(net, x[mixed_rows], mixed_hs, mixed_sech2, mixed_ds, pen)
+    grads.flat += lambda_gp * pen.flat
+    y = hs[-1]
+    return y[good_rows], y[bad_rows], penalty, grads
+
+
+def generator_gradient(gen: Mlp, critic: Mlp, z: np.ndarray) -> tuple[np.ndarray, Grads]:
+    """Critic scores of G(z) and the gradient of -mean D(G(z)) with respect to
+    the generator's parameters; one critic forward pass serves both."""
+    _require_scalar_critic(critic)
+    fake, gen_cache = forward(gen, z)
+    scores, cache = forward(critic, fake)
+    ds, _ = _ones_sweep(critic, cache)
+    d_fake = -(ds[0] @ critic.weights[0]) / len(fake)
+    return scores, backward(gen, gen_cache, d_fake)
 
 
 @dataclass
 class AdamState:
-    m: Grads
-    v: Grads
+    m: np.ndarray  # first moment, laid out like the network's params
+    v: np.ndarray  # second moment
     step: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.5
@@ -239,42 +337,27 @@ class AdamState:
     @classmethod
     def for_net(cls, net: Mlp, learning_rate=1e-3, beta1=0.5, beta2=0.9, eps=1e-8) -> "AdamState":
         return cls(
-            m=zero_grads(net),
-            v=zero_grads(net),
+            m=np.zeros_like(net.params),
+            v=np.zeros_like(net.params),
             learning_rate=learning_rate,
             beta1=beta1,
             beta2=beta2,
             eps=eps,
         )
 
-    def copy(self) -> "AdamState":
-        return AdamState(
-            m=Grads([w.copy() for w in self.m.weights], [b.copy() for b in self.m.biases]),
-            v=Grads([w.copy() for w in self.v.weights], [b.copy() for b in self.v.biases]),
-            step=self.step,
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-        )
-
 
 def adam_step(net: Mlp, grads: Grads, state: AdamState) -> tuple[Mlp, AdamState]:
     """Standard Adam update with bias correction, applied in place."""
-    if not grads.all_finite():
+    g = grads.flat
+    if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient passed to the optimizer")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for params, g_list, m_list, v_list in (
-        (net.weights, grads.weights, state.m.weights, state.v.weights),
-        (net.biases, grads.biases, state.m.biases, state.v.biases),
-    ):
-        for p, g, m, v in zip(params, g_list, m_list, v_list):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * g * g
+    net.params -= state.learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
     net.version += 1
     return net, state

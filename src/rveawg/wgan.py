@@ -15,11 +15,10 @@ from .neuronet import (
     AdamState,
     Mlp,
     adam_step,
-    backward,
+    critic_gradient,
     forward,
-    gradient_penalty_backward,
+    generator_gradient,
     init_mlp,
-    input_gradient,
 )
 
 
@@ -106,20 +105,15 @@ def _critic_update(
 
     Returns (loss, penalty, mean D(good) - mean D(bad)).
     """
-    b = good.shape[0]
-    y_good, cache_good = forward(critic, good)
-    y_bad, cache_bad = forward(critic, bad)
-    grads = backward(critic, cache_bad, np.full_like(y_bad, 1.0 / b))
-    grads = grads + backward(critic, cache_good, np.full_like(y_good, -1.0 / b))
-    eps = rng.random((b, 1))
+    eps = rng.random((good.shape[0], 1))
     mixed = eps * good + (1.0 - eps) * bad
-    penalty, pen_grads = gradient_penalty_backward(critic, mixed)
-    grads = grads + pen_grads.scaled(lambda_gp)
-    loss = float(np.mean(y_bad) - np.mean(y_good) + lambda_gp * penalty)
+    y_good, y_bad, penalty, grads = critic_gradient(critic, good, bad, mixed, lambda_gp)
+    mean_good, mean_bad = np.mean(y_good), np.mean(y_bad)
+    loss = float(mean_bad - mean_good + lambda_gp * penalty)
     if not np.isfinite(loss):
         raise TrainingError(f"critic loss diverged: {loss}")
     adam_step(critic, grads, opt)
-    return loss, penalty, float(np.mean(y_good) - np.mean(y_bad))
+    return loss, penalty, float(mean_good - mean_bad)
 
 
 def pretrain_discriminator(
@@ -172,13 +166,11 @@ def train(
             critic_loss, penalty, w_est = _critic_update(
                 critic, critic_opt, real, fake, cfg.lambda_gp, rng
             )
-        fake, gen_cache = forward(gen, _noise(cfg, b, rng))
-        scores, _ = forward(critic, fake)
+        scores, gen_grads = generator_gradient(gen, critic, _noise(cfg, b, rng))
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")
-        d_fake = -input_gradient(critic, fake) / b
-        adam_step(gen, backward(gen, gen_cache, d_fake), gen_opt)
+        adam_step(gen, gen_grads, gen_opt)
         trace.append(
             EpochStats(
                 epoch=epoch,

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from rveawg.neuronet import (
     Mlp,
     adam_step,
     backward,
+    critic_gradient,
     forward,
     gradient_penalty_backward,
     init_mlp,
     input_gradient,
+    save_params,
     zero_grads,
 )
 
@@ -284,3 +288,125 @@ def test_gradient_checks_across_twenty_random_nets():
             return float(np.sum(lg * y))
 
         assert_grads_close(got, fd_param_gradient(net, scalar), rtol=1e-4)
+
+
+def test_layers_are_views_of_params():
+    rng = RandomSource(21)
+    net = random_net(rng, out_dim=2, output_tanh=True)
+    assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+    before = net.params.copy()
+    net.weights[-1] *= 50.0
+    net.biases[0] += 1.0
+    assert not np.array_equal(net.params, before)
+    layout = [a.ravel() for w, b in zip(net.weights, net.biases) for a in (w, b)]
+    assert np.array_equal(net.params, np.concatenate(layout))
+    net.params[:] = 0.0
+    assert all(np.all(w == 0.0) for w in net.weights) and all(np.all(b == 0.0) for b in net.biases)
+
+
+def test_copy_shares_no_memory():
+    net = random_net(RandomSource(22))
+    twin = net.copy()
+    assert np.array_equal(twin.params, net.params) and twin.version == net.version
+    for a in [twin.params] + twin.weights + twin.biases:
+        for b in [net.params] + net.weights + net.biases:
+            assert not np.shares_memory(a, b)
+    twin.weights[0] += 1.0
+    assert not np.array_equal(twin.params, net.params)
+
+
+def test_pickle_round_trip_keeps_views():
+    net = random_net(RandomSource(23))
+    net.version = 7
+    back = pickle.loads(pickle.dumps(net))
+    assert np.array_equal(back.params, net.params)
+    assert (back.version, back.output_tanh) == (7, net.output_tanh)
+    back.weights[1] *= 2.0
+    back.biases[-1] += 3.0
+    assert np.array_equal(back.params[: net.weights[0].size], net.weights[0].ravel())
+    for w, b in zip(back.weights, back.biases):
+        assert np.shares_memory(w, back.params) and np.shares_memory(b, back.params)
+    assert not np.array_equal(back.params, net.params)
+
+
+def test_flat_adam_matches_per_array_loop():
+    rng = RandomSource(24)
+    net = random_net(rng)
+    ref_params = [a.copy() for a in net.weights + net.biases]
+    ref_m = [np.zeros_like(a) for a in ref_params]
+    ref_v = [np.zeros_like(a) for a in ref_params]
+    state = AdamState.for_net(net, learning_rate=7e-3)
+    for step in range(1, 4):
+        grads = zero_grads(net)
+        for g in grads.weights + grads.biases:
+            g += rng.standard_normal(g.shape)
+        adam_step(net, grads, state)
+        c1, c2 = 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
+        for p, g, m, v in zip(ref_params, grads.weights + grads.biases, ref_m, ref_v):
+            m *= state.beta1
+            m += (1.0 - state.beta1) * g
+            v *= state.beta2
+            v += (1.0 - state.beta2) * g * g
+            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, ref_params))
+    L = net.n_layers
+    for flat, ref in ((state.m, ref_m), (state.v, ref_v)):
+        layout = [a.ravel() for k in range(L) for a in (ref[k], ref[L + k])]
+        assert np.array_equal(flat, np.concatenate(layout))
+
+
+def test_save_params_layout(tmp_path):
+    net = random_net(RandomSource(25), out_dim=2)
+    save_params(net, tmp_path / "net.bin")
+    want = b"".join(a.astype("<f8").tobytes() for w, b in zip(net.weights, net.biases) for a in (w, b))
+    assert (tmp_path / "net.bin").read_bytes() == want
+
+
+def unfused_critic_step(net, good, bad, mixed, lam):
+    b = len(good)
+    y_good, cache_good = forward(net, good)
+    y_bad, cache_bad = forward(net, bad)
+    flat = backward(net, cache_bad, np.full_like(y_bad, 1.0 / b)).flat
+    flat = flat + backward(net, cache_good, np.full_like(y_good, -1.0 / b)).flat
+    penalty, pen_grads = gradient_penalty_backward(net, mixed)
+    return y_good, y_bad, penalty, flat + lam * pen_grads.flat
+
+
+@pytest.mark.parametrize("n", [12, 300])
+@pytest.mark.parametrize("b", [32, 7])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_fused_critic_step_equals_unfused(n, b, depth):
+    """Bit for bit at the training batch of 32 rows. For other batch sizes
+    OpenBLAS may pick another kernel for the 3b stacked rows than for b rows,
+    which moves results by a few ulps, so those are compared with a tolerance
+    of 45 float64 ulps of the largest entry."""
+    rng = RandomSource(1000 * n + 10 * b + depth)
+    net = init_mlp([n] + [64] * (depth - 1) + [1], output_tanh=False, rng=rng)
+    net.params += 0.05 * rng.standard_normal(net.params.shape)
+    good = rng.uniform(-1.0, 1.0, size=(b, n))
+    bad = rng.uniform(-1.0, 1.0, size=(b, n))
+    eps = rng.random((b, 1))
+    mixed = eps * good + (1.0 - eps) * bad
+    y_good, y_bad, penalty, grads = critic_gradient(net, good, bad, mixed, 10.0)
+    want = unfused_critic_step(net, good, bad, mixed, 10.0)
+    got = (y_good, y_bad, np.array(penalty), grads.flat)
+    for g, w in zip(got, want):
+        if b == 32:
+            assert np.array_equal(g, w)
+        else:
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14 * np.max(np.abs(w)))
+
+
+def test_fused_critic_gradient_matches_finite_differences():
+    rng = RandomSource(61)
+    net = random_net(rng)
+    good, bad, mixed = (rng.standard_normal((3, net.in_dim)) for _ in range(3))
+    _, _, _, got = critic_gradient(net, good, bad, mixed, 10.0)
+
+    def scalar():
+        y_good, y_bad, penalty, _ = critic_gradient(net, good, bad, mixed, 10.0)
+        return float(np.mean(y_bad) - np.mean(y_good) + 10.0 * penalty)
+
+    assert_grads_close(got, fd_param_gradient(net, scalar), rtol=1e-3)
