@@ -16,7 +16,7 @@ from .problems import PROBLEM_NAMES, ProblemDef, dtlz, lsmop, make_problem, samp
 from .refvec import ReferenceVectorSet, adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
 from .selection import elitism_select, partition, translate
 from .variation import MutationConfig, sbx_crossover
-from .wgan import GanConfig, OffspringGan, TrainingCorpus
+from .wgan import GanConfig
 
 __version__ = "0.1.0"
 
@@ -26,14 +26,12 @@ __all__ = [
     "GanConfig",
     "IgdResult",
     "MutationConfig",
-    "OffspringGan",
     "PROBLEM_NAMES",
     "ProblemDef",
     "RandomSource",
     "ReferenceVectorSet",
     "RunConfig",
     "RunRecord",
-    "TrainingCorpus",
     "TrainingError",
     "adapt",
     "aggregate_runs",

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 from .core import ConfigurationError
 from .harness import (
     ALGORITHMS,
+    ExperimentRow,
     RunConfig,
     emit_plot_data,
     resolve_setup,
@@ -120,6 +122,16 @@ def sweep_configs(values: dict[str, str], args) -> tuple[list[RunConfig], Path, 
     return configs, out, jobs
 
 
+def _exit_status(rows: list[ExperimentRow]) -> int:
+    """EXIT_RUNTIME when any run of the table failed (a NaN cell), else EXIT_OK."""
+    values = [v for row in rows for v in row.per_run]
+    failed = sum(not math.isfinite(v) for v in values)
+    if failed:
+        print(f"{failed} of {len(values)} runs failed", file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
+
+
 def cmd_run(args) -> int:
     cfg = RunConfig(
         algorithm=args.algorithm,
@@ -133,6 +145,7 @@ def cmd_run(args) -> int:
     )
     cfg.gan.epochs = args.epochs
     problem, weights = resolve_setup(cfg)
+    rows = run_experiment([cfg], jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -144,7 +157,6 @@ def cmd_run(args) -> int:
                 writer.writerow([repr(float(v)) for v in row])
 
     rows_path = out / "results.csv"
-    rows = run_experiment([cfg], jobs=args.jobs)
     write_experiment_csv(rows, rows_path)
     print(f"wrote {rows_path}")
 
@@ -163,7 +175,7 @@ def cmd_run(args) -> int:
                     print(f"wrote {target}")
     mean = rows[0].mean_igd
     print(f"{cfg.problem} M={cfg.objectives} {cfg.algorithm}: mean IGD {mean:.5e} over {cfg.runs} runs")
-    return EXIT_OK
+    return _exit_status(rows)
 
 
 def cmd_sweep(args) -> int:
@@ -175,7 +187,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_experiment_csv(rows, out / "results.csv")
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
-    return EXIT_OK
+    return _exit_status(rows)
 
 
 def main(argv: list[str] | None = None) -> int:

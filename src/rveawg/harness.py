@@ -18,9 +18,14 @@ from .problems import ProblemDef, make_problem, sample_front
 from .refvec import adapt, lattice_for, to_unit_vectors
 from .selection import elitism_select
 from .variation import MutationConfig, mutate_matrix
-from .wgan import EpochStats, GanConfig, OffspringGan, TrainingCorpus, normalize_to_net
+from .wgan import EpochStats, GanConfig, init_networks, normalize_to_net
+from .wgan import pretrain_discriminator, sample_offspring, train
 
 ALGORITHMS = ("rvea-wg", "nsga2")
+# Variation settings of both algorithms: polynomial mutation at p_m = 1/n and
+# eta_m = 20, and the SBX distribution index of NSGA-II.
+MUTATION = MutationConfig()
+ETA_C = 20.0
 
 
 @dataclass
@@ -33,9 +38,7 @@ class RunConfig:
     alpha: float = 2.0
     runs: int = 10
     seed: int = 0
-    eta_c: float = 20.0
     gan: GanConfig = field(default_factory=GanConfig)
-    mutation: MutationConfig = field(default_factory=MutationConfig)
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -44,6 +47,8 @@ class RunConfig:
             raise ConfigurationError("need at least one generation")
         if self.runs < 1:
             raise ConfigurationError("need at least one run")
+        if self.alpha < 0:
+            raise ConfigurationError(f"angle-penalty exponent alpha must be >= 0, got {self.alpha}")
         self.gan.validate()
 
 
@@ -87,18 +92,17 @@ def config_from_snapshot(snapshot: dict) -> RunConfig:
     """Rebuild the exact RunConfig a record was produced with."""
     data = dict(snapshot)
     data.pop("resolved_pop_size", None)
-    gan = GanConfig(**data.pop("gan"))
-    mutation = MutationConfig(**data.pop("mutation"))
-    return RunConfig(gan=gan, mutation=mutation, **data)
+    return RunConfig(gan=GanConfig(**data.pop("gan")), **data)
 
 
 def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
     """One optimization run of the adversarial-offspring algorithm.
 
-    Per generation: train the generator/critic pair on the current survivors
-    (critic pre-trained against the previously eliminated individuals), sample
-    N offspring, mutate them, merge with the parents, apply reference-vector
-    selection, and adapt the vectors to the merged objective ranges.
+    Per generation: draw a fresh generator/critic pair, train it on the
+    current survivors (critic pre-trained against the previously eliminated
+    individuals), sample N offspring, mutate them, merge with the parents,
+    apply reference-vector selection, and adapt the vectors to the merged
+    objective ranges.
     """
     problem, weights = resolve_setup(cfg)
     n_pop = weights.shape[0]
@@ -109,20 +113,25 @@ def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
     xs = init_population(problem, n_pop, rng.child("init"))
     fs = evaluate(xs, problem)
     evaluations = len(xs)
-    gan = OffspringGan(problem.n, cfg.gan, rng.child("gan"))
+    gan_rng = rng.child("gan")
+    init_rng = gan_rng.child("init")
+    # Draw and discard one pair. The networks were once drawn at set-up and
+    # then redrawn before every generation, so generation 0 trains this
+    # stream's second draw; skipping the first would change every seeded result.
+    init_networks(problem.n, cfg.gan, init_rng)
     mut_rng = rng.child("mutation")
     eliminated_x = np.zeros((0, problem.n))
     trace: list[float] = []
     gan_trace: list[EpochStats] = []
 
     for t in range(cfg.generations):
-        corpus = TrainingCorpus(
-            real=normalize_to_net(xs, problem.lower, problem.upper),
-            bad=normalize_to_net(eliminated_x, problem.lower, problem.upper),
-        )
-        gan_trace.extend(gan.next_generation(corpus))
-        offspring = gan.sample(n_pop, problem.lower, problem.upper)
-        offspring = mutate_matrix(offspring, problem.lower, problem.upper, cfg.mutation, mut_rng)
+        gen, gen_opt, critic, critic_opt = init_networks(problem.n, cfg.gan, init_rng)
+        real = normalize_to_net(xs, problem.lower, problem.upper)
+        bad = normalize_to_net(eliminated_x, problem.lower, problem.upper)
+        pretrain_discriminator(critic, critic_opt, real, bad, cfg.gan, gan_rng)
+        gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan, gan_rng))
+        offspring = sample_offspring(gen, n_pop, problem.lower, problem.upper, gan_rng, cfg.gan)
+        offspring = mutate_matrix(offspring, problem.lower, problem.upper, MUTATION, mut_rng)
         union_x = np.vstack([xs, offspring])
         union_f = np.vstack([fs, evaluate(offspring, problem)])
         evaluations += len(offspring)
@@ -144,7 +153,7 @@ def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
         evaluations=evaluations,
         duration=time.perf_counter() - started,
         gan_trace=gan_trace,
-        networks={"generator": gan.generator, "critic": gan.critic},
+        networks={"generator": gen, "critic": critic},
     )
 
 
@@ -161,7 +170,7 @@ def nsga2_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
     loop_rng = rng.child("nsga2")
     trace: list[float] = []
     for _ in range(cfg.generations):
-        xs, fs = nsga2_generation(xs, fs, problem, cfg.mutation, cfg.eta_c, loop_rng)
+        xs, fs = nsga2_generation(xs, fs, problem, MUTATION, ETA_C, loop_rng)
         evaluations += len(xs)  # the generation evaluated one child per parent
         trace.append(igd(front, fs).value)
 
@@ -212,6 +221,8 @@ def run_experiment(configs: list[RunConfig], jobs: int = 1) -> list[ExperimentRo
     (problem, M) group the minimum mean is flagged, mirroring the
     bold-minimum convention of benchmark tables.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"need at least one worker process, got jobs={jobs}")
     jobs_list: list[tuple[RunConfig, int]] = []
     for cfg in configs:
         resolve_setup(cfg)

@@ -335,15 +335,8 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_net(cls, net: Mlp, learning_rate=1e-3, beta1=0.5, beta2=0.9, eps=1e-8) -> "AdamState":
-        return cls(
-            m=np.zeros_like(net.params),
-            v=np.zeros_like(net.params),
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_net(cls, net: Mlp, learning_rate=1e-3) -> "AdamState":
+        return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), learning_rate=learning_rate)
 
 
 def adam_step(net: Mlp, grads: Grads, state: AdamState) -> tuple[Mlp, AdamState]:

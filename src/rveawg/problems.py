@@ -19,13 +19,12 @@ Rastrigin/Rosenbrock (LSMOP3). All three share the linear front sum(f) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Callable
 
 import numpy as np
 
 from .core import ConfigurationError
-from .refvec import simplex_lattice
+from .refvec import lattice_for
 
 LSMOP_SUBCOMPONENTS = 5
 
@@ -41,26 +40,16 @@ class ProblemDef:
     front_sampler: Callable[[int], np.ndarray] = field(repr=False)
 
 
-def _lattice_front(m: int, count: int) -> np.ndarray:
-    """Smallest simplex lattice with at least `count` points."""
-    if count < 1:
-        raise ConfigurationError(f"front sample count must be >= 1, got {count}")
-    h = 1
-    while comb(h + m - 1, m - 1) < count:
-        h += 1
-    return simplex_lattice(m, h)
-
-
 def linear_front_sampler(m: int, scale: float) -> Callable[[int], np.ndarray]:
     def sampler(count: int) -> np.ndarray:
-        return _lattice_front(m, count) * scale
+        return lattice_for(m, count) * scale
 
     return sampler
 
 
 def spherical_front_sampler(m: int) -> Callable[[int], np.ndarray]:
     def sampler(count: int) -> np.ndarray:
-        w = _lattice_front(m, count)
+        w = lattice_for(m, count)
         return w / np.linalg.norm(w, axis=1)[:, None]
 
     return sampler

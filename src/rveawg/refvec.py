@@ -95,6 +95,8 @@ def lattice_for(m: int, pop_size: int | None = None) -> np.ndarray:
             h_outer, h_inner = DEFAULT_LATTICES[m]
             return two_layer_lattice(m, h_outer, h_inner)
         pop_size = 100
+    if pop_size < 1:
+        raise ConfigurationError(f"requested lattice size must be >= 1, got {pop_size}")
     h = 1
     while comb(h + m - 1, m - 1) < pop_size:
         h += 1

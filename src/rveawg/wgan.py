@@ -1,8 +1,10 @@
-"""Adversarial offspring model: critic pre-training on survivors vs eliminated
-individuals, Wasserstein training with gradient penalty, and offspring sampling.
+"""Adversarial offspring model: a fresh generator/critic pair per call of
+`init_networks`, critic pre-training on survivors vs eliminated individuals,
+Wasserstein training with gradient penalty, and offspring sampling.
 
 Decision vectors are trained in normalized [-1, 1] coordinates so the
-generator's tanh output always lands inside the box.
+generator's tanh output always lands inside the box. Latent draws are
+standard normal.
 """
 from __future__ import annotations
 
@@ -27,11 +29,12 @@ class GanConfig:
     """Offspring-trainer settings.
 
     The defaults are calibrated for the benchmark protocol (40 epochs per
-    generation over 15 generations): networks restart every generation and
-    both sides share a coarse learning rate, which keeps the generated
-    offspring dispersed enough to explore. For long single-corpus training
-    set gen_learning_rate well below learning_rate (two time scales); a
-    shared-rate adversarial game orbits its target instead of settling.
+    generation over 15 generations): the run draws fresh networks every
+    generation and both sides share one coarse learning rate, which keeps the
+    generated offspring dispersed enough to explore. For long single-corpus
+    training give the generator's AdamState a rate well below learning_rate
+    (two time scales); a shared-rate adversarial game orbits its target
+    instead of settling.
     """
 
     epochs: int = 40
@@ -42,29 +45,12 @@ class GanConfig:
     latent_dim: int = 16
     hidden: int = 64
     learning_rate: float = 7e-3
-    gen_learning_rate: float | None = None  # None: same as learning_rate
-    beta1: float = 0.5
-    beta2: float = 0.9
-    noise: str = "normal"          # "normal" or "uniform"
-    warm_start: bool = False       # True keeps networks across generations
-
-    @property
-    def generator_rate(self) -> float:
-        return self.learning_rate if self.gen_learning_rate is None else self.gen_learning_rate
 
     def validate(self) -> None:
         if min(self.epochs, self.critic_steps, self.batch_size, self.pretrain_epochs) < 0:
             raise ConfigurationError("GAN loop counts must be non-negative")
         if self.lambda_gp < 0:
             raise ConfigurationError("gradient-penalty coefficient must be >= 0")
-        if self.noise not in ("normal", "uniform"):
-            raise ConfigurationError(f"unknown noise model '{self.noise}'")
-
-
-@dataclass
-class TrainingCorpus:
-    real: np.ndarray  # (R, n) survivors in normalized coordinates
-    bad: np.ndarray   # (B, n) eliminated individuals, may be empty
 
 
 @dataclass
@@ -87,9 +73,16 @@ def denormalize_from_net(y: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
     return np.clip(x, lower, upper)
 
 
+def init_networks(n_var: int, cfg: GanConfig, rng: RandomSource) -> tuple[Mlp, AdamState, Mlp, AdamState]:
+    """A freshly drawn (generator, generator Adam, critic, critic Adam), both
+    optimizers zeroed and at cfg.learning_rate."""
+    h = cfg.hidden
+    gen = init_mlp([cfg.latent_dim, h, h, n_var], output_tanh=True, rng=rng)
+    critic = init_mlp([n_var, h, h, 1], output_tanh=False, rng=rng)
+    return gen, AdamState.for_net(gen, cfg.learning_rate), critic, AdamState.for_net(critic, cfg.learning_rate)
+
+
 def _noise(cfg: GanConfig, count: int, rng: RandomSource) -> np.ndarray:
-    if cfg.noise == "uniform":
-        return rng.uniform(-1.0, 1.0, size=(count, cfg.latent_dim))
     return rng.standard_normal((count, cfg.latent_dim))
 
 
@@ -119,22 +112,24 @@ def _critic_update(
 def pretrain_discriminator(
     critic: Mlp,
     opt: AdamState,
-    corpus: TrainingCorpus,
+    real: np.ndarray,
+    bad: np.ndarray,
     cfg: GanConfig,
     rng: RandomSource,
 ) -> Mlp:
-    """Push the critic up on survivor rows and down on eliminated rows.
+    """Push the critic up on survivor rows `real` and down on eliminated rows
+    `bad`, both (rows, n) in normalized coordinates.
 
-    A corpus without eliminated rows leaves the critic untouched.
+    Without eliminated rows the critic is left untouched.
     """
-    if corpus.bad.shape[0] == 0 or cfg.pretrain_epochs == 0:
+    if bad.shape[0] == 0 or cfg.pretrain_epochs == 0:
         return critic
-    n_good, n_bad = corpus.real.shape[0], corpus.bad.shape[0]
+    n_good, n_bad = real.shape[0], bad.shape[0]
     b = min(cfg.batch_size, n_good, n_bad)
     for _ in range(cfg.pretrain_epochs):
-        good = corpus.real[rng.integers(0, n_good, size=b)]
-        bad = corpus.bad[rng.integers(0, n_bad, size=b)]
-        _critic_update(critic, opt, good, bad, cfg.lambda_gp, rng)
+        good_batch = real[rng.integers(0, n_good, size=b)]
+        bad_batch = bad[rng.integers(0, n_bad, size=b)]
+        _critic_update(critic, opt, good_batch, bad_batch, cfg.lambda_gp, rng)
     return critic
 
 
@@ -143,28 +138,28 @@ def train(
     gen_opt: AdamState,
     critic: Mlp,
     critic_opt: AdamState,
-    corpus: TrainingCorpus,
+    real: np.ndarray,
     cfg: GanConfig,
     rng: RandomSource,
 ) -> list[EpochStats]:
-    """Adversarial training on the survivor rows.
+    """Adversarial training on the (rows, n) survivor matrix `real`.
 
     Per epoch: cfg.critic_steps critic updates against fresh generator
     samples (with the gradient penalty taken at uniform interpolates of real
     and generated rows), then one generator update on -mean D(G(z)).
     """
-    if corpus.real.shape[0] == 0:
+    n_real = real.shape[0]
+    if n_real == 0:
         raise TrainingError("cannot train on an empty survivor set")
-    n_real = corpus.real.shape[0]
     b = min(cfg.batch_size, n_real)
     trace = []
     for epoch in range(cfg.epochs):
         critic_loss = penalty = w_est = 0.0
         for _ in range(cfg.critic_steps):
-            real = corpus.real[rng.integers(0, n_real, size=b)]
+            real_batch = real[rng.integers(0, n_real, size=b)]
             fake, _ = forward(gen, _noise(cfg, b, rng))
             critic_loss, penalty, w_est = _critic_update(
-                critic, critic_opt, real, fake, cfg.lambda_gp, rng
+                critic, critic_opt, real_batch, fake, cfg.lambda_gp, rng
             )
         scores, gen_grads = generator_gradient(gen, critic, _noise(cfg, b, rng))
         gen_loss = float(-np.mean(scores))
@@ -197,40 +192,3 @@ def sample_offspring(
     y, _ = forward(gen, _noise(cfg, count, rng))
     return denormalize_from_net(y, lower, upper)
 
-
-class OffspringGan:
-    """Generator/critic pair owned by one optimization run.
-
-    By default (``warm_start=False``) the networks are reinitialized before
-    every training call; with warm starting they persist across generations.
-    """
-
-    def __init__(self, n_var: int, cfg: GanConfig, rng: RandomSource):
-        cfg.validate()
-        self.cfg = cfg
-        self.n_var = n_var
-        self._rng = rng
-        self._init_rng = rng.child("init")
-        self._reset()
-
-    def _reset(self) -> None:
-        h = self.cfg.hidden
-        self.generator = init_mlp(
-            [self.cfg.latent_dim, h, h, self.n_var], output_tanh=True, rng=self._init_rng
-        )
-        self.critic = init_mlp([self.n_var, h, h, 1], output_tanh=False, rng=self._init_rng)
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
-        self.gen_opt = AdamState.for_net(self.generator, self.cfg.generator_rate, b1, b2)
-        self.critic_opt = AdamState.for_net(self.critic, self.cfg.learning_rate, b1, b2)
-
-    def next_generation(self, corpus: TrainingCorpus) -> list[EpochStats]:
-        """Pre-train the critic, then run the adversarial epochs."""
-        if not self.cfg.warm_start:
-            self._reset()
-        pretrain_discriminator(self.critic, self.critic_opt, corpus, self.cfg, self._rng)
-        return train(
-            self.generator, self.gen_opt, self.critic, self.critic_opt, corpus, self.cfg, self._rng
-        )
-
-    def sample(self, count: int, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        return sample_offspring(self.generator, count, lower, upper, self._rng, self.cfg)

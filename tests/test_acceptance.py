@@ -23,7 +23,7 @@ from rveawg.baselines import fast_nondominated_sort
 from rveawg.cli import main
 from rveawg.neuronet import AdamState, backward, forward, gradient_penalty_backward, init_mlp, input_gradient
 from rveawg.selection import elitism_select
-from rveawg.wgan import TrainingCorpus, pretrain_discriminator, train
+from rveawg.wgan import pretrain_discriminator, train
 
 from test_baselines import brute_force_fronts
 from test_metrics import naive_igd
@@ -107,13 +107,12 @@ def test_criterion_4_gan_single_point_collapse():
     point = np.array([0.5, -0.25, 0.1, 0.75])
     for seed in range(5):
         rng = RandomSource(100 + seed)
-        cfg = GanConfig(epochs=300, learning_rate=1e-3, gen_learning_rate=2e-4)
+        cfg = GanConfig(epochs=300, learning_rate=1e-3)
         gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, 4], output_tanh=True, rng=rng.child("g"))
         critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=rng.child("c"))
-        gopt = AdamState.for_net(gen, cfg.generator_rate, cfg.beta1, cfg.beta2)
-        copt = AdamState.for_net(critic, cfg.learning_rate, cfg.beta1, cfg.beta2)
-        corpus = TrainingCorpus(real=np.tile(point, (64, 1)), bad=np.zeros((0, 4)))
-        train(gen, gopt, critic, copt, corpus, cfg, rng.child("t"))
+        gopt = AdamState.for_net(gen, 2e-4)  # two time scales: the generator learns slower
+        copt = AdamState.for_net(critic, cfg.learning_rate)
+        train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, rng.child("t"))
         samples, _ = forward(gen, rng.child("s").standard_normal((256, cfg.latent_dim)))
         deviation = np.max(np.abs(samples.mean(axis=0) - point))
         assert deviation < 0.15, f"seed {seed}: worst coordinate deviation {deviation:.3f}"
@@ -126,10 +125,10 @@ def test_criterion_5_pretrain_separation():
         rng = RandomSource(500 + seed)
         cfg = GanConfig(pretrain_epochs=200)
         critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=rng.child("c"))
-        copt = AdamState.for_net(critic, cfg.learning_rate, cfg.beta1, cfg.beta2)
+        copt = AdamState.for_net(critic, cfg.learning_rate)
         good = 0.5 + 0.05 * rng.child("good").standard_normal((40, 4))
         bad = -0.5 + 0.05 * rng.child("bad").standard_normal((40, 4))
-        pretrain_discriminator(critic, copt, TrainingCorpus(real=good, bad=bad), cfg, rng.child("t"))
+        pretrain_discriminator(critic, copt, good, bad, cfg, rng.child("t"))
         assert forward(critic, good)[0].mean() > forward(critic, bad)[0].mean(), f"seed {seed}"
     report(5, "critic pre-training separates clusters, 5/5 seeds", started, limit=30.0)
 

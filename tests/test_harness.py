@@ -6,6 +6,7 @@ import pytest
 from rveawg import ConfigurationError, RandomSource, RunConfig, harness, run_experiment, run_single
 from rveawg.cli import main, parse_config_file
 from rveawg.harness import emit_plot_data, resolve_setup, rvea_wg_run, write_experiment_csv
+from rveawg.wgan import init_networks
 
 
 def small_cfg(algorithm="rvea-wg", **kw):
@@ -64,13 +65,35 @@ def test_run_determinism_replay():
     assert np.array_equal(a.final_f, b.final_f)
 
 
+def test_generation_zero_trains_second_init_draw():
+    # The harness draws and discards one pair before generation 0; without
+    # training, the final generator is the stream's second draw.
+    cfg = small_cfg(generations=1)
+    cfg.gan.epochs = 0
+    cfg.gan.pretrain_epochs = 0
+    record = run_single(cfg, 12)
+    n_var = record.final_x.shape[1]
+    init_rng = RandomSource(12).child("gan").child("init")
+    init_networks(n_var, cfg.gan, init_rng)
+    gen, _, critic, _ = init_networks(n_var, cfg.gan, init_rng)
+    assert np.array_equal(record.networks["generator"].params, gen.params)
+    assert np.array_equal(record.networks["critic"].params, critic.params)
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         RunConfig(algorithm="spea2").validate()
     with pytest.raises(ConfigurationError):
         RunConfig(generations=0).validate()
     with pytest.raises(ConfigurationError):
+        RunConfig(alpha=-1.0).validate()
+    with pytest.raises(ConfigurationError):
         resolve_setup(RunConfig(problem="nope"))
+    for size in (0, -7):
+        with pytest.raises(ConfigurationError):
+            resolve_setup(RunConfig(pop_size=size))
+    with pytest.raises(ConfigurationError):
+        run_experiment([small_cfg("nsga2")], jobs=-3)
 
 
 def test_resolved_pop_size_snaps_to_lattice():
@@ -225,6 +248,24 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("objectives = 1\n")  # lattice needs M >= 2
     assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["run", "--epochs", "-1", "--out", str(tmp_path / "out")]) == 1
+    small = ["--generations", "2", "--epochs", "2", "--runs", "1", "--out", str(tmp_path / "out"), "--dump-refvecs"]
+    for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--jobs", "-3"]):
+        assert main(["run", *bad_input, *small]) == 1, bad_input
+    assert not (tmp_path / "out").exists()  # rejected before writing anything
+
+
+def test_cli_failed_runs_exit_2(tmp_path, monkeypatch, capsys):
+    def broken(cfg, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "run_single", broken)
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("problems = dtlz2\nobjectives = 3\nalgorithms = nsga2\ngenerations = 2\nruns = 2\n")
+    assert main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    with (tmp_path / "out" / "results.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][6:8] == ["nan", "nan"]  # the table is still written
+    assert "2 of 2 runs failed" in capsys.readouterr().err
 
 
 def test_cli_sweep_small(tmp_path):

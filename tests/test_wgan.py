@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from rveawg import GanConfig, RandomSource, TrainingCorpus
+from rveawg import GanConfig, RandomSource
 from rveawg.core import TrainingError
 from rveawg.neuronet import AdamState, Mlp, forward, init_mlp
 from rveawg.wgan import (
-    OffspringGan,
     denormalize_from_net,
+    init_networks,
     normalize_to_net,
     pretrain_discriminator,
     sample_offspring,
@@ -17,13 +17,17 @@ LOWER4 = np.array([0.0, -1.0, 2.0, 10.0])
 UPPER4 = np.array([1.0, 3.0, 4.0, 30.0])
 
 
-def fresh_pair(n_var, cfg, seed):
+def fresh_pair(n_var, cfg, seed, gen_rate=None):
     rng = RandomSource(seed)
     gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, n_var], output_tanh=True, rng=rng.child("g"))
     critic = init_mlp([n_var, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=rng.child("c"))
-    gopt = AdamState.for_net(gen, cfg.generator_rate, cfg.beta1, cfg.beta2)
-    copt = AdamState.for_net(critic, cfg.learning_rate, cfg.beta1, cfg.beta2)
+    gopt = AdamState.for_net(gen, cfg.learning_rate if gen_rate is None else gen_rate)
+    copt = AdamState.for_net(critic, cfg.learning_rate)
     return gen, gopt, critic, copt, rng.child("train")
+
+
+def layer_sizes(net):
+    return [net.weights[0].shape[1]] + [w.shape[0] for w in net.weights]
 
 
 def params_of(net):
@@ -48,8 +52,7 @@ def test_pretrain_skips_without_bad_data():
     cfg = GanConfig()
     _, _, critic, copt, rng = fresh_pair(4, cfg, 1)
     before = params_of(critic)
-    corpus = TrainingCorpus(real=np.zeros((10, 4)), bad=np.zeros((0, 4)))
-    pretrain_discriminator(critic, copt, corpus, cfg, rng)
+    pretrain_discriminator(critic, copt, np.zeros((10, 4)), np.zeros((0, 4)), cfg, rng)
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(critic)))
 
 
@@ -57,8 +60,7 @@ def test_pretrain_zero_epochs_is_noop():
     cfg = GanConfig(pretrain_epochs=0)
     _, _, critic, copt, rng = fresh_pair(4, cfg, 2)
     before = params_of(critic)
-    corpus = TrainingCorpus(real=np.zeros((10, 4)), bad=np.ones((10, 4)))
-    pretrain_discriminator(critic, copt, corpus, cfg, rng)
+    pretrain_discriminator(critic, copt, np.zeros((10, 4)), np.ones((10, 4)), cfg, rng)
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(critic)))
 
 
@@ -68,7 +70,7 @@ def test_pretrain_separates_clusters():
     data_rng = RandomSource(30)
     good = 0.5 + 0.05 * data_rng.child("g").standard_normal((40, 4))
     bad = -0.5 + 0.05 * data_rng.child("b").standard_normal((40, 4))
-    pretrain_discriminator(critic, copt, TrainingCorpus(real=good, bad=bad), cfg, rng)
+    pretrain_discriminator(critic, copt, good, bad, cfg, rng)
     assert forward(critic, good)[0].mean() > forward(critic, bad)[0].mean()
 
 
@@ -78,9 +80,8 @@ def test_critic_divergence_leaves_critic_untouched():
     before = [p.tobytes() for p in params_of(critic)]
     bad = np.ones((10, 4))
     bad[:, 1] = np.nan  # every batch, so the first step diverges
-    corpus = TrainingCorpus(real=np.zeros((10, 4)), bad=bad)
     with pytest.raises(TrainingError, match="critic loss diverged"):
-        pretrain_discriminator(critic, copt, corpus, cfg, rng)
+        pretrain_discriminator(critic, copt, np.zeros((10, 4)), bad, cfg, rng)
     assert [p.tobytes() for p in params_of(critic)] == before
     assert copt.step == 0
 
@@ -89,8 +90,7 @@ def test_train_zero_epochs_is_noop():
     cfg = GanConfig(epochs=0)
     gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 4)
     before = params_of(gen) + params_of(critic)
-    corpus = TrainingCorpus(real=np.zeros((8, 4)), bad=np.zeros((0, 4)))
-    trace = train(gen, gopt, critic, copt, corpus, cfg, rng)
+    trace = train(gen, gopt, critic, copt, np.zeros((8, 4)), cfg, rng)
     assert trace == []
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(gen) + params_of(critic)))
 
@@ -99,17 +99,16 @@ def test_train_rejects_empty_corpus():
     cfg = GanConfig(epochs=1)
     gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 5)
     with pytest.raises(TrainingError):
-        train(gen, gopt, critic, copt, TrainingCorpus(real=np.zeros((0, 4)), bad=np.zeros((0, 4))), cfg, rng)
+        train(gen, gopt, critic, copt, np.zeros((0, 4)), cfg, rng)
 
 
 def test_train_collapses_to_repeated_point():
     # Degenerate-distribution run in the two-time-scale regime; the benchmark
     # default rates are deliberately coarser and would orbit the target.
-    cfg = GanConfig(epochs=300, learning_rate=1e-3, gen_learning_rate=2e-4)
+    cfg = GanConfig(epochs=300, learning_rate=1e-3)
     point = np.array([0.5, -0.25, 0.1, 0.75])
-    gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 100)
-    corpus = TrainingCorpus(real=np.tile(point, (64, 1)), bad=np.zeros((0, 4)))
-    trace = train(gen, gopt, critic, copt, corpus, cfg, rng)
+    gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 100, gen_rate=2e-4)
+    trace = train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, rng)
     assert len(trace) == 300
     assert all(np.isfinite([s.critic_loss, s.gen_loss, s.wasserstein, s.penalty]).all() for s in trace)
     samples, _ = forward(gen, RandomSource(1000).standard_normal((256, cfg.latent_dim)))
@@ -117,14 +116,14 @@ def test_train_collapses_to_repeated_point():
 
 
 def test_train_covers_two_clusters():
-    cfg = GanConfig(epochs=300, learning_rate=1e-3, gen_learning_rate=2e-4)
+    cfg = GanConfig(epochs=300, learning_rate=1e-3)
     centers = np.array([[0.6, 0.6, 0.6, 0.6], [-0.6, -0.6, -0.6, -0.6]])
     data_rng = RandomSource(55)
     real = np.vstack(
         [c + 0.03 * data_rng.child(i).standard_normal((32, 4)) for i, c in enumerate(centers)]
     )
-    gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 200)
-    train(gen, gopt, critic, copt, TrainingCorpus(real=real, bad=np.zeros((0, 4))), cfg, rng)
+    gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 200, gen_rate=2e-4)
+    train(gen, gopt, critic, copt, real, cfg, rng)
     samples, _ = forward(gen, RandomSource(2000).standard_normal((256, cfg.latent_dim)))
     inter = np.linalg.norm(centers[0] - centers[1])
     nearest = np.minimum(
@@ -165,34 +164,42 @@ def test_sample_offspring_seed_replay():
     assert np.array_equal(a, b)
 
 
-def test_offspring_gan_generation_is_reproducible():
+def test_generation_step_is_reproducible():
     data_rng = RandomSource(70)
     real = data_rng.uniform(-0.5, 0.5, size=(30, 4))
     bad = data_rng.uniform(-1.0, 1.0, size=(20, 4))
 
     def one(seed):
         cfg = GanConfig(epochs=3, pretrain_epochs=2)
-        gan = OffspringGan(4, cfg, RandomSource(seed))
-        gan.next_generation(TrainingCorpus(real=real, bad=bad))
-        return gan.sample(8, LOWER4, UPPER4)
+        rng = RandomSource(seed)
+        gen, gopt, critic, copt = init_networks(4, cfg, rng.child("init"))
+        pretrain_discriminator(critic, copt, real, bad, cfg, rng)
+        train(gen, gopt, critic, copt, real, cfg, rng)
+        return sample_offspring(gen, 8, LOWER4, UPPER4, rng, cfg)
 
     assert np.array_equal(one(3), one(3))
     assert not np.array_equal(one(3), one(4))
 
 
-def test_offspring_gan_cold_start_reinitializes():
-    cfg = GanConfig(epochs=1, warm_start=False)
-    gan = OffspringGan(4, cfg, RandomSource(8))
-    corpus = TrainingCorpus(real=np.zeros((6, 4)), bad=np.zeros((0, 4)))
-    gan.next_generation(corpus)
-    first = params_of(gan.generator)
-    gan.next_generation(corpus)
-    second = params_of(gan.generator)
-    assert not all(np.array_equal(a, b) for a, b in zip(first, second))
+def test_init_networks_draws_fresh_pair_with_zeroed_adam():
+    cfg = GanConfig(hidden=8)
+    rng = RandomSource(8)
+    first, second = init_networks(4, cfg, rng), init_networks(4, cfg, rng)
+    for gen, gopt, critic, copt in (first, second):
+        assert layer_sizes(gen) == [cfg.latent_dim, 8, 8, 4]
+        assert layer_sizes(critic) == [4, 8, 8, 1]
+        assert gen.output_tanh and not critic.output_tanh
+        for net, opt in ((gen, gopt), (critic, copt)):
+            assert opt.step == 0 and opt.learning_rate == cfg.learning_rate
+            assert opt.m.shape == opt.v.shape == net.params.shape
+            assert not opt.m.any() and not opt.v.any()
+    # Each call draws new weights from the stream and shares no memory.
+    for k in (0, 2):
+        assert not np.array_equal(first[k].params, second[k].params)
+        assert not np.shares_memory(first[k].params, second[k].params)
+        assert not np.shares_memory(first[k + 1].m, second[k + 1].m)
 
 
 def test_gan_config_validation():
-    with pytest.raises(ValueError):
-        GanConfig(noise="cauchy").validate()
     with pytest.raises(ValueError):
         GanConfig(lambda_gp=-1.0).validate()
