@@ -15,7 +15,6 @@ from .harness import (
     emit_plot_data,
     resolve_setup,
     run_experiment,
-    run_single,
     write_experiment_csv,
 )
 from .neuronet import save_params
@@ -160,19 +159,19 @@ def cmd_run(args) -> int:
     write_experiment_csv(rows, rows_path)
     print(f"wrote {rows_path}")
 
-    if args.emit_plots or args.dump_gan_params:
-        record = run_single(cfg, cfg.seed)
-        if args.emit_plots:
-            for path in emit_plot_data(record, out):
-                print(f"wrote {path}")
-        if args.dump_gan_params:
-            if not record.networks:
-                print("no networks to dump (nsga2 run)", file=sys.stderr)
-            else:
-                for name, net in record.networks.items():
-                    target = out / f"{name}_params.bin"
-                    save_params(net, target)
-                    print(f"wrote {target}")
+    # None when the base-seed run failed; that failure is on stderr and exits 2.
+    record = rows[0].base_record
+    if args.emit_plots and record is not None:
+        for path in emit_plot_data(record, out):
+            print(f"wrote {path}")
+    if args.dump_gan_params and record is not None:
+        if not record.networks:
+            print("no networks to dump (nsga2 run)", file=sys.stderr)
+        else:
+            for name, net in record.networks.items():
+                target = out / f"{name}_params.bin"
+                save_params(net, target)
+                print(f"wrote {target}")
     mean = rows[0].mean_igd
     print(f"{cfg.problem} M={cfg.objectives} {cfg.algorithm}: mean IGD {mean:.5e} over {cfg.runs} runs")
     return _exit_status(rows)

@@ -202,43 +202,49 @@ class ExperimentRow:
     std_igd: float
     per_run: list[float]
     best: bool = False
+    base_record: RunRecord | None = None  # the run at the base seed; None if it failed
 
 
-def _run_job(args: tuple[RunConfig, int]) -> float:
-    cfg, seed = args
+def _run_job(args: tuple[RunConfig, int, bool]) -> tuple[float, RunRecord | None]:
+    """Final IGD of one run, plus its record when `keep` is set (the base
+    seed's run only, so that the pool pickles back little else)."""
+    cfg, seed, keep = args
     try:
-        return run_single(cfg, seed).final_igd
+        record = run_single(cfg, seed)
     except Exception as exc:  # noqa: BLE001 - failed runs become NaN cells
         print(f"run failed ({cfg.algorithm}, {cfg.problem}, seed {seed}): {exc}", file=sys.stderr)
-        return float("nan")
+        return float("nan"), None
+    return record.final_igd, record if keep else None
 
 
 def run_experiment(configs: list[RunConfig], jobs: int = 1) -> list[ExperimentRow]:
     """Execute runs x configs with paired per-run seeds (base seed + run index).
 
     Configs are validated up front; a run that fails afterwards contributes
-    NaN to its row and the remaining rows are still produced. Within each
-    (problem, M) group the minimum mean is flagged, mirroring the
-    bold-minimum convention of benchmark tables.
+    NaN to its row and the remaining rows are still produced. Each row keeps
+    the full record of its base-seed run. Within each (problem, M) group the
+    minimum mean is flagged, mirroring the bold-minimum convention of
+    benchmark tables.
     """
     if jobs < 1:
         raise ConfigurationError(f"need at least one worker process, got jobs={jobs}")
-    jobs_list: list[tuple[RunConfig, int]] = []
+    jobs_list: list[tuple[RunConfig, int, bool]] = []
     for cfg in configs:
         resolve_setup(cfg)
         for run_index in range(cfg.runs):
-            jobs_list.append((cfg, cfg.seed + run_index))
+            jobs_list.append((cfg, cfg.seed + run_index, run_index == 0))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_run_job, jobs_list))
+            results = list(pool.map(_run_job, jobs_list))
     else:
-        values = [_run_job(job) for job in jobs_list]
+        results = [_run_job(job) for job in jobs_list]
 
     rows: list[ExperimentRow] = []
     offset = 0
     for cfg in configs:
-        per_run = values[offset : offset + cfg.runs]
+        per_run = [value for value, _ in results[offset : offset + cfg.runs]]
+        base_record = results[offset][1]
         offset += cfg.runs
         finite = [v for v in per_run if np.isfinite(v)]
         stats = aggregate_runs(finite) if finite else None
@@ -251,6 +257,7 @@ def run_experiment(configs: list[RunConfig], jobs: int = 1) -> list[ExperimentRo
                 mean_igd=stats.mean if stats else float("nan"),
                 std_igd=stats.std if stats else float("nan"),
                 per_run=per_run,
+                base_record=base_record,
             )
         )
 

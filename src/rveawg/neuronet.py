@@ -30,8 +30,12 @@ pass that gives the scores. The public ``forward``, ``backward``,
 ``input_gradient`` and ``gradient_penalty_backward`` run the same sweeps on a
 single batch.
 
-All arithmetic is float64. Weight matrices are stored (out, in); batches are
-row-major (batch, features).
+Arithmetic runs in the dtype of ``params``: batches, sweep seeds, gradients
+and the Adam moments all take it. ``init_mlp`` draws in float64 and then
+casts, so a random stream is consumed alike at every dtype. Runs train float32
+networks (``wgan.init_networks``); ``init_mlp`` defaults to float64, which the
+gradient tests use. The stacked-row caveat above holds at both dtypes. Weight
+matrices are stored (out, in); batches are row-major (batch, features).
 """
 from __future__ import annotations
 
@@ -70,7 +74,7 @@ class Mlp:
     def __post_init__(self):
         shapes = [np.shape(w) for w in self.weights]
         self.params = np.concatenate(
-            [np.ravel(a) for w, b in zip(self.weights, self.biases) for a in (w, b)], dtype=float
+            [np.ravel(a) for w, b in zip(self.weights, self.biases) for a in (w, b)]
         )
         self.weights, self.biases = _layer_views(self.params, shapes)
 
@@ -123,20 +127,21 @@ def save_params(net: Mlp, path) -> None:
     net.params.astype("<f8").tofile(path)
 
 
-def init_mlp(layer_sizes: list[int], output_tanh: bool, rng: RandomSource) -> Mlp:
-    """Glorot-range uniform weights, zero biases."""
+def init_mlp(layer_sizes: list[int], output_tanh: bool, rng: RandomSource, dtype=np.float64) -> Mlp:
+    """Glorot-range uniform weights, zero biases, in the given dtype; the
+    weights are drawn in float64 and then cast."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least an input and an output size")
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
     return Mlp(weights=weights, biases=biases, output_tanh=output_tanh)
 
 
 def _as_batch(net: Mlp, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=net.params.dtype)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ValueError(f"expected batch of shape (b, {net.in_dim}), got {x.shape}")
     return x
@@ -237,7 +242,7 @@ def backward(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> Grads:
     """Gradients of sum(loss_grad * output) with respect to all weights and biases."""
     if cache.version != net.version:
         raise ValueError("stale forward cache: parameters were updated after the forward pass")
-    loss_grad = np.asarray(loss_grad, dtype=float)
+    loss_grad = np.asarray(loss_grad, dtype=net.params.dtype)
     y = cache.hs[-1]
     if loss_grad.shape != y.shape:
         raise ValueError(f"loss_grad shape {loss_grad.shape} does not match output {y.shape}")
@@ -253,7 +258,7 @@ def _require_scalar_critic(net: Mlp) -> None:
 
 
 def _ones_sweep(net: Mlp, cache: ForwardCache) -> tuple[list, list]:
-    return _reverse_sweep(net, cache.hs, np.ones((cache.x.shape[0], 1)))
+    return _reverse_sweep(net, cache.hs, np.ones((cache.x.shape[0], 1), dtype=cache.x.dtype))
 
 
 def input_gradient(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -296,7 +301,7 @@ def critic_gradient(
     x = _as_batch(net, np.vstack([good, bad, mixed]))
     hs = _forward_sweep(net, x)
     good_rows, bad_rows, mixed_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
-    top = np.ones((3 * b, 1))
+    top = np.ones((3 * b, 1), dtype=x.dtype)
     top[good_rows] = -1.0 / b
     top[bad_rows] = 1.0 / b
     ds, sech2 = _reverse_sweep(net, hs, top)

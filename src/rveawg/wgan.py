@@ -5,6 +5,13 @@ Wasserstein training with gradient penalty, and offspring sampling.
 Decision vectors are trained in normalized [-1, 1] coordinates so the
 generator's tanh output always lands inside the box. Latent draws are
 standard normal.
+
+The networks are float32, and the dtype follows their parameters: survivor
+and eliminated rows are cast once to the critic's dtype, the interpolation
+weights to the batches' dtype, and latent draws on entry to the generator.
+Every draw is made in float64 and then cast, so each random stream is
+consumed exactly as at float64. Box coordinates stay float64 on both sides:
+`normalize_to_net` maps in float64 and `denormalize_from_net` returns float64.
 """
 from __future__ import annotations
 
@@ -77,8 +84,8 @@ def init_networks(n_var: int, cfg: GanConfig, rng: RandomSource) -> tuple[Mlp, A
     """A freshly drawn (generator, generator Adam, critic, critic Adam), both
     optimizers zeroed and at cfg.learning_rate."""
     h = cfg.hidden
-    gen = init_mlp([cfg.latent_dim, h, h, n_var], output_tanh=True, rng=rng)
-    critic = init_mlp([n_var, h, h, 1], output_tanh=False, rng=rng)
+    gen = init_mlp([cfg.latent_dim, h, h, n_var], output_tanh=True, rng=rng, dtype=np.float32)
+    critic = init_mlp([n_var, h, h, 1], output_tanh=False, rng=rng, dtype=np.float32)
     return gen, AdamState.for_net(gen, cfg.learning_rate), critic, AdamState.for_net(critic, cfg.learning_rate)
 
 
@@ -98,7 +105,7 @@ def _critic_update(
 
     Returns (loss, penalty, mean D(good) - mean D(bad)).
     """
-    eps = rng.random((good.shape[0], 1))
+    eps = rng.random((good.shape[0], 1)).astype(good.dtype)
     mixed = eps * good + (1.0 - eps) * bad
     y_good, y_bad, penalty, grads = critic_gradient(critic, good, bad, mixed, lambda_gp)
     mean_good, mean_bad = np.mean(y_good), np.mean(y_bad)
@@ -124,6 +131,7 @@ def pretrain_discriminator(
     """
     if bad.shape[0] == 0 or cfg.pretrain_epochs == 0:
         return critic
+    real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
     n_good, n_bad = real.shape[0], bad.shape[0]
     b = min(cfg.batch_size, n_good, n_bad)
     for _ in range(cfg.pretrain_epochs):
@@ -152,6 +160,7 @@ def train(
     if n_real == 0:
         raise TrainingError("cannot train on an empty survivor set")
     b = min(cfg.batch_size, n_real)
+    real = np.asarray(real, dtype=critic.params.dtype)
     trace = []
     for epoch in range(cfg.epochs):
         critic_loss = penalty = w_est = 0.0

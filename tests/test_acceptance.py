@@ -4,6 +4,7 @@ few minutes; everything else is seconds.
 
 Run with: pytest tests/test_acceptance.py -v -s
 """
+import json
 import time
 
 import numpy as np
@@ -11,7 +12,6 @@ import numpy as np
 from rveawg import (
     GanConfig,
     RandomSource,
-    RunConfig,
     dtlz,
     igd,
     lattice_for,
@@ -25,6 +25,7 @@ from rveawg.neuronet import AdamState, backward, forward, gradient_penalty_backw
 from rveawg.selection import elitism_select
 from rveawg.wgan import pretrain_discriminator, train
 
+from fingerprints import PATH, criterion_9_configs, environment, environment_difference
 from test_baselines import brute_force_fronts
 from test_metrics import naive_igd
 from test_neuronet import assert_grads_close, fd_param_gradient, random_net
@@ -174,14 +175,17 @@ def test_criterion_8_sorting_oracle():
 
 def test_criterion_9_published_orderings():
     started = time.perf_counter()
+    recorded = json.loads(PATH.read_text())
+    # In the build and BLAS thread count the fingerprints were recorded in,
+    # every per-seed IGD must also repeat bit for bit.
+    same_build = environment_difference(recorded["environment"], environment()) is None
     outcomes = {}
     for problem, better in [("lsmop1", "rvea-wg"), ("dtlz2", "nsga2")]:
-        configs = [
-            RunConfig(algorithm=alg, problem=problem, objectives=3, generations=15, runs=10, seed=0)
-            for alg in ("rvea-wg", "nsga2")
-        ]
-        rows = {row.algorithm: row for row in run_experiment(configs)}
+        rows = {row.algorithm: row for row in run_experiment(criterion_9_configs(problem))}
         rvea, nsga = rows["rvea-wg"], rows["nsga2"]
+        if same_build:
+            for alg, row in rows.items():
+                assert row.per_run == recorded["criterion_9"][f"{problem} {alg}"], f"{problem} {alg}"
         pairs = list(zip(rvea.per_run, nsga.per_run))
         if better == "rvea-wg":
             wins = sum(r < n for r, n in pairs)

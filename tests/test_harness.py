@@ -206,6 +206,26 @@ def test_cli_dump_gan_params(tmp_path):
     assert (tmp_path / "critic_params.bin").exists()
 
 
+def test_cli_plots_and_dump_reuse_base_seed_run(tmp_path, monkeypatch):
+    calls = []
+    real_run_single = harness.run_single
+
+    def counting(cfg, seed):
+        calls.append(seed)
+        return real_run_single(cfg, seed)
+
+    monkeypatch.setattr(harness, "run_single", counting)
+    args = ["run", "--pop-size", "15", "--generations", "2", "--epochs", "2", "--runs", "2", "--seed", "5"]
+    assert main(args + ["--out", str(tmp_path), "--emit-plots", "--dump-gan-params"]) == 0
+    assert sorted(calls) == [5, 6]  # each seed runs once; the plots reuse seed 5's record
+    with (tmp_path / "igd_trace.csv").open() as fh:
+        last = float(list(csv.reader(fh))[-1][1])
+    with (tmp_path / "results.csv").open() as fh:
+        table = list(csv.DictReader(fh))
+    assert table[0]["run_0"] == f"{last:.5e}"
+    assert (tmp_path / "generator_params.bin").exists() and (tmp_path / "critic_params.bin").exists()
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("# comment\nproblems = lsmop1, dtlz2\n\nobjectives= 3\nruns =2\n")

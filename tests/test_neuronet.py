@@ -362,6 +362,48 @@ def test_save_params_layout(tmp_path):
     save_params(net, tmp_path / "net.bin")
     want = b"".join(a.astype("<f8").tobytes() for w, b in zip(net.weights, net.biases) for a in (w, b))
     assert (tmp_path / "net.bin").read_bytes() == want
+    # float32 nets are written widened to float64, which narrows back exactly.
+    net32 = init_mlp([5, 7, 3], output_tanh=True, rng=RandomSource(26), dtype=np.float32)
+    net32.biases[0] += 0.1
+    save_params(net32, tmp_path / "net32.bin")
+    back = np.fromfile(tmp_path / "net32.bin", "<f8").astype(np.float32)
+    assert back.tobytes() == net32.params.tobytes()
+
+
+def test_init_mlp_casts_float64_draws():
+    sizes = [5, 7, 1]
+    rng64, rng32 = RandomSource(27), RandomSource(27)
+    net64 = init_mlp(sizes, output_tanh=False, rng=rng64)
+    net32 = init_mlp(sizes, output_tanh=False, rng=rng32, dtype=np.float32)
+    assert net32.params.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in net32.weights + net32.biases)
+    assert net32.params.tobytes() == net64.params.astype(np.float32).tobytes()
+    # Both draws consumed the stream alike.
+    assert rng64.random() == rng32.random()
+    for same in (net32.copy(), pickle.loads(pickle.dumps(net32))):
+        assert same.params.dtype == np.float32 and np.array_equal(same.params, net32.params)
+    assert zero_grads(net32).flat.dtype == np.float32
+    state = AdamState.for_net(net32)
+    assert state.m.dtype == state.v.dtype == np.float32
+
+
+def test_float32_critic_step_tracks_float64():
+    """The float32 step computes the float64 one, to float32 rounding: the
+    tolerance is 1e-5 of the largest entry, about 84 float32 ulps."""
+    rng = RandomSource(28)
+    net64 = init_mlp([12, 64, 64, 1], output_tanh=False, rng=rng)
+    net64.params += 0.05 * rng.standard_normal(net64.params.shape)
+    net32 = Mlp(
+        [w.astype(np.float32) for w in net64.weights], [b.astype(np.float32) for b in net64.biases], False
+    )
+    good, bad = rng.uniform(-1.0, 1.0, size=(2, 32, 12))
+    eps = rng.random((32, 1))
+    mixed = eps * good + (1.0 - eps) * bad
+    want = critic_gradient(net64, good, bad, mixed, 10.0)
+    got = critic_gradient(net32, good, bad, mixed, 10.0)
+    assert got[3].flat.dtype == np.float32
+    for g, w in zip((*got[:3], got[3].flat), (*want[:3], want[3].flat)):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-5 * np.max(np.abs(w)))
 
 
 def unfused_critic_step(net, good, bad, mixed, lam):

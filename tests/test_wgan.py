@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rveawg import GanConfig, RandomSource
+from rveawg import GanConfig, RandomSource, neuronet, wgan
 from rveawg.core import TrainingError
-from rveawg.neuronet import AdamState, Mlp, forward, init_mlp
+from rveawg.neuronet import AdamState, Mlp, forward, generator_gradient, init_mlp, input_gradient
 from rveawg.wgan import (
     denormalize_from_net,
     init_networks,
@@ -17,10 +17,10 @@ LOWER4 = np.array([0.0, -1.0, 2.0, 10.0])
 UPPER4 = np.array([1.0, 3.0, 4.0, 30.0])
 
 
-def fresh_pair(n_var, cfg, seed, gen_rate=None):
+def fresh_pair(n_var, cfg, seed, gen_rate=None, dtype=np.float64):
     rng = RandomSource(seed)
-    gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, n_var], output_tanh=True, rng=rng.child("g"))
-    critic = init_mlp([n_var, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=rng.child("c"))
+    gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, n_var], output_tanh=True, rng=rng.child("g"), dtype=dtype)
+    critic = init_mlp([n_var, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=rng.child("c"), dtype=dtype)
     gopt = AdamState.for_net(gen, cfg.learning_rate if gen_rate is None else gen_rate)
     copt = AdamState.for_net(critic, cfg.learning_rate)
     return gen, gopt, critic, copt, rng.child("train")
@@ -76,14 +76,15 @@ def test_pretrain_separates_clusters():
 
 def test_critic_divergence_leaves_critic_untouched():
     cfg = GanConfig()
-    _, _, critic, copt, rng = fresh_pair(4, cfg, 6)
-    before = [p.tobytes() for p in params_of(critic)]
-    bad = np.ones((10, 4))
-    bad[:, 1] = np.nan  # every batch, so the first step diverges
-    with pytest.raises(TrainingError, match="critic loss diverged"):
-        pretrain_discriminator(critic, copt, np.zeros((10, 4)), bad, cfg, rng)
-    assert [p.tobytes() for p in params_of(critic)] == before
-    assert copt.step == 0
+    for dtype in (np.float64, np.float32):
+        _, _, critic, copt, rng = fresh_pair(4, cfg, 6, dtype=dtype)
+        before = [p.tobytes() for p in params_of(critic)]
+        bad = np.ones((10, 4))
+        bad[:, 1] = np.nan  # every batch, so the first step diverges
+        with pytest.raises(TrainingError, match="critic loss diverged"):
+            pretrain_discriminator(critic, copt, np.zeros((10, 4)), bad, cfg, rng)
+        assert [p.tobytes() for p in params_of(critic)] == before
+        assert copt.step == 0
 
 
 def test_train_zero_epochs_is_noop():
@@ -198,6 +199,48 @@ def test_init_networks_draws_fresh_pair_with_zeroed_adam():
         assert not np.array_equal(first[k].params, second[k].params)
         assert not np.shares_memory(first[k].params, second[k].params)
         assert not np.shares_memory(first[k + 1].m, second[k + 1].m)
+
+
+def test_run_networks_stay_float32(monkeypatch):
+    """float64 survivors in, float32 arithmetic throughout, float64 offspring
+    out. A silent upcast would cost the speed of float32 while every result
+    still looked right."""
+    seen = []  # dtypes of every critic-step batch and of every array swept for a gradient
+
+    def spy(module, name, arrays_of):
+        real = getattr(module, name)
+
+        def recording(*args):
+            seen.extend(a.dtype for a in arrays_of(*args))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    spy(wgan, "critic_gradient", lambda net, good, bad, mixed, lambda_gp: (good, bad, mixed))
+    spy(neuronet, "_add_param_grads", lambda x, hs, ds, rows, grads: [x, *hs, *ds])
+    cfg = GanConfig(epochs=3, pretrain_epochs=2, hidden=8)
+    data_rng = RandomSource(71)
+    real = data_rng.uniform(-0.5, 0.5, size=(30, 4))
+    bad = data_rng.uniform(-1.0, 1.0, size=(20, 4))
+    rng = RandomSource(7)
+    gen, gopt, critic, copt = init_networks(4, cfg, rng.child("init"))
+    pretrain_discriminator(critic, copt, real, bad, cfg, rng)
+    train(gen, gopt, critic, copt, real, cfg, rng)
+    assert copt.step == cfg.pretrain_epochs + cfg.epochs * cfg.critic_steps and gopt.step == cfg.epochs
+    for array in (gen.params, critic.params, gopt.m, gopt.v, copt.m, copt.v):
+        assert array.dtype == np.float32
+
+    # float64 batches are cast on entry: scores and gradients come out float32.
+    y_good, y_bad, _, grads = neuronet.critic_gradient(critic, real[:8], bad[:8], 0.5 * (real[:8] + bad[:8]), 10.0)
+    scores, gen_grads = generator_gradient(gen, critic, rng.standard_normal((8, cfg.latent_dim)))
+    slopes = input_gradient(critic, real)
+    for array in (y_good, y_bad, grads.flat, scores, gen_grads.flat, slopes):
+        assert array.dtype == np.float32
+    assert seen and set(seen) == {np.dtype(np.float32)}
+
+    xs = sample_offspring(gen, 12, LOWER4, UPPER4, rng, cfg)
+    assert xs.dtype == np.float64 and xs.shape == (12, 4)
+    assert np.all(xs >= LOWER4) and np.all(xs <= UPPER4)
 
 
 def test_gan_config_validation():
