@@ -7,42 +7,33 @@ from .core import RandomSource, evaluate
 from .variation import MutationConfig, mutate_matrix, sbx_crossover
 
 
-def dominates(a, b) -> bool:
-    """True iff a is no worse everywhere and strictly better somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective lengths differ: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def fast_nondominated_sort(objectives: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    """Deb's fast non-dominated sort; returns per-point rank and the front lists."""
+    """Deb's fast non-dominated sort; returns per-point rank and the front lists.
+
+    The fronts come in the order Deb's loop builds them, which the NSGA-II
+    survivor order depends on: the first front by row index; each later front
+    by the position, in the front before it, of a member's last dominator
+    there, then by row index.
+    """
     f = np.asarray(objectives, dtype=float)
     n = f.shape[0]
-    dominated_by = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=int)
-    # Vectorized pairwise dominance: p dominates q.
-    le = np.all(f[:, None, :] <= f[None, :, :], axis=2)
-    lt = np.any(f[:, None, :] < f[None, :, :], axis=2)
-    dom = le & lt
-    for p in range(n):
-        dominated_by[p] = list(np.flatnonzero(dom[p]))
-        domination_count[p] = int(np.sum(dom[:, p]))
+    le = np.ones((n, n), dtype=bool)  # le[p, q]: p is no worse than q everywhere
+    for col in np.ascontiguousarray(f.T):
+        le &= col[:, None] <= col
+    dom = le & ~le.T  # dom[p, q]: p dominates q (exact: ~le[q, p] is "p < q somewhere")
+    count = np.count_nonzero(dom, axis=0)
     rank = np.zeros(n, dtype=int)
-    fronts = [list(np.flatnonzero(domination_count == 0))]
-    i = 0
-    while fronts[i]:
-        nxt = []
-        for p in fronts[i]:
-            for q in dominated_by[p]:
-                domination_count[q] -= 1
-                if domination_count[q] == 0:
-                    rank[q] = i + 1
-                    nxt.append(q)
-        i += 1
-        fronts.append(nxt)
-    fronts.pop()
+    fronts = []
+    front = np.flatnonzero(count == 0)
+    while front.size:
+        fronts.append(front.tolist())
+        sub = dom[front]
+        count -= np.count_nonzero(sub, axis=0)
+        nxt = np.flatnonzero((count == 0) & sub.any(axis=0))
+        # Position in front of each member's last dominator there.
+        last = len(front) - 1 - np.argmax(sub[::-1, nxt], axis=0)
+        front = nxt[np.lexsort((nxt, last))]
+        rank[front] = len(fronts)
     return rank, fronts
 
 

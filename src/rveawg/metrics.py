@@ -2,9 +2,12 @@
 
 The IGD here is defined as the literal double loop: for every reference point
 take the minimum Euclidean distance to any solution, then average over the
-reference points. The vectorized implementation accumulates squared
-coordinate differences in index order and averages with a sequential sum, so
-it matches a naive per-pair loop bit for bit on float64.
+reference points. The implementation works on blocks of reference rows; in
+each it accumulates squared coordinate differences in index order, takes the
+row minimum of the squared distances and only then the square root (sqrt is
+correctly rounded and monotone, so the minimum of the roots is the root of
+the minimum). It averages with a sequential left-to-right sum, so it matches
+a naive per-pair loop bit for bit on float64.
 """
 from __future__ import annotations
 
@@ -29,6 +32,12 @@ class RunStats:
     max: float
 
 
+# Reference rows per block. At the protocol's largest case (N=275, M=10) a
+# block's two (rows, N) float64 buffers take 422 KB and stay in a 2 MB L2
+# cache; the unblocked (1000, 275) temporaries took 2.2 MB each.
+IGD_BLOCK = 96
+
+
 def igd(reference, solutions) -> IgdResult:
     ref = np.asarray(reference, dtype=float)
     sol = np.asarray(solutions, dtype=float)
@@ -36,14 +45,24 @@ def igd(reference, solutions) -> IgdResult:
         raise ValueError("need non-empty (K, M) reference and solution arrays")
     if ref.shape[1] != sol.shape[1]:
         raise ValueError(f"objective counts differ: {ref.shape[1]} vs {sol.shape[1]}")
-    sq = np.zeros((ref.shape[0], sol.shape[0]))
-    for k in range(ref.shape[1]):
-        diff = ref[:, k][:, None] - sol[:, k][None, :]
-        sq += diff * diff
-    mins = np.sqrt(sq).min(axis=1)
+    ref_t = np.ascontiguousarray(ref.T)
+    sol_t = np.ascontiguousarray(sol.T)
+    block = min(IGD_BLOCK, ref.shape[0])
+    sq = np.empty((block, sol.shape[0]))
+    diff = np.empty_like(sq)
+    mins = np.empty(ref.shape[0])
+    for start in range(0, ref.shape[0], block):
+        stop = min(start + block, ref.shape[0])
+        s, d = sq[: stop - start], diff[: stop - start]
+        s.fill(0.0)
+        for r, c in zip(ref_t, sol_t):
+            np.subtract(r[start:stop, None], c, out=d)
+            d *= d
+            s += d
+        np.min(s, axis=1, out=mins[start:stop])
     total = 0.0
-    for v in mins:
-        total += float(v)
+    for v in np.sqrt(mins).tolist():
+        total += v
     return IgdResult(
         value=total / ref.shape[0],
         reference_count=ref.shape[0],

@@ -167,7 +167,11 @@ def _reverse_sweep(net: Mlp, hs: list[np.ndarray], top: np.ndarray) -> tuple[lis
     ds = [None] * net.n_layers
     ds[-1] = top * (1.0 - y * y) if net.output_tanh else top
     for k in range(net.n_layers - 1, 0, -1):
-        ds[k - 1] = (ds[k] @ net.weights[k]) * sech2[k - 1]
+        w = net.weights[k]
+        # A one-row weight (the critic's output layer) is a broadcast multiply,
+        # the same products as the K=1 matrix product at a fraction of its cost.
+        back = ds[k] * w[0] if w.shape[0] == 1 else ds[k] @ w
+        ds[k - 1] = back * sech2[k - 1]
     return ds, sech2
 
 
@@ -191,9 +195,8 @@ def _penalty_backward(net: Mlp, x, hs, sech2, ds, grads: Grads) -> float:
 
     # Descent direction of the penalty in input-gradient space, with the 1/b
     # of the mean folded in; zero-norm rows keep the zero subgradient.
-    u = np.zeros_like(g)
-    nz = norms > 0.0
-    u[nz] = (2.0 * (norms[nz] - 1.0) / norms[nz])[:, None] * g[nz] / b
+    scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros_like(norms), where=norms > 0.0)
+    u = scale[:, None] * g / b
 
     # Tangent sweep: directional derivative of the forward pass along u.
     ta = [None] * L  # tangent pre-activations per hidden layer
@@ -206,7 +209,7 @@ def _penalty_backward(net: Mlp, x, hs, sech2, ds, grads: Grads) -> float:
     # The scalar u.g per sample would be th[L-2] @ W_L^T; only its parameter
     # gradient is needed.
 
-    hbar = [np.zeros_like(hs[k]) for k in range(L - 1)]
+    hbar = [None] * (L - 1)
 
     # Reverse through the tangent chain.
     last_t = u if L == 1 else th[L - 2]
@@ -214,7 +217,7 @@ def _penalty_backward(net: Mlp, x, hs, sech2, ds, grads: Grads) -> float:
     tbar = net.weights[L - 1][0]  # the same for every row until the first product below
     for k in range(L - 2, -1, -1):
         tabar = tbar * sech2[k]
-        hbar[k] += tbar * (-2.0 * hs[k] * ta[k])
+        hbar[k] = tbar * (-2.0 * hs[k] * ta[k])
         prev_t = u if k == 0 else th[k - 1]
         grads.weights[k] += tabar.T @ prev_t
         if k > 0:

@@ -4,11 +4,44 @@ import pytest
 from rveawg import MutationConfig, RandomSource, evaluate, init_population, make_problem
 from rveawg.baselines import (
     crowding_distance,
-    dominates,
     environmental_select,
     fast_nondominated_sort,
     nsga2_generation,
 )
+
+
+def dominates(a, b) -> bool:
+    """True iff a is no worse everywhere and strictly better somewhere."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"objective lengths differ: {a.shape} vs {b.shape}")
+    return bool(np.all(a <= b) and np.any(a < b))
+
+
+def deb_reference_sort(objs):
+    """Deb's loop one row at a time (NSGA-II, IEEE TEVC 2002): each front in the
+    order the loop appends its members, which fixes the NSGA-II survivor order."""
+    f = np.asarray(objs, dtype=float)
+    n = f.shape[0]
+    le = np.all(f[:, None, :] <= f[None, :, :], axis=2)
+    lt = np.any(f[:, None, :] < f[None, :, :], axis=2)
+    dom = le & lt
+    dominated_by = [np.flatnonzero(dom[p]).tolist() for p in range(n)]
+    domination_count = dom.sum(axis=0).tolist()
+    rank = np.zeros(n, dtype=int)
+    fronts = [[p for p in range(n) if domination_count[p] == 0]]
+    while fronts[-1]:
+        nxt = []
+        for p in fronts[-1]:
+            for q in dominated_by[p]:
+                domination_count[q] -= 1
+                if domination_count[q] == 0:
+                    rank[q] = len(fronts)
+                    nxt.append(q)
+        fronts.append(nxt)
+    fronts.pop()
+    return rank, fronts
 
 
 def brute_force_fronts(objs):
@@ -61,6 +94,37 @@ def test_sort_matches_brute_force_on_random_populations():
         objs = np.round(rng.uniform(0, 1, size=(n, m)), 2)  # rounding forces ties
         _, fronts = fast_nondominated_sort(objs)
         assert [sorted(f) for f in fronts] == brute_force_fronts(objs), f"case {case}"
+
+
+def test_sort_matches_deb_loop_front_order():
+    # Equal ranks and equal fronts element by element, not only as sets: ties
+    # from rounding, exact duplicate rows, n up to 600 and M from 2 to 10. The
+    # first 20 cases are M=2 chains with many fronts, each member fed by
+    # several dominators in the front before it.
+    rng = RandomSource(102)
+    for case in range(80):
+        if case < 20:
+            objs = np.round(rng.uniform(0, 1, size=(int(rng.integers(50, 300)), 2)), 2)
+        else:
+            n = int(rng.integers(1, 601)) if case % 4 == 0 else int(rng.integers(1, 120))
+            objs = rng.uniform(0, 1, size=(n, int(rng.integers(2, 11))))
+            if case % 3 == 0:
+                objs = np.round(objs, 1)
+            if case % 2 == 0:
+                dup = rng.integers(0, n, size=n // 3)
+                objs[rng.integers(0, n, size=dup.size)] = objs[dup]
+        rank, fronts = fast_nondominated_sort(objs)
+        ref_rank, ref_fronts = deb_reference_sort(objs)
+        assert case >= 20 or len(fronts) > 5
+        assert np.array_equal(rank, ref_rank), f"case {case}"
+        assert fronts == ref_fronts, f"case {case}"
+
+
+def test_sort_empty_and_all_equal():
+    rank, fronts = fast_nondominated_sort(np.zeros((0, 3)))
+    assert rank.shape == (0,) and fronts == []
+    rank, fronts = fast_nondominated_sort(np.ones((5, 3)))
+    assert np.array_equal(rank, np.zeros(5)) and fronts == [[0, 1, 2, 3, 4]]
 
 
 def test_crowding_boundaries_infinite_interior_hand_value():

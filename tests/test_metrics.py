@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rveawg import RandomSource, aggregate_runs, igd
+from rveawg.metrics import IGD_BLOCK
 
 
 def naive_igd(reference, solutions):
@@ -74,6 +75,16 @@ def test_igd_matches_naive_loop_bit_exactly():
         ref = rng.uniform(-5, 5, size=(n_ref, m))
         sols = rng.uniform(-5, 5, size=(n_sol, m))
         assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
+
+
+@pytest.mark.parametrize("n_ref", [1, IGD_BLOCK - 1, IGD_BLOCK, IGD_BLOCK + 1, 3 * IGD_BLOCK + 17])
+def test_igd_matches_naive_loop_across_blocks(n_ref):
+    # Reference sets that end inside, at and one past a block boundary.
+    rng = RandomSource(26 + n_ref)
+    for m, n_sol in [(2, 1), (3, 300), (7, 45), (10, 128)]:
+        ref = rng.uniform(-5, 5, size=(n_ref, m))
+        sols = rng.uniform(-5, 5, size=(n_sol, m))
+        assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), (m, n_sol)
 
 
 def test_aggregate_single_value():

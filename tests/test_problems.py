@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rveawg import ConfigurationError, RandomSource, dtlz, lsmop, make_problem, sample_front
-from rveawg.baselines import dominates
+from test_baselines import dominates
 
 
 def test_dtlz_dimensions():
