@@ -56,12 +56,10 @@ def crowding_distance(objectives: np.ndarray, front: list[int]) -> np.ndarray:
     return dist
 
 
-def _tournament(rank: np.ndarray, crowding: np.ndarray, i: int, j: int) -> int:
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i
+def _tournament(rank: np.ndarray, crowding: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Binary tournament winners, elementwise: lower rank, then higher crowding, then i."""
+    i_wins = (rank[i] < rank[j]) | ((rank[i] == rank[j]) & (crowding[i] >= crowding[j]))
+    return np.where(i_wins, i, j)
 
 
 def environmental_select(objs: np.ndarray, n_pop: int) -> np.ndarray:
@@ -91,21 +89,30 @@ def nsga2_generation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generation: tournament mating, SBX + mutation, elitist truncation to N.
 
-    Returns the survivors' decision and objective matrices.
+    Draw order, per pair of children: four tournament picks
+    (``rng.integers(0, N, size=4)``), then the SBX draws u_cross and u_beta
+    (``rng.random((2, n))``); the mutation draws follow for all children.
+    The tournaments and SBX then run on all pairs at once. Returns the
+    survivors' decision and objective matrices.
     """
-    n_pop = len(xs)
+    n_pop, n_var = xs.shape
     rank, fronts = fast_nondominated_sort(fs)
     crowding = np.zeros(n_pop)
     for front in fronts:
         crowding[front] = crowding_distance(fs, front)
-    children = []
-    while len(children) < n_pop:
-        picks = rng.integers(0, n_pop, size=4)
-        p1 = _tournament(rank, crowding, int(picks[0]), int(picks[1]))
-        p2 = _tournament(rank, crowding, int(picks[2]), int(picks[3]))
-        c1, c2 = sbx_crossover(xs[p1], xs[p2], problem.lower, problem.upper, eta_c, rng)
-        children.extend([c1, c2])
-    child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, mutation, rng)
+    pairs = (n_pop + 1) // 2
+    picks = np.empty((pairs, 4), dtype=np.int64)
+    u = np.empty((pairs, 2, n_var))
+    for k in range(pairs):
+        picks[k] = rng.integers(0, n_pop, size=4)
+        u[k] = rng.random((2, n_var))
+    p1 = _tournament(rank, crowding, picks[:, 0], picks[:, 1])
+    p2 = _tournament(rank, crowding, picks[:, 2], picks[:, 3])
+    c1, c2 = sbx_crossover(xs[p1], xs[p2], u[:, 0], u[:, 1], problem.lower, problem.upper, eta_c)
+    children = np.empty((2 * pairs, n_var))
+    children[0::2] = c1
+    children[1::2] = c2
+    child_x = mutate_matrix(children[:n_pop], problem.lower, problem.upper, mutation, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
     survivors = environmental_select(union_f, n_pop)

@@ -92,16 +92,22 @@ def _csv_list(raw: str) -> list[str]:
 
 
 def sweep_configs(values: dict[str, str], args) -> tuple[list[RunConfig], Path, int]:
+    def number(key, raw, kind=int):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigurationError(f"{key} = {raw!r} is not a valid {kind.__name__}") from None
+
     problems = _csv_list(values.get("problems", "dtlz1,dtlz2,dtlz3,dtlz4"))
-    objectives = [int(v) for v in _csv_list(values.get("objectives", "3,6,8,10"))]
+    objectives = [number("objectives", v) for v in _csv_list(values.get("objectives", "3,6,8,10"))]
     algorithms = _csv_list(values.get("algorithms", "rvea-wg,nsga2"))
-    runs = args.runs if args.runs is not None else int(values.get("runs", 10))
-    seed = args.seed if args.seed is not None else int(values.get("seed", 0))
+    runs = args.runs if args.runs is not None else number("runs", values.get("runs", 10))
+    seed = args.seed if args.seed is not None else number("seed", values.get("seed", 0))
     out = Path(args.out if args.out is not None else values.get("out", "results"))
-    jobs = args.jobs if args.jobs is not None else int(values.get("jobs", 1))
-    generations = int(values.get("generations", 15))
-    epochs = int(values.get("epochs", 40))
-    alpha = float(values.get("alpha", 2.0))
+    jobs = args.jobs if args.jobs is not None else number("jobs", values.get("jobs", 1))
+    generations = number("generations", values.get("generations", 15))
+    epochs = number("epochs", values.get("epochs", 40))
+    alpha = number("alpha", values.get("alpha", 2.0), float)
 
     configs = []
     for problem in problems:

@@ -88,13 +88,6 @@ def config_snapshot(cfg: RunConfig, pop_size: int) -> dict:
     return snap
 
 
-def config_from_snapshot(snapshot: dict) -> RunConfig:
-    """Rebuild the exact RunConfig a record was produced with."""
-    data = dict(snapshot)
-    data.pop("resolved_pop_size", None)
-    return RunConfig(gan=GanConfig(**data.pop("gan")), **data)
-
-
 def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
     """One optimization run of the adversarial-offspring algorithm.
 

@@ -60,17 +60,6 @@ def partition(translated: TranslatedObjectives, refs: ReferenceVectorSet) -> Par
     return Partition(assignment=assignment, cosines=best)
 
 
-def apd(translated_row, angle: float, gamma_j: float, t: int, t_max: int, alpha: float, m: int) -> float:
-    """Angle-penalized distance of one translated objective vector."""
-    if t_max < 1 or not 0 <= t <= t_max:
-        raise ValueError(f"need 0 <= t <= t_max with t_max >= 1, got t={t}, t_max={t_max}")
-    if gamma_j <= 0.0:
-        raise ValueError("gamma must be positive (reference vectors must be distinct)")
-    norm = float(np.linalg.norm(np.asarray(translated_row, dtype=float)))
-    penalty = m * (t / t_max) ** alpha * (angle / gamma_j)
-    return (1.0 + penalty) * norm
-
-
 def elitism_select(
     objectives: np.ndarray,
     refs: ReferenceVectorSet,

@@ -57,24 +57,27 @@ def mutate_matrix(
 def sbx_crossover(
     a: np.ndarray,
     b: np.ndarray,
+    u_cross: np.ndarray,
+    u_beta: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     eta_c: float,
-    rng: RandomSource,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover of two parents.
+    """Simulated binary crossover of parents a and b, elementwise on arrays of any shape.
 
-    Each variable is crossed with probability 0.5; the children's per-variable
-    mean equals the parents' mean before the final clamp.
+    A variable is crossed where its uniform draw u_cross <= 0.5, with spread
+    factor from u_beta; the children's per-variable mean equals the parents'
+    mean before the final clamp. Pure: the caller draws u_cross and then
+    u_beta, each of a's shape, which for one pair of length-n parents is the
+    stream order of ``rng.random(n)`` twice.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    cross = rng.random(a.shape) <= 0.5
-    u = rng.random(a.shape)
+    cross = u_cross <= 0.5
     beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta_c + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0)),
+        u_beta <= 0.5,
+        (2.0 * u_beta) ** (1.0 / (eta_c + 1.0)),
+        (1.0 / (2.0 * (1.0 - u_beta))) ** (1.0 / (eta_c + 1.0)),
     )
     c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
     c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from rveawg import MutationConfig, RandomSource, evaluate, init_population, make_problem
+from rveawg import MutationConfig, RandomSource, evaluate, init_population, make_problem, sbx_crossover
 from rveawg.baselines import (
     crowding_distance,
     environmental_select,
     fast_nondominated_sort,
     nsga2_generation,
 )
+from rveawg.variation import mutate_matrix
 
 
 def dominates(a, b) -> bool:
@@ -42,6 +43,38 @@ def deb_reference_sort(objs):
         fronts.append(nxt)
     fronts.pop()
     return rank, fronts
+
+
+def reference_generation(xs, fs, problem, mutation, eta_c, rng):
+    """One NSGA-II generation mating one pair at a time: two binary
+    tournaments, then SBX with its own two draws, per pair of children."""
+    n_pop = len(xs)
+    rank, fronts = fast_nondominated_sort(fs)
+    crowding = np.zeros(n_pop)
+    for front in fronts:
+        crowding[front] = crowding_distance(fs, front)
+
+    def tournament(i, j):
+        if rank[i] != rank[j]:
+            return i if rank[i] < rank[j] else j
+        if crowding[i] != crowding[j]:
+            return i if crowding[i] > crowding[j] else j
+        return i
+
+    children = []
+    while len(children) < n_pop:
+        picks = rng.integers(0, n_pop, size=4)
+        p1 = tournament(int(picks[0]), int(picks[1]))
+        p2 = tournament(int(picks[2]), int(picks[3]))
+        u_cross = rng.random(problem.n)
+        u_beta = rng.random(problem.n)
+        c1, c2 = sbx_crossover(xs[p1], xs[p2], u_cross, u_beta, problem.lower, problem.upper, eta_c)
+        children.extend([c1, c2])
+    child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, mutation, rng)
+    union_x = np.vstack([xs, child_x])
+    union_f = np.vstack([fs, evaluate(child_x, problem)])
+    survivors = environmental_select(union_f, n_pop)
+    return union_x[survivors], union_f[survivors]
 
 
 def brute_force_fronts(objs):
@@ -151,6 +184,25 @@ def test_generation_preserves_size():
         xs, fs = nsga2_generation(xs, fs, problem, cfg, 20.0, loop)
         assert xs.shape == (24, problem.n) and fs.shape == (24, 3)
         assert np.array_equal(fs, evaluate(xs, problem))
+
+
+@pytest.mark.parametrize("name, m, n_pop", [("dtlz2", 3, 24), ("dtlz2", 3, 25), ("dtlz1", 10, 51), ("lsmop1", 3, 1)])
+def test_generation_matches_per_pair_reference(name, m, n_pop):
+    # Same survivors bit for bit and the same stream position afterwards, for
+    # even and odd population sizes. A population of copies makes every
+    # tournament a crowding tie.
+    problem = make_problem(name, m)
+    rng = RandomSource(7 + n_pop)
+    start = init_population(problem, n_pop, rng.child("init"))
+    for xs in (start, np.repeat(start[:1], n_pop, axis=0)):
+        fs = evaluate(xs, problem)
+        ref_x, ref_f = xs, fs
+        fast, slow = rng.child("loop"), rng.child("loop")
+        for _ in range(4):
+            xs, fs = nsga2_generation(xs, fs, problem, MutationConfig(), 20.0, fast)
+            ref_x, ref_f = reference_generation(ref_x, ref_f, problem, MutationConfig(), 20.0, slow)
+            assert np.array_equal(xs, ref_x) and np.array_equal(fs, ref_f)
+            assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
 
 
 def test_environmental_selection_is_rank_prefix():

@@ -6,7 +6,14 @@ import pytest
 from rveawg import ConfigurationError, RandomSource, RunConfig, harness, run_experiment, run_single
 from rveawg.cli import main, parse_config_file
 from rveawg.harness import emit_plot_data, resolve_setup, rvea_wg_run, write_experiment_csv
-from rveawg.wgan import init_networks
+from rveawg.wgan import GanConfig, init_networks
+
+
+def config_from_snapshot(snapshot: dict) -> RunConfig:
+    """Rebuild the exact RunConfig a record was produced with."""
+    data = dict(snapshot)
+    data.pop("resolved_pop_size", None)
+    return RunConfig(gan=GanConfig(**data.pop("gan")), **data)
 
 
 def small_cfg(algorithm="rvea-wg", **kw):
@@ -174,8 +181,6 @@ def test_emit_plot_data_round_trip(tmp_path):
 
 
 def test_record_rerunnable_from_snapshot():
-    from rveawg.harness import config_from_snapshot
-
     cfg = small_cfg(generations=2)
     record = run_single(cfg, 4)
     rebuilt = config_from_snapshot(record.config)
@@ -262,11 +267,16 @@ def test_cli_run_writes_outputs(tmp_path):
     assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     bad = tmp_path / "bad.cfg"
     bad.write_text("objectives = 1\n")  # lattice needs M >= 2
     assert main(["sweep", "--config", str(bad)]) == 1
+    for line, key in (("runs = two", "runs"), ("alpha = x", "alpha"), ("objectives = 3, ten", "objectives")):
+        bad.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1, line
+        assert f"configuration error: {key} = " in capsys.readouterr().err
     assert main(["run", "--epochs", "-1", "--out", str(tmp_path / "out")]) == 1
     small = ["--generations", "2", "--epochs", "2", "--runs", "1", "--out", str(tmp_path / "out"), "--dump-refvecs"]
     for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--jobs", "-3"]):

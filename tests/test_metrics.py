@@ -64,6 +64,17 @@ def test_igd_rejects_bad_input():
         igd([], [[1.0]])
     with pytest.raises(ValueError):
         igd([[1.0, 2.0]], [[1.0]])
+    good = [[0.0, 1.0], [1.0, 0.0]]
+    for bad in (
+        [[0.0, np.nan], [1.0, 0.0]],  # a NaN
+        [[0.0, 1.0], [np.inf, np.inf]],  # a lone inf row
+        [[0.0, np.inf], [1.0, np.inf]],  # an all-inf column
+        [[0.0, 1.0], [-np.inf, 0.0]],  # a -inf
+    ):
+        with pytest.raises(ValueError):
+            igd(good, bad)
+        with pytest.raises(ValueError):
+            igd(bad, good)
 
 
 def test_igd_matches_naive_loop_bit_exactly():
@@ -79,12 +90,64 @@ def test_igd_matches_naive_loop_bit_exactly():
 
 @pytest.mark.parametrize("n_ref", [1, IGD_BLOCK - 1, IGD_BLOCK, IGD_BLOCK + 1, 3 * IGD_BLOCK + 17])
 def test_igd_matches_naive_loop_across_blocks(n_ref):
-    # Reference sets that end inside, at and one past a block boundary.
+    # Reference sets that end inside, at and one past a block boundary, and
+    # M from 2 to 15 with a single solution and with many.
     rng = RandomSource(26 + n_ref)
-    for m, n_sol in [(2, 1), (3, 300), (7, 45), (10, 128)]:
+    for m, n_sol in [(2, 1), (3, 300), (7, 45), (10, 128)] + [(m, n) for m in range(2, 16) for n in (1, 50)]:
         ref = rng.uniform(-5, 5, size=(n_ref, m))
         sols = rng.uniform(-5, 5, size=(n_sol, m))
         assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), (m, n_sol)
+
+
+def test_igd_screen_exact_on_ties_and_duplicates():
+    # Several solutions at exactly the same distance, and repeated rows, on
+    # both sides; rounding to a coarse grid makes distances tie often.
+    rng = RandomSource(27)
+    for case in range(60):
+        m = int(rng.integers(2, 8))
+        ref = np.round(rng.uniform(0, 1, size=(int(rng.integers(1, 120)), m)), 1)
+        sols = np.round(rng.uniform(0, 1, size=(int(rng.integers(1, 40)), m)), 1)
+        sols = np.vstack([sols, sols[rng.integers(0, len(sols), size=len(sols))]])
+        ref = np.vstack([ref, ref[: len(ref) // 2]])
+        assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
+    # Solutions mirrored around a reference point are equidistant from it.
+    centre = np.array([[0.5, 0.5, 0.5]])
+    offsets = np.array([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
+    sols = np.vstack([centre + offsets, centre - offsets])
+    assert igd(centre, sols).value == naive_igd(centre.tolist(), sols.tolist())
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6])
+def test_igd_screen_exact_under_cancellation(offset):
+    # A common offset leaves the distances alone but makes |r|^2 and |c|^2
+    # huge next to them; at 1e6 the slack admits every pair of a row.
+    rng = RandomSource(28)
+    for case in range(30):
+        m = int(rng.integers(2, 16))
+        ref = rng.uniform(0, 1, size=(int(rng.integers(1, 200)), m)) + offset
+        sols = rng.uniform(0, 1, size=(int(rng.integers(1, 60)), m)) + offset
+        assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
+
+
+def test_igd_screen_exact_when_squares_overflow():
+    # Finite input whose squares overflow: the screen's products give inf and
+    # NaN, every pair stays a candidate and the loop's inf comes out.
+    ref = np.array([[1e200, 0.0], [0.0, 1.0]])
+    sols = np.array([[-1e200, 0.0], [0.0, 1e160]])
+    assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()) == math.inf
+    near = np.array([[1e200, 1.0], [1e200, 2.0]])
+    assert igd(near, near + [0.0, 0.5]).value == naive_igd(near.tolist(), (near + [0.0, 0.5]).tolist())
+
+
+def test_igd_screen_exact_when_squares_underflow():
+    # Squared distances near and below the smallest normal double round in
+    # absolute, not relative, terms; a purely relative slack missed the
+    # loop's minimiser in cases like these.
+    rng = RandomSource(31)
+    for case in range(300):
+        ref = rng.uniform(0, 1, size=(1, 3)) * 3e-161
+        sols = rng.uniform(0, 1, size=(6, 3)) * 3e-161
+        assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
 
 
 def test_aggregate_single_value():

@@ -5,7 +5,18 @@ import pytest
 
 from rveawg import RandomSource, elitism_select, to_unit_vectors, translate
 from rveawg.core import EvaluationError
-from rveawg.selection import apd, partition
+from rveawg.selection import partition
+
+
+def apd(translated_row, angle: float, gamma_j: float, t: int, t_max: int, alpha: float, m: int) -> float:
+    """Angle-penalized distance of one translated objective vector."""
+    if t_max < 1 or not 0 <= t <= t_max:
+        raise ValueError(f"need 0 <= t <= t_max with t_max >= 1, got t={t}, t_max={t_max}")
+    if gamma_j <= 0.0:
+        raise ValueError("gamma must be positive (reference vectors must be distinct)")
+    norm = float(np.linalg.norm(np.asarray(translated_row, dtype=float)))
+    penalty = m * (t / t_max) ** alpha * (angle / gamma_j)
+    return (1.0 + penalty) * norm
 
 
 def oracle_select(objs, vectors, t, t_max, alpha):

@@ -50,7 +50,8 @@ def test_mutation_seed_replay():
 
 def test_sbx_identical_parents_unchanged():
     x = np.linspace(0.2, 0.8, 6)
-    c1, c2 = sbx_crossover(x, x, LOWER, UPPER, 20.0, RandomSource(5))
+    rng = RandomSource(5)
+    c1, c2 = sbx_crossover(x, x, rng.random(6), rng.random(6), LOWER, UPPER, 20.0)
     assert np.allclose(c1, x, atol=1e-12) and np.allclose(c2, x, atol=1e-12)
 
 
@@ -59,7 +60,7 @@ def test_sbx_preserves_per_variable_mean():
     for _ in range(100):
         a = rng.uniform(0.2, 0.8, 6)
         b = rng.uniform(0.2, 0.8, 6)
-        c1, c2 = sbx_crossover(a, b, LOWER, UPPER, 20.0, rng)
+        c1, c2 = sbx_crossover(a, b, rng.random(6), rng.random(6), LOWER, UPPER, 20.0)
         # Interior parents with eta 20 keep children interior, so the clamp
         # never bites and the mean identity is exact.
         assert np.allclose(c1 + c2, a + b, atol=1e-9)
@@ -71,6 +72,6 @@ def test_sbx_bounds_monte_carlo():
         a = rng.uniform(0, 1, 6)
         b = rng.uniform(0, 1, 6)
         for _ in range(10):
-            c1, c2 = sbx_crossover(a, b, LOWER, UPPER, 20.0, rng)
+            c1, c2 = sbx_crossover(a, b, rng.random(6), rng.random(6), LOWER, UPPER, 20.0)
             assert np.all(c1 >= 0) and np.all(c1 <= 1)
             assert np.all(c2 >= 0) and np.all(c2 <= 1)
