@@ -91,7 +91,16 @@ def _csv_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+SWEEP_KEYS = ("problems", "objectives", "algorithms", "runs", "seed", "out", "jobs", "generations", "epochs", "alpha")
+
+
 def sweep_configs(values: dict[str, str], args) -> tuple[list[RunConfig], Path, int]:
+    unknown = [key for key in values if key not in SWEEP_KEYS]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key {', '.join(map(repr, unknown))}; known keys: {', '.join(sorted(SWEEP_KEYS))}"
+        )
+
     def number(key, raw, kind=int):
         try:
             return kind(raw)

@@ -22,7 +22,9 @@ import numpy as np
 from .core import ConfigurationError, RandomSource, TrainingError
 from .neuronet import (
     AdamState,
+    ForwardCache,
     Mlp,
+    _forward_sweep,
     adam_step,
     critic_gradient,
     forward,
@@ -54,10 +56,15 @@ class GanConfig:
     learning_rate: float = 7e-3
 
     def validate(self) -> None:
-        if min(self.epochs, self.critic_steps, self.batch_size, self.pretrain_epochs) < 0:
+        if min(self.epochs, self.critic_steps, self.pretrain_epochs) < 0:
             raise ConfigurationError("GAN loop counts must be non-negative")
-        if self.lambda_gp < 0:
-            raise ConfigurationError("gradient-penalty coefficient must be >= 0")
+        for name in ("batch_size", "latent_dim", "hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"GAN {name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(f"GAN learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.lambda_gp) and self.lambda_gp >= 0):
+            raise ConfigurationError(f"gradient-penalty coefficient must be finite and >= 0, got {self.lambda_gp}")
 
 
 @dataclass
@@ -98,17 +105,17 @@ def _critic_update(
     opt: AdamState,
     good: np.ndarray,
     bad: np.ndarray,
+    mixed: np.ndarray,
     lambda_gp: float,
-    rng: RandomSource,
 ) -> tuple[float, float, float]:
-    """One critic step on loss mean D(bad) - mean D(good) + lambda * penalty.
+    """One critic step on loss mean D(bad) - mean D(good) + lambda * penalty,
+    with the penalty taken at the interpolates `mixed`.
 
     Returns (loss, penalty, mean D(good) - mean D(bad)).
     """
-    eps = rng.random((good.shape[0], 1)).astype(good.dtype)
-    mixed = eps * good + (1.0 - eps) * bad
     y_good, y_bad, penalty, grads = critic_gradient(critic, good, bad, mixed, lambda_gp)
-    mean_good, mean_bad = np.mean(y_good), np.mean(y_bad)
+    b = len(y_good)
+    mean_good, mean_bad = (np.add.reduce(y, axis=None) / b for y in (y_good, y_bad))
     loss = float(mean_bad - mean_good + lambda_gp * penalty)
     if not np.isfinite(loss):
         raise TrainingError(f"critic loss diverged: {loss}")
@@ -137,7 +144,9 @@ def pretrain_discriminator(
     for _ in range(cfg.pretrain_epochs):
         good_batch = real[rng.integers(0, n_good, size=b)]
         bad_batch = bad[rng.integers(0, n_bad, size=b)]
-        _critic_update(critic, opt, good_batch, bad_batch, cfg.lambda_gp, rng)
+        eps = rng.random((b, 1)).astype(real.dtype)
+        mixed = eps * good_batch + (1.0 - eps) * bad_batch
+        _critic_update(critic, opt, good_batch, bad_batch, mixed, cfg.lambda_gp)
     return critic
 
 
@@ -152,25 +161,46 @@ def train(
 ) -> list[EpochStats]:
     """Adversarial training on the (rows, n) survivor matrix `real`.
 
-    Per epoch: cfg.critic_steps critic updates against fresh generator
-    samples (with the gradient penalty taken at uniform interpolates of real
-    and generated rows), then one generator update on -mean D(G(z)).
+    Per epoch: cfg.critic_steps critic updates against generator samples
+    (with the gradient penalty taken at uniform interpolates of real and
+    generated rows), then one generator update on -mean D(G(z)).
+
+    The generator stays fixed for the whole epoch, so an epoch first makes
+    all of its draws, in this stream order: for each critic step the real
+    row indices, the latent batch and the interpolation weights, then the
+    generator step's latent batch. One forward pass of the generator over the
+    stacked (critic_steps + 1, b, latent) draws then serves every critic step
+    and the generator step; a 3-D product multiplies each b-row slice on its
+    own, so each slice gets the bits a forward pass on it alone would.
     """
     n_real = real.shape[0]
     if n_real == 0:
         raise TrainingError("cannot train on an empty survivor set")
     b = min(cfg.batch_size, n_real)
+    steps = cfg.critic_steps
     real = np.asarray(real, dtype=critic.params.dtype)
     trace = []
     for epoch in range(cfg.epochs):
+        idx = np.empty((steps, b), dtype=np.int64)
+        z = np.empty((steps + 1, b, cfg.latent_dim))
+        eps = np.empty((steps, b, 1))
+        for s in range(steps):
+            idx[s] = rng.integers(0, n_real, size=b)
+            z[s] = _noise(cfg, b, rng)
+            eps[s] = rng.random((b, 1))
+        z[steps] = _noise(cfg, b, rng)
+        z = z.astype(gen.params.dtype)
+        gen_hs = _forward_sweep(gen, z)
+        fake, good = gen_hs[-1], real[idx]
+        eps = eps.astype(real.dtype)
+        mixed = eps * good + (1.0 - eps) * fake[:steps]
         critic_loss = penalty = w_est = 0.0
-        for _ in range(cfg.critic_steps):
-            real_batch = real[rng.integers(0, n_real, size=b)]
-            fake, _ = forward(gen, _noise(cfg, b, rng))
+        for s in range(steps):
             critic_loss, penalty, w_est = _critic_update(
-                critic, critic_opt, real_batch, fake, cfg.lambda_gp, rng
+                critic, critic_opt, good[s], fake[s], mixed[s], cfg.lambda_gp
             )
-        scores, gen_grads = generator_gradient(gen, critic, _noise(cfg, b, rng))
+        gen_cache = ForwardCache(gen.version, z[steps], [h[steps] for h in gen_hs])
+        scores, gen_grads = generator_gradient(gen, gen_cache, critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")

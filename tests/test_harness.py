@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1, line
         assert f"configuration error: {key} = " in capsys.readouterr().err
+    bad.write_text("problems = dtlz2\ngeneration = 2\n")  # a typo must not fall back to 15 generations
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown key 'generation'" in err and "generations" in err
     assert main(["run", "--epochs", "-1", "--out", str(tmp_path / "out")]) == 1
     small = ["--generations", "2", "--epochs", "2", "--runs", "1", "--out", str(tmp_path / "out"), "--dump-refvecs"]
     for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--jobs", "-3"]):
@@ -326,3 +335,23 @@ def test_cli_run_byte_identical_repeat(tmp_path):
     a = (tmp_path / "a" / "results.csv").read_bytes()
     b = (tmp_path / "b" / "results.csv").read_bytes()
     assert a == b
+
+
+def test_results_independent_of_blas_threads_and_jobs(tmp_path):
+    """A short LSMOP1 rvea-wg job writes the same results.csv, byte for byte,
+    on 1 and 2 BLAS threads, each with 1 and 2 worker processes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    args = ["run", "--algorithm", "rvea-wg", "--problem", "lsmop1", "--runs", "2", "--generations", "2", "--epochs", "5"]
+    tables = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        for jobs in ("1", "2"):
+            out = tmp_path / f"t{threads}j{jobs}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "rveawg.cli", *args, "--jobs", jobs, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            tables[threads, jobs] = (out / "results.csv").read_bytes()
+    assert len(set(tables.values())) == 1, tables

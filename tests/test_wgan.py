@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from rveawg import GanConfig, RandomSource, neuronet, wgan
-from rveawg.core import TrainingError
-from rveawg.neuronet import AdamState, Mlp, forward, generator_gradient, init_mlp, input_gradient
+from rveawg.core import ConfigurationError, TrainingError
+from rveawg.neuronet import AdamState, Mlp, adam_step, forward, generator_gradient, init_mlp, input_gradient
 from rveawg.wgan import (
+    EpochStats,
     denormalize_from_net,
     init_networks,
     normalize_to_net,
@@ -133,6 +134,64 @@ def test_train_covers_two_clusters():
     assert np.median(nearest) < inter / 2
 
 
+def reference_train(gen, gen_opt, critic, critic_opt, real, cfg, rng):
+    """`train` as a per-step loop: each critic step draws and runs the
+    generator on its own, and the generator step runs it once more."""
+
+    def critic_update(critic, opt, good, bad, lambda_gp, rng):
+        eps = rng.random((good.shape[0], 1)).astype(good.dtype)
+        mixed = eps * good + (1.0 - eps) * bad
+        y_good, y_bad, penalty, grads = neuronet.critic_gradient(critic, good, bad, mixed, lambda_gp)
+        mean_good, mean_bad = np.mean(y_good), np.mean(y_bad)
+        loss = float(mean_bad - mean_good + lambda_gp * penalty)
+        if not np.isfinite(loss):
+            raise TrainingError(f"critic loss diverged: {loss}")
+        adam_step(critic, grads, opt)
+        return loss, penalty, float(mean_good - mean_bad)
+
+    n_real = real.shape[0]
+    b = min(cfg.batch_size, n_real)
+    real = np.asarray(real, dtype=critic.params.dtype)
+    trace = []
+    for epoch in range(cfg.epochs):
+        critic_loss = penalty = w_est = 0.0
+        for _ in range(cfg.critic_steps):
+            real_batch = real[rng.integers(0, n_real, size=b)]
+            fake, _ = forward(gen, rng.standard_normal((b, cfg.latent_dim)))
+            critic_loss, penalty, w_est = critic_update(critic, critic_opt, real_batch, fake, cfg.lambda_gp, rng)
+        _, gen_cache = forward(gen, rng.standard_normal((b, cfg.latent_dim)))
+        scores, gen_grads = generator_gradient(gen, gen_cache, critic)
+        gen_loss = float(-np.mean(scores))
+        if not np.isfinite(gen_loss):
+            raise TrainingError(f"generator loss diverged at epoch {epoch}")
+        adam_step(gen, gen_grads, gen_opt)
+        trace.append(EpochStats(epoch, critic_loss, gen_loss, w_est, penalty))
+    return trace
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("critic_steps", [0, 1, 5])
+@pytest.mark.parametrize("n_rows", [40, 7])
+def test_train_equals_per_step_loop(n_rows, critic_steps, dtype):
+    """One generator pass per epoch over the stacked draws gives the per-step
+    loop's results bit for bit: the same trace, networks, Adam moments and
+    random stream state, at the full batch of 32 rows and at a 7-row corpus."""
+    cfg = GanConfig(epochs=4, critic_steps=critic_steps)
+    real = RandomSource(90).uniform(-0.8, 0.8, size=(n_rows, 12))
+    want = fresh_pair(12, cfg, 91, dtype=dtype)
+    got = fresh_pair(12, cfg, 91, dtype=dtype)
+    want_trace = reference_train(*want[:4], real, cfg, want[4])
+    got_trace = train(*got[:4], real, cfg, got[4])
+    assert got_trace == want_trace and len(got_trace) == cfg.epochs
+    for net_w, net_g in ((want[0], got[0]), (want[2], got[2])):
+        assert net_g.params.dtype == dtype
+        assert net_g.params.tobytes() == net_w.params.tobytes()
+    for opt_w, opt_g in ((want[1], got[1]), (want[3], got[3])):
+        assert opt_g.step == opt_w.step
+        assert opt_g.m.tobytes() == opt_w.m.tobytes() and opt_g.v.tobytes() == opt_w.v.tobytes()
+    assert got[4].generator.bit_generator.state == want[4].generator.bit_generator.state
+
+
 def test_sample_offspring_zero_generator_hits_midpoint():
     cfg = GanConfig()
     gen = Mlp(
@@ -232,7 +291,8 @@ def test_run_networks_stay_float32(monkeypatch):
 
     # float64 batches are cast on entry: scores and gradients come out float32.
     y_good, y_bad, _, grads = neuronet.critic_gradient(critic, real[:8], bad[:8], 0.5 * (real[:8] + bad[:8]), 10.0)
-    scores, gen_grads = generator_gradient(gen, critic, rng.standard_normal((8, cfg.latent_dim)))
+    _, gen_cache = forward(gen, rng.standard_normal((8, cfg.latent_dim)))
+    scores, gen_grads = generator_gradient(gen, gen_cache, critic)
     slopes = input_gradient(critic, real)
     for array in (y_good, y_bad, grads.flat, scores, gen_grads.flat, slopes):
         assert array.dtype == np.float32
@@ -244,5 +304,25 @@ def test_run_networks_stay_float32(monkeypatch):
 
 
 def test_gan_config_validation():
-    with pytest.raises(ValueError):
-        GanConfig(lambda_gp=-1.0).validate()
+    """Settings that would only fail inside training (a division by a zero
+    batch or width, a NaN loss) are configuration errors up front."""
+    GanConfig().validate()
+    GanConfig(epochs=0, critic_steps=0, pretrain_epochs=0, lambda_gp=0.0, batch_size=1, hidden=1, latent_dim=1).validate()
+    bad = [
+        {"lambda_gp": -1.0},
+        {"lambda_gp": float("nan")},
+        {"epochs": -1},
+        {"critic_steps": -1},
+        {"pretrain_epochs": -1},
+        {"batch_size": 0},
+        {"batch_size": -4},
+        {"hidden": 0},
+        {"latent_dim": 0},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1e-3},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+    ]
+    for fields in bad:
+        with pytest.raises(ConfigurationError):
+            GanConfig(**fields).validate()
