@@ -47,8 +47,8 @@ class RunConfig:
             raise ConfigurationError("need at least one generation")
         if self.runs < 1:
             raise ConfigurationError("need at least one run")
-        if self.alpha < 0:
-            raise ConfigurationError(f"angle-penalty exponent alpha must be >= 0, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError(f"angle-penalty exponent alpha must be finite and >= 0, got {self.alpha}")
         self.gan.validate()
 
 

@@ -1,34 +1,30 @@
-"""Small fully-connected networks in plain numpy.
-
-Provides exactly what adversarial offspring generation needs: a batched
-forward pass, backpropagation to parameters, per-sample gradients of a
-scalar-output critic with respect to its input, the derivative of the
-unit-gradient-norm penalty with respect to the critic parameters, and the two
-training gradients of a WGAN-GP built from them. The penalty derivative is
-computed analytically: the input gradient is differentiated in the penalty's
-descent direction with a forward (tangent) sweep, and that extended
-computation is then swept in reverse. Hidden activations are tanh throughout,
-which keeps this second differentiation smooth everywhere.
+"""Small fully-connected networks in plain numpy, cut to what a WGAN-GP
+needs: a batched ``forward`` pass, one critic step (``critic_gradient``), one
+generator step (``generator_gradient``) and Adam (``adam_step``). The critic
+step differentiates its gradient penalty analytically: the critic's input
+gradient is differentiated in the penalty's descent direction with a forward
+(tangent) sweep, and that extended computation is then swept in reverse.
+Hidden activations are tanh throughout, which keeps this second
+differentiation smooth everywhere.
 
 Parameters are flat: a network keeps all its weights and biases in one
 contiguous ``params`` vector, layer by layer, the row-major weight matrix and
-then the bias. ``weights`` and ``biases`` are views into it, gradients and the
-Adam moments use the same layout, and an Adam update is a few whole-vector
-operations.
+then the bias. ``weights`` and ``biases`` are views into it. Gradients and the
+Adam moments are flat vectors in the same layout, and an Adam update is a few
+whole-vector operations.
 
 ``critic_gradient`` does a whole critic step in one forward pass over the
 stacked [good; bad; mixed] rows and one reverse sweep over all of them,
 seeded with -1/b, +1/b and 1. Weight-gradient products are taken per b-row
 block, bad rows first, so every sum is accumulated in the same order as
-separate ``backward`` calls would; the penalty's tangent and adjoint sweeps
-run on the mixed block of the same pass. Whether a matrix product over the
-3b stacked rows gives each row the same bits as one over its b rows alone is
-up to the BLAS: with OpenBLAS it does at b = 32, the training batch, but at
-some other b the kernel chosen for the row count changes the last bits.
+separate single-batch sweeps would (``tests/reference_nets.py`` keeps those
+as the tests' oracle); the penalty's tangent and adjoint sweeps run on the
+mixed block of the same pass. Whether a matrix product over the 3b stacked
+rows gives each row the same bits as one over its b rows alone is up to the
+BLAS: with OpenBLAS it does at b = 32, the training batch, but at some other
+b the kernel chosen for the row count changes the last bits.
 ``generator_gradient`` takes the generator's forward pass from its caller
 and the critic's input gradient from the forward pass that gives the scores.
-The public ``forward``, ``backward``, ``input_gradient`` and
-``gradient_penalty_backward`` run the same sweeps on a single batch.
 
 A layer multiplies a batch by the transpose of its (out, in) weight matrix.
 ``critic_gradient`` copies each hidden layer's transpose into a contiguous
@@ -79,7 +75,6 @@ class Mlp:
     weights: list[np.ndarray]  # each (out, in)
     biases: list[np.ndarray]   # each (out,)
     output_tanh: bool
-    version: int = 0           # bumped on every parameter update; guards stale caches
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -92,7 +87,7 @@ class Mlp:
     def __reduce__(self):
         # Pickle the layers: unpickling packs them into a fresh params vector
         # that the views alias again.
-        return Mlp, (self.weights, self.biases, self.output_tanh, self.version)
+        return Mlp, (self.weights, self.biases, self.output_tanh)
 
     @property
     def shapes(self) -> list[tuple[int, int]]:
@@ -109,29 +104,6 @@ class Mlp:
     @property
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
-
-    def copy(self) -> "Mlp":
-        return Mlp(self.weights, self.biases, self.output_tanh, self.version)
-
-
-class Grads:
-    """Parameter gradients of one network, laid out like its ``params``."""
-
-    def __init__(self, flat: np.ndarray, shapes):
-        self.flat = flat
-        self.weights, self.biases = _layer_views(flat, shapes)
-
-
-@dataclass
-class ForwardCache:
-    version: int
-    x: np.ndarray
-    hs: list[np.ndarray]  # post-activation output of every layer, last entry is y
-
-
-def zero_grads(net: Mlp) -> Grads:
-    return Grads(np.zeros_like(net.params), net.shapes)
-
 
 def save_params(net: Mlp, path) -> None:
     """Debug dump: little-endian float64, row-major, weights then bias per layer."""
@@ -198,18 +170,22 @@ def _reverse_sweep(net: Mlp, hs: list[np.ndarray], top: np.ndarray) -> tuple[lis
     return ds, sech2
 
 
-def _add_param_grads(x, hs, ds, rows: slice, grads: Grads) -> None:
-    """Add the parameter gradient carried by the given rows of a reverse sweep to grads."""
+def _add_param_grads(x, hs, ds, rows: slice, grad_w: list, grad_b: list) -> None:
+    """Add the parameter gradient carried by the given rows of a reverse sweep
+    to the per-layer gradient views grad_w and grad_b (see ``_layer_views``)."""
     for k, d in enumerate(ds):
         prev = x if k == 0 else hs[k - 1]
-        grads.weights[k] += d[rows].T @ prev[rows]
-        grads.biases[k] += np.add.reduce(d[rows], axis=0)
+        grad_w[k] += d[rows].T @ prev[rows]
+        grad_b[k] += np.add.reduce(d[rows], axis=0)
 
 
-def _penalty_backward(net: Mlp, x, hs, sech2, ds, wts, grads: Grads) -> float:
+def _penalty_backward(net: Mlp, x, hs, sech2, ds, wts, grad_w: list, grad_b: list) -> float:
     """The gradient penalty at rows x, given their forward sweep and their
-    reverse sweep seeded with 1; its parameter gradient is added to grads.
-    The tangent sweep multiplies by wts, as ``_forward_sweep`` does."""
+    reverse sweep seeded with 1; its parameter gradient is added to the
+    per-layer gradient views grad_w and grad_b. The tangent sweep multiplies
+    by wts, as ``_forward_sweep`` does. The output bias gets no gradient: the
+    input gradient does not depend on it. A row whose input gradient is
+    exactly zero contributes the subgradient 0 at the norm kink."""
     b = x.shape[0]
     L = net.n_layers
     g = ds[0] @ net.weights[0]  # (b, in), per-sample input gradient
@@ -238,13 +214,13 @@ def _penalty_backward(net: Mlp, x, hs, sech2, ds, wts, grads: Grads) -> float:
 
     # Reverse through the tangent chain.
     last_t = u if L == 1 else th[L - 2]
-    grads.weights[L - 1] += np.add.reduce(last_t, axis=0)[None, :]
+    grad_w[L - 1] += np.add.reduce(last_t, axis=0)[None, :]
     tbar = net.weights[L - 1][0]  # the same for every row until the first product below
     for k in range(L - 2, -1, -1):
         tabar = tbar * sech2[k]
         hbar[k] = tbar * (-2.0 * hs[k] * ta[k])
         prev_t = u if k == 0 else th[k - 1]
-        grads.weights[k] += tabar.T @ prev_t
+        grad_w[k] += tabar.T @ prev_t
         if k > 0:
             tbar = tabar @ net.weights[k]
 
@@ -252,32 +228,17 @@ def _penalty_backward(net: Mlp, x, hs, sech2, ds, wts, grads: Grads) -> float:
     for k in range(L - 2, -1, -1):
         abar = hbar[k] * sech2[k]
         prev = x if k == 0 else hs[k - 1]
-        grads.weights[k] += abar.T @ prev
-        grads.biases[k] += np.add.reduce(abar, axis=0)
+        grad_w[k] += abar.T @ prev
+        grad_b[k] += np.add.reduce(abar, axis=0)
         if k > 0:
             hbar[k - 1] += abar @ net.weights[k]
 
     return penalty
 
 
-def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    x = _as_batch(net, x)
-    hs = _forward_sweep(net, x)
-    return hs[-1], ForwardCache(version=net.version, x=x, hs=hs)
-
-
-def backward(net: Mlp, cache: ForwardCache, loss_grad: np.ndarray) -> Grads:
-    """Gradients of sum(loss_grad * output) with respect to all weights and biases."""
-    if cache.version != net.version:
-        raise ValueError("stale forward cache: parameters were updated after the forward pass")
-    loss_grad = np.asarray(loss_grad, dtype=net.params.dtype)
-    y = cache.hs[-1]
-    if loss_grad.shape != y.shape:
-        raise ValueError(f"loss_grad shape {loss_grad.shape} does not match output {y.shape}")
-    ds, _ = _reverse_sweep(net, cache.hs, loss_grad)
-    grads = zero_grads(net)
-    _add_param_grads(cache.x, cache.hs, ds, slice(None), grads)
-    return grads
+def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
+    """The network's output on the (b, in) batch x."""
+    return _forward_sweep(net, _as_batch(net, x))[-1]
 
 
 def _require_scalar_critic(net: Mlp) -> None:
@@ -285,44 +246,18 @@ def _require_scalar_critic(net: Mlp) -> None:
         raise ValueError("input gradients require a linear scalar-output network")
 
 
-def _ones_sweep(net: Mlp, cache: ForwardCache) -> tuple[list, list]:
-    return _reverse_sweep(net, cache.hs, np.ones((cache.x.shape[0], 1), dtype=cache.x.dtype))
-
-
-def input_gradient(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the critic's scalar output with respect to its input."""
-    _require_scalar_critic(net)
-    _, cache = forward(net, x)
-    ds, _ = _ones_sweep(net, cache)
-    return ds[0] @ net.weights[0]
-
-
-def gradient_penalty_backward(net: Mlp, interpolated: np.ndarray) -> tuple[float, Grads]:
-    """Mean squared deviation of the input-gradient norm from 1, and its parameter gradient.
-
-    The parameter gradient never touches the output bias (the input gradient
-    does not depend on it). A sample whose input gradient is exactly zero
-    contributes the subgradient 0 at the norm kink.
-    """
-    _require_scalar_critic(net)
-    _, cache = forward(net, interpolated)
-    ds, sech2 = _ones_sweep(net, cache)
-    grads = zero_grads(net)
-    penalty = _penalty_backward(net, cache.x, cache.hs, sech2, ds, [w.T for w in net.weights], grads)
-    return penalty, grads
-
-
 def critic_gradient(
     net: Mlp, good: np.ndarray, bad: np.ndarray, mixed: np.ndarray, lambda_gp: float
-) -> tuple[np.ndarray, np.ndarray, float, Grads]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Scores and parameter gradient of one critic step of a WGAN-GP.
 
     The loss is mean D(bad) - mean D(good) + lambda_gp * penalty(mixed) over
-    b rows each. Returns (D(good), D(bad), penalty, gradient); the gradient is
-    backward on bad, plus backward on good, plus lambda_gp times
-    gradient_penalty_backward on mixed, summed in that order. It is equal to
-    that sum bit for bit when the BLAS gives each row of the stacked batch the
-    same product as it does in a batch of b rows (see the module docstring).
+    b rows each. Returns (D(good), D(bad), penalty, gradient); the gradient
+    is the one from the bad rows, plus the one from the good rows, plus
+    lambda_gp times the penalty's, summed in that order. Each term has the
+    bits of a sweep over its b rows alone when the BLAS gives each row of the
+    stacked batch the same product as it does in a batch of b rows (see the
+    module docstring).
     """
     _require_scalar_critic(net)
     b = len(good)
@@ -336,29 +271,36 @@ def critic_gradient(
     top[good_rows] = -1.0 / b
     top[bad_rows] = 1.0 / b
     ds, sech2 = _reverse_sweep(net, hs, top)
-    grads, pen = (Grads(flat, net.shapes) for flat in np.zeros((2, net.params.size), dtype=x.dtype))
-    _add_param_grads(x, hs, ds, bad_rows, grads)
-    _add_param_grads(x, hs, ds, good_rows, grads)
+    grad, pen = np.zeros((2, net.params.size), dtype=x.dtype)
+    grad_views = _layer_views(grad, net.shapes)
+    _add_param_grads(x, hs, ds, bad_rows, *grad_views)
+    _add_param_grads(x, hs, ds, good_rows, *grad_views)
     mixed_hs, mixed_sech2, mixed_ds = (
         [a[mixed_rows] for a in arrays] for arrays in (hs, sech2, ds)
     )
-    penalty = _penalty_backward(net, x[mixed_rows], mixed_hs, mixed_sech2, mixed_ds, wts, pen)
-    pen.flat *= lambda_gp
-    grads.flat += pen.flat
+    penalty = _penalty_backward(
+        net, x[mixed_rows], mixed_hs, mixed_sech2, mixed_ds, wts, *_layer_views(pen, net.shapes)
+    )
+    pen *= lambda_gp
+    grad += pen
     y = hs[-1]
-    return y[good_rows], y[bad_rows], penalty, grads
+    return y[good_rows], y[bad_rows], penalty, grad
 
 
-def generator_gradient(gen: Mlp, cache: ForwardCache, critic: Mlp) -> tuple[np.ndarray, Grads]:
+def generator_gradient(gen: Mlp, z: np.ndarray, hs: list, critic: Mlp) -> tuple[np.ndarray, np.ndarray]:
     """Critic scores of G(z) and the gradient of -mean D(G(z)) with respect to
-    the generator's parameters, given the generator's forward pass on z in
-    `cache`; one critic forward pass serves both."""
+    the generator's parameters, given the generator's input z in its dtype
+    and the output of each of its layers, hs, as ``_forward_sweep`` gives
+    them; one critic forward pass serves both."""
     _require_scalar_critic(critic)
-    fake = cache.hs[-1]
-    scores, critic_cache = forward(critic, fake)
-    ds, _ = _ones_sweep(critic, critic_cache)
+    fake = _as_batch(critic, hs[-1])
+    critic_hs = _forward_sweep(critic, fake)
+    ds, _ = _reverse_sweep(critic, critic_hs, np.ones((len(fake), 1), dtype=fake.dtype))
     d_fake = -(ds[0] @ critic.weights[0]) / len(fake)
-    return scores, backward(gen, cache, d_fake)
+    gen_ds, _ = _reverse_sweep(gen, hs, d_fake)
+    grad = np.zeros_like(gen.params)
+    _add_param_grads(z, hs, gen_ds, slice(None), *_layer_views(grad, gen.shapes))
+    return critic_hs[-1], grad
 
 
 @dataclass
@@ -376,9 +318,9 @@ class AdamState:
         return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), learning_rate=learning_rate)
 
 
-def adam_step(net: Mlp, grads: Grads, state: AdamState) -> tuple[Mlp, AdamState]:
-    """Standard Adam update with bias correction, applied in place."""
-    g = grads.flat
+def adam_step(net: Mlp, g: np.ndarray, state: AdamState) -> tuple[Mlp, AdamState]:
+    """Standard Adam update with bias correction by the flat gradient g,
+    applied in place."""
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient passed to the optimizer")
     state.step += 1
@@ -400,5 +342,4 @@ def adam_step(net: Mlp, grads: Grads, state: AdamState) -> tuple[Mlp, AdamState]
     u *= state.learning_rate
     u /= t
     net.params -= u
-    net.version += 1
     return net, state

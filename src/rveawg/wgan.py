@@ -22,7 +22,6 @@ import numpy as np
 from .core import ConfigurationError, RandomSource, TrainingError
 from .neuronet import (
     AdamState,
-    ForwardCache,
     Mlp,
     _forward_sweep,
     adam_step,
@@ -199,8 +198,7 @@ def train(
             critic_loss, penalty, w_est = _critic_update(
                 critic, critic_opt, good[s], fake[s], mixed[s], cfg.lambda_gp
             )
-        gen_cache = ForwardCache(gen.version, z[steps], [h[steps] for h in gen_hs])
-        scores, gen_grads = generator_gradient(gen, gen_cache, critic)
+        scores, gen_grads = generator_gradient(gen, z[steps], [h[steps] for h in gen_hs], critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")
@@ -228,6 +226,5 @@ def sample_offspring(
     """Decode `count` latent draws into an in-bounds (count, n) decision matrix."""
     if count < 1:
         raise ValueError(f"offspring count must be >= 1, got {count}")
-    y, _ = forward(gen, _noise(cfg, count, rng))
-    return denormalize_from_net(y, lower, upper)
+    return denormalize_from_net(forward(gen, _noise(cfg, count, rng)), lower, upper)
 

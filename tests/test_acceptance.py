@@ -21,13 +21,14 @@ from rveawg import (
 )
 from rveawg.baselines import fast_nondominated_sort
 from rveawg.cli import main
-from rveawg.neuronet import AdamState, backward, forward, gradient_penalty_backward, init_mlp, input_gradient
+from rveawg.neuronet import AdamState, critic_gradient, forward, generator_gradient, init_mlp
 from rveawg.selection import elitism_select
 from rveawg.wgan import pretrain_discriminator, train
 
 from fingerprints import PATH, criterion_9_configs, environment, environment_difference
 from test_baselines import brute_force_fronts
 from test_metrics import naive_igd
+from reference_nets import forward_pass
 from test_neuronet import assert_grads_close, fd_param_gradient, random_net
 from test_selection import oracle_select
 
@@ -66,39 +67,30 @@ def test_criterion_2_selection_oracle():
 
 
 def test_criterion_3_gradient_checks():
+    """Finite differences of the two training steps runs take: the critic
+    step, gradient penalty included, and the generator step."""
     started = time.perf_counter()
     rng = RandomSource(314)
-    for i in range(20):
-        net = random_net(rng)
-        x = rng.standard_normal((2, net.in_dim))
-        lg = rng.standard_normal((2, 1))
-        _, cache = forward(net, x)
+    for _ in range(20):
+        critic = random_net(rng)
+        good, bad, mixed = (rng.standard_normal((3, critic.in_dim)) for _ in range(3))
+        _, _, _, got = critic_gradient(critic, good, bad, mixed, 10.0)
 
-        def loss_scalar():
-            y, _ = forward(net, x)
-            return float(np.sum(lg * y))
+        def critic_loss():
+            y_good, y_bad, penalty, _ = critic_gradient(critic, good, bad, mixed, 10.0)
+            return float(np.mean(y_bad) - np.mean(y_good) + 10.0 * penalty)
 
-        assert_grads_close(backward(net, cache, lg), fd_param_gradient(net, loss_scalar), rtol=1e-4)
+        assert_grads_close(got, fd_param_gradient(critic, critic_loss), rtol=1e-3)
 
-        grad_in = input_gradient(net, x)
-        h = 1e-5
-        for s in range(2):
-            for j in range(net.in_dim):
-                xp, xm = x.copy(), x.copy()
-                xp[s, j] += h
-                xm[s, j] -= h
-                num = (forward(net, xp)[0][s, 0] - forward(net, xm)[0][s, 0]) / (2 * h)
-                denom = max(abs(num), abs(grad_in[s, j]), 1e-3)
-                assert abs(grad_in[s, j] - num) / denom < 1e-4
+        gen = random_net(rng, out_dim=critic.in_dim, output_tanh=True)
+        z = rng.standard_normal((2, gen.in_dim))
+        _, got = generator_gradient(gen, *forward_pass(gen, z), critic)
 
-        xh = rng.standard_normal((3, net.in_dim))
-        _, pen_grads = gradient_penalty_backward(net, xh)
+        def gen_loss():
+            return float(-np.mean(forward(critic, forward(gen, z))))
 
-        def pen_scalar():
-            return gradient_penalty_backward(net, xh)[0]
-
-        assert_grads_close(pen_grads, fd_param_gradient(net, pen_scalar), rtol=1e-3)
-    report(3, "gradient checks on 20 random nets", started, limit=30.0)
+        assert_grads_close(got, fd_param_gradient(gen, gen_loss), rtol=1e-4)
+    report(3, "critic and generator step gradient checks on 20 random nets", started, limit=30.0)
 
 
 def test_criterion_4_gan_single_point_collapse():
@@ -114,7 +106,7 @@ def test_criterion_4_gan_single_point_collapse():
         gopt = AdamState.for_net(gen, 2e-4)  # two time scales: the generator learns slower
         copt = AdamState.for_net(critic, cfg.learning_rate)
         train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, rng.child("t"))
-        samples, _ = forward(gen, rng.child("s").standard_normal((256, cfg.latent_dim)))
+        samples = forward(gen, rng.child("s").standard_normal((256, cfg.latent_dim)))
         deviation = np.max(np.abs(samples.mean(axis=0) - point))
         assert deviation < 0.15, f"seed {seed}: worst coordinate deviation {deviation:.3f}"
     report(4, "single-point GAN collapse within 0.15, 5/5 seeds", started, limit=60.0)
@@ -130,7 +122,7 @@ def test_criterion_5_pretrain_separation():
         good = 0.5 + 0.05 * rng.child("good").standard_normal((40, 4))
         bad = -0.5 + 0.05 * rng.child("bad").standard_normal((40, 4))
         pretrain_discriminator(critic, copt, good, bad, cfg, rng.child("t"))
-        assert forward(critic, good)[0].mean() > forward(critic, bad)[0].mean(), f"seed {seed}"
+        assert forward(critic, good).mean() > forward(critic, bad).mean(), f"seed {seed}"
     report(5, "critic pre-training separates clusters, 5/5 seeds", started, limit=30.0)
 
 

@@ -96,8 +96,9 @@ def test_config_validation():
         RunConfig(algorithm="spea2").validate()
     with pytest.raises(ConfigurationError):
         RunConfig(generations=0).validate()
-    with pytest.raises(ConfigurationError):
-        RunConfig(alpha=-1.0).validate()
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            RunConfig(alpha=alpha).validate()
     with pytest.raises(ConfigurationError):
         resolve_setup(RunConfig(problem="nope"))
     for size in (0, -7):
@@ -276,11 +277,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("objectives = 1\n")  # lattice needs M >= 2
     assert main(["sweep", "--config", str(bad)]) == 1
-    for line, key in (("runs = two", "runs"), ("alpha = x", "alpha"), ("objectives = 3, ten", "objectives")):
+    for line, message in (
+        ("runs = two", "runs = "),
+        ("alpha = x", "alpha = "),
+        ("objectives = 3, ten", "objectives = "),
+        ("alpha = nan", "angle-penalty exponent alpha must be finite and >= 0, got nan"),
+    ):
         bad.write_text(line + "\n")
         capsys.readouterr()
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1, line
-        assert f"configuration error: {key} = " in capsys.readouterr().err
+        assert f"configuration error: {message}" in capsys.readouterr().err
     bad.write_text("problems = dtlz2\ngeneration = 2\n")  # a typo must not fall back to 15 generations
     capsys.readouterr()
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
@@ -288,7 +294,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "unknown key 'generation'" in err and "generations" in err
     assert main(["run", "--epochs", "-1", "--out", str(tmp_path / "out")]) == 1
     small = ["--generations", "2", "--epochs", "2", "--runs", "1", "--out", str(tmp_path / "out"), "--dump-refvecs"]
-    for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--jobs", "-3"]):
+    for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--alpha", "nan"], ["--jobs", "-3"]):
         assert main(["run", *bad_input, *small]) == 1, bad_input
     assert not (tmp_path / "out").exists()  # rejected before writing anything
 

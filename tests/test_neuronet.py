@@ -8,43 +8,36 @@ from rveawg.core import TrainingError
 from rveawg.neuronet import (
     AdamState,
     Mlp,
+    _layer_views,
     adam_step,
-    backward,
     critic_gradient,
     forward,
-    gradient_penalty_backward,
+    generator_gradient,
     init_mlp,
-    input_gradient,
     save_params,
-    zero_grads,
 )
+
+from reference_nets import backward, forward_pass, gradient_penalty_backward, input_gradient
 
 H = 1e-5
 
 
 def fd_param_gradient(net, scalar_fn):
-    """Central finite differences of scalar_fn over every weight and bias."""
-    grads = zero_grads(net)
-    for arrs, outs in ((net.weights, grads.weights), (net.biases, grads.biases)):
-        for a, out in zip(arrs, outs):
-            for idx in np.ndindex(a.shape):
-                old = a[idx]
-                a[idx] = old + H
-                net.version += 1
-                up = scalar_fn()
-                a[idx] = old - H
-                net.version += 1
-                down = scalar_fn()
-                a[idx] = old
-                net.version += 1
-                out[idx] = (up - down) / (2 * H)
-    return grads
+    """Central finite differences of scalar_fn over every parameter, laid out like params."""
+    grad = np.zeros_like(net.params)
+    for i, old in enumerate(net.params.copy()):
+        net.params[i] = old + H
+        up = scalar_fn()
+        net.params[i] = old - H
+        down = scalar_fn()
+        net.params[i] = old
+        grad[i] = (up - down) / (2 * H)
+    return grad
 
 
 def assert_grads_close(got, want, rtol):
-    for g, w in zip(got.weights + got.biases, want.weights + want.biases):
-        denom = np.maximum(np.maximum(np.abs(g), np.abs(w)), 1e-3)
-        assert np.max(np.abs(g - w) / denom) < rtol
+    denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-3)
+    assert np.max(np.abs(got - want) / denom) < rtol
 
 
 def random_net(rng, out_dim=1, output_tanh=False):
@@ -62,7 +55,7 @@ def test_forward_zero_net_tanh_outputs_zero():
         biases=[np.zeros(3), np.zeros(3), np.zeros(2)],
         output_tanh=True,
     )
-    y, _ = forward(net, np.array([[0.3, -0.8], [1.0, 2.0]]))
+    y = forward(net, np.array([[0.3, -0.8], [1.0, 2.0]]))
     assert np.array_equal(y, np.zeros((2, 2)))
 
 
@@ -73,7 +66,7 @@ def test_forward_identity_path_linear():
         output_tanh=False,
     )
     x = np.array([[0.25, -0.5]])
-    y, _ = forward(net, x)
+    y = forward(net, x)
     # tanh is identity to first order at tiny pre-activations.
     assert np.allclose(y, x, atol=1e-6)
 
@@ -82,7 +75,7 @@ def test_forward_matches_per_sample_loop():
     rng = RandomSource(31)
     net = random_net(rng, out_dim=3, output_tanh=True)
     x = rng.standard_normal((4, net.in_dim))
-    batch, _ = forward(net, x)
+    batch = forward(net, x)
     for s in range(4):
         h = x[s]
         for k, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -101,10 +94,8 @@ def test_backward_zero_loss_grad_gives_zero():
     rng = RandomSource(5)
     net = random_net(rng, out_dim=2)
     x = rng.standard_normal((3, net.in_dim))
-    _, cache = forward(net, x)
-    grads = backward(net, cache, np.zeros((3, 2)))
-    assert all(np.all(w == 0.0) for w in grads.weights)
-    assert all(np.all(b == 0.0) for b in grads.biases)
+    grad = backward(net, *forward_pass(net, x), np.zeros((3, 2)))
+    assert np.all(grad == 0.0)
 
 
 def test_backward_matches_finite_differences():
@@ -113,12 +104,10 @@ def test_backward_matches_finite_differences():
         net = random_net(rng, out_dim=int(rng.integers(1, 4)), output_tanh=bool(rng.integers(0, 2)))
         x = rng.standard_normal((3, net.in_dim))
         lg = rng.standard_normal((3, net.out_dim))
-        _, cache = forward(net, x)
-        got = backward(net, cache, lg)
+        got = backward(net, *forward_pass(net, x), lg)
 
         def scalar():
-            y, _ = forward(net, x)
-            return float(np.sum(lg * y))
+            return float(np.sum(lg * forward(net, x)))
 
         assert_grads_close(got, fd_param_gradient(net, scalar), rtol=1e-4)
 
@@ -128,24 +117,10 @@ def test_backward_linear_in_loss_grad():
     net = random_net(rng, out_dim=2)
     x = rng.standard_normal((4, net.in_dim))
     lg = rng.standard_normal((4, 2))
-    _, cache = forward(net, x)
-    one = backward(net, cache, lg)
-    three = backward(net, cache, 3.0 * lg)
-    for a, b in zip(one.weights + one.biases, three.weights + three.biases):
-        assert np.allclose(3.0 * a, b, atol=1e-12)
-
-
-def test_backward_rejects_stale_cache():
-    rng = RandomSource(3)
-    net = random_net(rng)
-    x = rng.standard_normal((2, net.in_dim))
-    _, cache = forward(net, x)
-    state = AdamState.for_net(net)
-    _, cache2 = forward(net, x)
-    grads = backward(net, cache2, np.ones((2, 1)))
-    adam_step(net, grads, state)
-    with pytest.raises(ValueError, match="stale"):
-        backward(net, cache, np.ones((2, 1)))
+    x, hs = forward_pass(net, x)
+    one = backward(net, x, hs, lg)
+    three = backward(net, x, hs, 3.0 * lg)
+    assert np.allclose(3.0 * one, three, atol=1e-12)
 
 
 def test_input_gradient_zero_critic():
@@ -174,7 +149,7 @@ def test_input_gradient_matches_finite_differences():
             xp, xm = x.copy(), x.copy()
             xp[s, j] += H
             xm[s, j] -= H
-            num = (forward(net, xp)[0][s, 0] - forward(net, xm)[0][s, 0]) / (2 * H)
+            num = (forward(net, xp)[s, 0] - forward(net, xm)[s, 0]) / (2 * H)
             denom = max(abs(num), abs(got[s, j]), 1e-3)
             assert abs(got[s, j] - num) / denom < 1e-4
 
@@ -192,9 +167,9 @@ def test_input_gradient_requires_scalar_linear_output():
 def test_penalty_unit_norm_linear_critic_is_minimum():
     w = np.array([[0.6, 0.8]])  # unit row
     net = Mlp(weights=[w.copy()], biases=[np.zeros(1)], output_tanh=False)
-    penalty, grads = gradient_penalty_backward(net, np.random.default_rng(1).normal(size=(4, 2)))
+    penalty, grad = gradient_penalty_backward(net, np.random.default_rng(1).normal(size=(4, 2)))
     assert abs(penalty) < 1e-15
-    assert all(np.allclose(g, 0.0, atol=1e-12) for g in grads.weights + grads.biases)
+    assert np.allclose(grad, 0.0, atol=1e-12)
 
 
 def test_penalty_zero_critic_is_one_with_zero_subgradient():
@@ -203,9 +178,9 @@ def test_penalty_zero_critic_is_one_with_zero_subgradient():
         biases=[np.zeros(3), np.zeros(3), np.zeros(1)],
         output_tanh=False,
     )
-    penalty, grads = gradient_penalty_backward(net, np.ones((4, 2)))
+    penalty, grad = gradient_penalty_backward(net, np.ones((4, 2)))
     assert penalty == 1.0
-    assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
+    assert np.all(grad == 0.0)
 
 
 def test_penalty_gradient_matches_finite_differences():
@@ -225,38 +200,30 @@ def test_adam_zero_gradient_keeps_parameters():
     rng = RandomSource(8)
     net = random_net(rng)
     before = [w.copy() for w in net.weights]
-    adam_step(net, zero_grads(net), AdamState.for_net(net))
+    adam_step(net, np.zeros_like(net.params), AdamState.for_net(net))
     assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
 
 
 def test_adam_first_step_is_signed_learning_rate():
     rng = RandomSource(12)
     net = random_net(rng)
-    grads = zero_grads(net)
-    for g in grads.weights + grads.biases:
-        g += rng.standard_normal(g.shape)
-    before = [w.copy() for w in net.weights]
+    grad = rng.standard_normal(net.params.shape)
+    before = net.params.copy()
     state = AdamState.for_net(net, learning_rate=1e-3)
-    adam_step(net, grads, state)
+    adam_step(net, grad, state)
     # First bias-corrected step is -lr * g / (|g| + eps) = -lr * sign(g).
-    for b, w, g in zip(before, net.weights, grads.weights):
-        nz = np.abs(g) > 1e-12
-        assert np.allclose((w - b)[nz], -1e-3 * np.sign(g[nz]), atol=1e-9)
+    nz = np.abs(grad) > 1e-12
+    assert np.allclose((net.params - before)[nz], -1e-3 * np.sign(grad[nz]), atol=1e-9)
 
 
 def test_adam_replay_is_deterministic():
     rng = RandomSource(77)
     net_a = random_net(rng)
-    net_b = net_a.copy()
+    net_b = Mlp(net_a.weights, net_a.biases, net_a.output_tanh)
     state_a = AdamState.for_net(net_a)
     state_b = AdamState.for_net(net_b)
     seq_rng = RandomSource(78)
-    seq = []
-    for _ in range(3):
-        g = zero_grads(net_a)
-        for arr in g.weights + g.biases:
-            arr += seq_rng.standard_normal(arr.shape)
-        seq.append(g)
+    seq = [seq_rng.standard_normal(net_a.params.shape) for _ in range(3)]
     for g in seq:
         adam_step(net_a, g, state_a)
     for g in seq:
@@ -268,10 +235,10 @@ def test_adam_replay_is_deterministic():
 def test_adam_rejects_nonfinite_gradient():
     rng = RandomSource(4)
     net = random_net(rng)
-    grads = zero_grads(net)
-    grads.weights[0][0, 0] = np.nan
+    grad = np.zeros_like(net.params)
+    grad[0] = np.nan
     with pytest.raises(TrainingError):
-        adam_step(net, grads, AdamState.for_net(net))
+        adam_step(net, grad, AdamState.for_net(net))
 
 
 def test_gradient_checks_across_twenty_random_nets():
@@ -280,12 +247,10 @@ def test_gradient_checks_across_twenty_random_nets():
         net = random_net(rng)
         x = rng.standard_normal((2, net.in_dim))
         lg = rng.standard_normal((2, 1))
-        _, cache = forward(net, x)
-        got = backward(net, cache, lg)
+        got = backward(net, *forward_pass(net, x), lg)
 
         def scalar():
-            y, _ = forward(net, x)
-            return float(np.sum(lg * y))
+            return float(np.sum(lg * forward(net, x)))
 
         assert_grads_close(got, fd_param_gradient(net, scalar), rtol=1e-4)
 
@@ -306,10 +271,10 @@ def test_layers_are_views_of_params():
     assert all(np.all(w == 0.0) for w in net.weights) and all(np.all(b == 0.0) for b in net.biases)
 
 
-def test_copy_shares_no_memory():
+def test_constructor_shares_no_memory():
     net = random_net(RandomSource(22))
-    twin = net.copy()
-    assert np.array_equal(twin.params, net.params) and twin.version == net.version
+    twin = Mlp(net.weights, net.biases, net.output_tanh)
+    assert np.array_equal(twin.params, net.params) and twin.output_tanh == net.output_tanh
     for a in [twin.params] + twin.weights + twin.biases:
         for b in [net.params] + net.weights + net.biases:
             assert not np.shares_memory(a, b)
@@ -319,10 +284,9 @@ def test_copy_shares_no_memory():
 
 def test_pickle_round_trip_keeps_views():
     net = random_net(RandomSource(23))
-    net.version = 7
     back = pickle.loads(pickle.dumps(net))
     assert np.array_equal(back.params, net.params)
-    assert (back.version, back.output_tanh) == (7, net.output_tanh)
+    assert back.output_tanh == net.output_tanh
     back.weights[1] *= 2.0
     back.biases[-1] += 3.0
     assert np.array_equal(back.params[: net.weights[0].size], net.weights[0].ravel())
@@ -339,12 +303,13 @@ def test_flat_adam_matches_per_array_loop():
     ref_v = [np.zeros_like(a) for a in ref_params]
     state = AdamState.for_net(net, learning_rate=7e-3)
     for step in range(1, 4):
-        grads = zero_grads(net)
-        for g in grads.weights + grads.biases:
+        grad = np.zeros_like(net.params)
+        grad_w, grad_b = _layer_views(grad, net.shapes)
+        for g in grad_w + grad_b:
             g += rng.standard_normal(g.shape)
-        adam_step(net, grads, state)
+        adam_step(net, grad, state)
         c1, c2 = 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
-        for p, g, m, v in zip(ref_params, grads.weights + grads.biases, ref_m, ref_v):
+        for p, g, m, v in zip(ref_params, grad_w + grad_b, ref_m, ref_v):
             m *= state.beta1
             m += (1.0 - state.beta1) * g
             v *= state.beta2
@@ -380,9 +345,8 @@ def test_init_mlp_casts_float64_draws():
     assert net32.params.tobytes() == net64.params.astype(np.float32).tobytes()
     # Both draws consumed the stream alike.
     assert rng64.random() == rng32.random()
-    for same in (net32.copy(), pickle.loads(pickle.dumps(net32))):
+    for same in (Mlp(net32.weights, net32.biases, net32.output_tanh), pickle.loads(pickle.dumps(net32))):
         assert same.params.dtype == np.float32 and np.array_equal(same.params, net32.params)
-    assert zero_grads(net32).flat.dtype == np.float32
     state = AdamState.for_net(net32)
     assert state.m.dtype == state.v.dtype == np.float32
 
@@ -401,19 +365,20 @@ def test_float32_critic_step_tracks_float64():
     mixed = eps * good + (1.0 - eps) * bad
     want = critic_gradient(net64, good, bad, mixed, 10.0)
     got = critic_gradient(net32, good, bad, mixed, 10.0)
-    assert got[3].flat.dtype == np.float32
-    for g, w in zip((*got[:3], got[3].flat), (*want[:3], want[3].flat)):
+    assert got[3].dtype == np.float32
+    for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-5 * np.max(np.abs(w)))
 
 
 def unfused_critic_step(net, good, bad, mixed, lam):
     b = len(good)
-    y_good, cache_good = forward(net, good)
-    y_bad, cache_bad = forward(net, bad)
-    flat = backward(net, cache_bad, np.full_like(y_bad, 1.0 / b)).flat
-    flat = flat + backward(net, cache_good, np.full_like(y_good, -1.0 / b)).flat
-    penalty, pen_grads = gradient_penalty_backward(net, mixed)
-    return y_good, y_bad, penalty, flat + lam * pen_grads.flat
+    good_x, good_hs = forward_pass(net, good)
+    bad_x, bad_hs = forward_pass(net, bad)
+    y_good, y_bad = good_hs[-1], bad_hs[-1]
+    flat = backward(net, bad_x, bad_hs, np.full_like(y_bad, 1.0 / b))
+    flat = flat + backward(net, good_x, good_hs, np.full_like(y_good, -1.0 / b))
+    penalty, pen_grad = gradient_penalty_backward(net, mixed)
+    return y_good, y_bad, penalty, flat + lam * pen_grad
 
 
 @pytest.mark.parametrize("n", [12, 300])
@@ -433,7 +398,7 @@ def test_fused_critic_step_equals_unfused(n, b, depth):
     mixed = eps * good + (1.0 - eps) * bad
     y_good, y_bad, penalty, grads = critic_gradient(net, good, bad, mixed, 10.0)
     want = unfused_critic_step(net, good, bad, mixed, 10.0)
-    got = (y_good, y_bad, np.array(penalty), grads.flat)
+    got = (y_good, y_bad, np.array(penalty), grads)
     for g, w in zip(got, want):
         if b == 32:
             assert np.array_equal(g, w)
@@ -452,3 +417,37 @@ def test_fused_critic_gradient_matches_finite_differences():
         return float(np.mean(y_bad) - np.mean(y_good) + 10.0 * penalty)
 
     assert_grads_close(got, fd_param_gradient(net, scalar), rtol=1e-3)
+
+
+def random_pair(rng, rows):
+    """A random scalar critic, a tanh generator into its input space, and the
+    generator's forward pass on `rows` latent draws."""
+    critic = random_net(rng)
+    gen = random_net(rng, out_dim=critic.in_dim, output_tanh=True)
+    z, hs = forward_pass(gen, rng.standard_normal((rows, gen.in_dim)))
+    return gen, critic, z, hs
+
+
+def test_generator_gradient_equals_unfused():
+    """The scores are the critic's forward pass on G(z), and the gradient is
+    backward through the generator seeded with -1/b times the critic's input
+    gradient, bit for bit."""
+    rng = RandomSource(62)
+    for rows in (1, 6):
+        gen, critic, z, hs = random_pair(rng, rows)
+        scores, got = generator_gradient(gen, z, hs, critic)
+        assert np.array_equal(scores, forward(critic, hs[-1]))
+        want = backward(gen, z, hs, -input_gradient(critic, hs[-1]) / rows)
+        assert np.array_equal(got, want)
+
+
+def test_generator_gradient_matches_finite_differences():
+    rng = RandomSource(63)
+    for _ in range(5):
+        gen, critic, z, hs = random_pair(rng, 4)
+        _, got = generator_gradient(gen, z, hs, critic)
+
+        def scalar():
+            return float(-np.mean(forward(critic, forward(gen, z))))
+
+        assert_grads_close(got, fd_param_gradient(gen, scalar), rtol=1e-4)

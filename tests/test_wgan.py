@@ -3,7 +3,7 @@ import pytest
 
 from rveawg import GanConfig, RandomSource, neuronet, wgan
 from rveawg.core import ConfigurationError, TrainingError
-from rveawg.neuronet import AdamState, Mlp, adam_step, forward, generator_gradient, init_mlp, input_gradient
+from rveawg.neuronet import AdamState, Mlp, adam_step, forward, generator_gradient, init_mlp
 from rveawg.wgan import (
     EpochStats,
     denormalize_from_net,
@@ -13,6 +13,8 @@ from rveawg.wgan import (
     sample_offspring,
     train,
 )
+
+from reference_nets import forward_pass, input_gradient
 
 LOWER4 = np.array([0.0, -1.0, 2.0, 10.0])
 UPPER4 = np.array([1.0, 3.0, 4.0, 30.0])
@@ -72,7 +74,7 @@ def test_pretrain_separates_clusters():
     good = 0.5 + 0.05 * data_rng.child("g").standard_normal((40, 4))
     bad = -0.5 + 0.05 * data_rng.child("b").standard_normal((40, 4))
     pretrain_discriminator(critic, copt, good, bad, cfg, rng)
-    assert forward(critic, good)[0].mean() > forward(critic, bad)[0].mean()
+    assert forward(critic, good).mean() > forward(critic, bad).mean()
 
 
 def test_critic_divergence_leaves_critic_untouched():
@@ -113,7 +115,7 @@ def test_train_collapses_to_repeated_point():
     trace = train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, rng)
     assert len(trace) == 300
     assert all(np.isfinite([s.critic_loss, s.gen_loss, s.wasserstein, s.penalty]).all() for s in trace)
-    samples, _ = forward(gen, RandomSource(1000).standard_normal((256, cfg.latent_dim)))
+    samples = forward(gen, RandomSource(1000).standard_normal((256, cfg.latent_dim)))
     assert np.max(np.abs(samples.mean(axis=0) - point)) < 0.15
 
 
@@ -126,7 +128,7 @@ def test_train_covers_two_clusters():
     )
     gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 200, gen_rate=2e-4)
     train(gen, gopt, critic, copt, real, cfg, rng)
-    samples, _ = forward(gen, RandomSource(2000).standard_normal((256, cfg.latent_dim)))
+    samples = forward(gen, RandomSource(2000).standard_normal((256, cfg.latent_dim)))
     inter = np.linalg.norm(centers[0] - centers[1])
     nearest = np.minimum(
         np.linalg.norm(samples - centers[0], axis=1), np.linalg.norm(samples - centers[1], axis=1)
@@ -157,10 +159,10 @@ def reference_train(gen, gen_opt, critic, critic_opt, real, cfg, rng):
         critic_loss = penalty = w_est = 0.0
         for _ in range(cfg.critic_steps):
             real_batch = real[rng.integers(0, n_real, size=b)]
-            fake, _ = forward(gen, rng.standard_normal((b, cfg.latent_dim)))
+            fake = forward(gen, rng.standard_normal((b, cfg.latent_dim)))
             critic_loss, penalty, w_est = critic_update(critic, critic_opt, real_batch, fake, cfg.lambda_gp, rng)
-        _, gen_cache = forward(gen, rng.standard_normal((b, cfg.latent_dim)))
-        scores, gen_grads = generator_gradient(gen, gen_cache, critic)
+        z, gen_hs = forward_pass(gen, rng.standard_normal((b, cfg.latent_dim)))
+        scores, gen_grads = generator_gradient(gen, z, gen_hs, critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")
@@ -276,7 +278,7 @@ def test_run_networks_stay_float32(monkeypatch):
         monkeypatch.setattr(module, name, recording)
 
     spy(wgan, "critic_gradient", lambda net, good, bad, mixed, lambda_gp: (good, bad, mixed))
-    spy(neuronet, "_add_param_grads", lambda x, hs, ds, rows, grads: [x, *hs, *ds])
+    spy(neuronet, "_add_param_grads", lambda x, hs, ds, rows, grad_w, grad_b: [x, *hs, *ds])
     cfg = GanConfig(epochs=3, pretrain_epochs=2, hidden=8)
     data_rng = RandomSource(71)
     real = data_rng.uniform(-0.5, 0.5, size=(30, 4))
@@ -291,10 +293,9 @@ def test_run_networks_stay_float32(monkeypatch):
 
     # float64 batches are cast on entry: scores and gradients come out float32.
     y_good, y_bad, _, grads = neuronet.critic_gradient(critic, real[:8], bad[:8], 0.5 * (real[:8] + bad[:8]), 10.0)
-    _, gen_cache = forward(gen, rng.standard_normal((8, cfg.latent_dim)))
-    scores, gen_grads = generator_gradient(gen, gen_cache, critic)
+    scores, gen_grads = generator_gradient(gen, *forward_pass(gen, rng.standard_normal((8, cfg.latent_dim))), critic)
     slopes = input_gradient(critic, real)
-    for array in (y_good, y_bad, grads.flat, scores, gen_grads.flat, slopes):
+    for array in (y_good, y_bad, grads, scores, gen_grads, slopes):
         assert array.dtype == np.float32
     assert seen and set(seen) == {np.dtype(np.float32)}
 
