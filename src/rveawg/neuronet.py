@@ -15,27 +15,28 @@ whole-vector operations.
 
 ``critic_gradient`` does a whole critic step in one forward pass over the
 stacked [good; bad; mixed] rows and one reverse sweep over all of them,
-seeded with -1/b, +1/b and 1. Weight-gradient products are taken per b-row
-block, bad rows first, so every sum is accumulated in the same order as
-separate single-batch sweeps would (``tests/reference_nets.py`` keeps those
-as the tests' oracle); the penalty's tangent and adjoint sweeps run on the
-mixed block of the same pass. Whether a matrix product over the 3b stacked
-rows gives each row the same bits as one over its b rows alone is up to the
-BLAS: with OpenBLAS it does at b = 32, the training batch, but at some other
-b the kernel chosen for the row count changes the last bits.
-``generator_gradient`` takes the generator's forward pass from its caller
-and the critic's input gradient from the forward pass that gives the scores.
+seeded with -1/b, +1/b and 1. The penalty's tangent and adjoint sweeps then
+run on the mixed block, with lambda_gp and the mean's 1/b folded into the
+penalty direction u (its gradient is linear in u), and each layer's penalty
+adjoint replaces the mixed rows of that layer's sweep. So each layer takes
+one weight-gradient product over all 3b rows (the output layer over the 2b
+good and bad rows), plus the penalty's tangent term. ``tests/reference_nets.py``
+checks the step bit for bit against ``folded_critic_step``, the same
+arithmetic one batch at a time, and to a few ulps against the separate
+single-batch sweeps, which sum in another order. Bit equality with the
+single-batch reference rests on the BLAS giving each row of the 3b stacked
+rows the bits it gives that row in a batch of b: OpenBLAS does at b = 32, the
+training batch, but at some other b its kernel for the row count changes the
+last bits. ``generator_gradient`` takes the generator's forward pass from
+its caller and the critic's input gradient from the forward pass that gives
+the scores.
 
-A layer multiplies a batch by the transpose of its (out, in) weight matrix.
-``critic_gradient`` copies each hidden layer's transpose into a contiguous
-array once per call and uses the copies in its forward pass and tangent
-sweep: with one OpenBLAS thread, float32 (96x300)@(300x64) takes about 39 us
-against 47 us through the transposed view, and the copy 6 us. The products
-keep their bits, which the fused-step tests and the result fingerprints
-check. Every other pass multiplies by the transposed views. The
-generator keeps them because a copy would change results: at width 12, its
-(64 -> 12) output layer gets other bits from a contiguous copy than from the
-view.
+A layer multiplies a batch by the transpose of its (out, in) weight matrix,
+copied into a contiguous array once per pass (``critic_gradient`` shares its
+copies between the forward pass and the tangent sweep). With one OpenBLAS
+thread, float32 (32x64)@(64x300) takes about 17 us against 36 us through the
+transposed view, and the generator's stacked (6, 32)-row pass at width 12
+takes 77 against 109 us.
 
 Arithmetic runs in the dtype of ``params``: batches, sweep seeds, gradients
 and the Adam moments all take it. ``init_mlp`` draws in float64 and then
@@ -135,10 +136,10 @@ def _forward_sweep(net: Mlp, x: np.ndarray, wts=None) -> list[np.ndarray]:
 
     x may stack batches along leading axes, and each (b, in) slice then gets
     a BLAS product of its own. wts are the (in, out) matrices to multiply by,
-    by default the transposed views of the weights.
+    by default contiguous copies of the weights' transposes.
     """
     if wts is None:
-        wts = [w.T for w in net.weights]
+        wts = [np.ascontiguousarray(w.T) for w in net.weights]
     hs = []
     h = x
     last = net.n_layers - 1
@@ -170,70 +171,13 @@ def _reverse_sweep(net: Mlp, hs: list[np.ndarray], top: np.ndarray) -> tuple[lis
     return ds, sech2
 
 
-def _add_param_grads(x, hs, ds, rows: slice, grad_w: list, grad_b: list) -> None:
-    """Add the parameter gradient carried by the given rows of a reverse sweep
-    to the per-layer gradient views grad_w and grad_b (see ``_layer_views``)."""
+def _add_param_grads(x, hs, ds, grad_w: list, grad_b: list) -> None:
+    """Add the parameter gradient carried by a reverse sweep to the per-layer
+    gradient views grad_w and grad_b (see ``_layer_views``)."""
     for k, d in enumerate(ds):
         prev = x if k == 0 else hs[k - 1]
-        grad_w[k] += d[rows].T @ prev[rows]
-        grad_b[k] += np.add.reduce(d[rows], axis=0)
-
-
-def _penalty_backward(net: Mlp, x, hs, sech2, ds, wts, grad_w: list, grad_b: list) -> float:
-    """The gradient penalty at rows x, given their forward sweep and their
-    reverse sweep seeded with 1; its parameter gradient is added to the
-    per-layer gradient views grad_w and grad_b. The tangent sweep multiplies
-    by wts, as ``_forward_sweep`` does. The output bias gets no gradient: the
-    input gradient does not depend on it. A row whose input gradient is
-    exactly zero contributes the subgradient 0 at the norm kink."""
-    b = x.shape[0]
-    L = net.n_layers
-    g = ds[0] @ net.weights[0]  # (b, in), per-sample input gradient
-
-    # np.linalg.norm and np.mean, spelled as the reductions they run.
-    norms = np.sqrt(np.add.reduce(g * g, axis=1))
-    penalty = float(np.add.reduce((norms - 1.0) ** 2) / b)
-
-    # Descent direction of the penalty in input-gradient space, with the 1/b
-    # of the mean folded in; zero-norm rows keep the zero subgradient.
-    scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros_like(norms), where=norms > 0.0)
-    u = scale[:, None] * g / b
-
-    # Tangent sweep: directional derivative of the forward pass along u.
-    ta = [None] * L  # tangent pre-activations per hidden layer
-    th = [None] * L  # tangent post-activations
-    t_prev = u
-    for k in range(L - 1):
-        ta[k] = t_prev @ wts[k]
-        th[k] = sech2[k] * ta[k]
-        t_prev = th[k]
-    # The scalar u.g per sample would be th[L-2] @ W_L^T; only its parameter
-    # gradient is needed.
-
-    hbar = [None] * (L - 1)
-
-    # Reverse through the tangent chain.
-    last_t = u if L == 1 else th[L - 2]
-    grad_w[L - 1] += np.add.reduce(last_t, axis=0)[None, :]
-    tbar = net.weights[L - 1][0]  # the same for every row until the first product below
-    for k in range(L - 2, -1, -1):
-        tabar = tbar * sech2[k]
-        hbar[k] = tbar * (-2.0 * hs[k] * ta[k])
-        prev_t = u if k == 0 else th[k - 1]
-        grad_w[k] += tabar.T @ prev_t
-        if k > 0:
-            tbar = tabar @ net.weights[k]
-
-    # Reverse through the primal chain for the activation dependencies.
-    for k in range(L - 2, -1, -1):
-        abar = hbar[k] * sech2[k]
-        prev = x if k == 0 else hs[k - 1]
-        grad_w[k] += abar.T @ prev
-        grad_b[k] += np.add.reduce(abar, axis=0)
-        if k > 0:
-            hbar[k - 1] += abar @ net.weights[k]
-
-    return penalty
+        grad_w[k] += d.T @ prev
+        grad_b[k] += np.add.reduce(d, axis=0)
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -246,45 +190,88 @@ def _require_scalar_critic(net: Mlp) -> None:
         raise ValueError("input gradients require a linear scalar-output network")
 
 
+def _critic_seed(b: int, dtype) -> np.ndarray:
+    """The critic step's reverse-sweep seed: -1/b, +1/b and 1 down the good,
+    bad and mixed blocks of b rows each."""
+    top = np.ones((3 * b, 1), dtype=dtype)
+    top[:b] = -1.0 / b
+    top[b:2 * b] = 1.0 / b
+    return top
+
+
 def critic_gradient(
-    net: Mlp, good: np.ndarray, bad: np.ndarray, mixed: np.ndarray, lambda_gp: float
+    net: Mlp, x: np.ndarray, lambda_gp: float, top: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Scores and parameter gradient of one critic step of a WGAN-GP.
 
-    The loss is mean D(bad) - mean D(good) + lambda_gp * penalty(mixed) over
-    b rows each. Returns (D(good), D(bad), penalty, gradient); the gradient
-    is the one from the bad rows, plus the one from the good rows, plus
-    lambda_gp times the penalty's, summed in that order. Each term has the
-    bits of a sweep over its b rows alone when the BLAS gives each row of the
-    stacked batch the same product as it does in a batch of b rows (see the
-    module docstring).
+    x stacks three (b, n) batches as [good; bad; mixed]. The loss is
+    mean D(bad) - mean D(good) + lambda_gp * penalty(mixed). Returns
+    (D(good), D(bad), penalty, gradient). top is the reverse sweep's seed as
+    ``_critic_seed`` builds it, in x's dtype; a caller taking many steps at
+    one b passes it in, and it is only read. A mixed row whose input gradient
+    is exactly zero contributes the penalty's subgradient 0.
     """
     _require_scalar_critic(net)
-    b = len(good)
-    x = _as_batch(net, np.vstack([good, bad, mixed]))
-    # Contiguous copies of the hidden layers' transposes serve the forward
-    # pass and the tangent sweep; see the module docstring.
-    wts = [np.ascontiguousarray(w.T) for w in net.weights[:-1]] + [net.weights[-1].T]
+    x = _as_batch(net, x)
+    b, extra = divmod(x.shape[0], 3)
+    if extra:
+        raise ValueError(f"expected [good; bad; mixed] blocks of equal size, got {x.shape[0]} rows")
+    if top is None:
+        top = _critic_seed(b, x.dtype)
+    L = net.n_layers
+    wts = [np.ascontiguousarray(w.T) for w in net.weights]  # for the forward pass and the tangent sweep
     hs = _forward_sweep(net, x, wts)
-    good_rows, bad_rows, mixed_rows = slice(0, b), slice(b, 2 * b), slice(2 * b, 3 * b)
-    top = np.ones((3 * b, 1), dtype=x.dtype)
-    top[good_rows] = -1.0 / b
-    top[bad_rows] = 1.0 / b
     ds, sech2 = _reverse_sweep(net, hs, top)
-    grad, pen = np.zeros((2, net.params.size), dtype=x.dtype)
-    grad_views = _layer_views(grad, net.shapes)
-    _add_param_grads(x, hs, ds, bad_rows, *grad_views)
-    _add_param_grads(x, hs, ds, good_rows, *grad_views)
-    mixed_hs, mixed_sech2, mixed_ds = (
-        [a[mixed_rows] for a in arrays] for arrays in (hs, sech2, ds)
-    )
-    penalty = _penalty_backward(
-        net, x[mixed_rows], mixed_hs, mixed_sech2, mixed_ds, wts, *_layer_views(pen, net.shapes)
-    )
-    pen *= lambda_gp
-    grad += pen
+    mixed = slice(2 * b, None)
+    sech2_m = [s[mixed] for s in sech2]
+
+    # The penalty: the mixed rows' sweep, seeded with 1, gives their input gradient.
+    g = ds[0][mixed] @ net.weights[0]
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    penalty = float(np.add.reduce((norms - 1.0) ** 2) / b)
+    # lambda_gp times the penalty's descent direction in input-gradient
+    # space, the 1/b of the mean folded in; zero-norm rows keep the zero
+    # subgradient. The penalty's gradient is linear in u.
+    scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros_like(norms), where=norms > 0.0)
+    scale *= lambda_gp / b
+    u = scale[:, None] * g
+
+    # Tangent sweep along u: ta[k] is the tangent of layer k's pre-activation,
+    # th[k] that of its input (th[0] = u). The scalar u.g per row would be
+    # th[L-1] @ W_L^T; only its parameter gradient is needed.
+    ta, th = [], [u]
+    for k in range(L - 1):
+        ta.append(th[k] @ wts[k])
+        th.append(sech2_m[k] * ta[k])
+
+    grad = np.empty_like(net.params)
+    grad_w, grad_b = _layer_views(grad, net.shapes)
+    # The output layer: the good and bad rows, and u.g through its weight.
+    # The penalty does not depend on the output bias.
+    prev = x if L == 1 else hs[-2]
+    np.matmul(ds[-1][:2 * b].T, prev[:2 * b], out=grad_w[-1])
+    grad_w[-1] += np.add.reduce(th[-1], axis=0)
+    np.add.reduce(ds[-1][:2 * b], axis=0, out=grad_b[-1])
+
+    # Reverse through the tangent chain (tbar, tabar) and the primal chain
+    # (hbar, abar). Each layer's penalty adjoint abar replaces the mixed rows
+    # of ds[k], whose seed-1 sweep has served its purpose, so one product
+    # over all 3b rows takes the weight gradient; the tangent term is added.
+    tbar = net.weights[-1][0]  # the same for every row until the first product below
+    for k in range(L - 2, -1, -1):
+        hbar = tbar * (-2.0 * hs[k][mixed] * ta[k])
+        if k < L - 2:
+            hbar += ds[k + 1][mixed] @ net.weights[k + 1]
+        tabar = tbar * sech2_m[k]
+        np.multiply(hbar, sech2_m[k], out=ds[k][mixed])
+        prev = x if k == 0 else hs[k - 1]
+        np.matmul(ds[k].T, prev, out=grad_w[k])
+        grad_w[k] += tabar.T @ th[k]
+        np.add.reduce(ds[k], axis=0, out=grad_b[k])
+        if k > 0:
+            tbar = tabar @ net.weights[k]
     y = hs[-1]
-    return y[good_rows], y[bad_rows], penalty, grad
+    return y[:b], y[b:2 * b], penalty, grad
 
 
 def generator_gradient(gen: Mlp, z: np.ndarray, hs: list, critic: Mlp) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +286,7 @@ def generator_gradient(gen: Mlp, z: np.ndarray, hs: list, critic: Mlp) -> tuple[
     d_fake = -(ds[0] @ critic.weights[0]) / len(fake)
     gen_ds, _ = _reverse_sweep(gen, hs, d_fake)
     grad = np.zeros_like(gen.params)
-    _add_param_grads(z, hs, gen_ds, slice(None), *_layer_views(grad, gen.shapes))
+    _add_param_grads(z, hs, gen_ds, *_layer_views(grad, gen.shapes))
     return critic_hs[-1], grad
 
 

@@ -20,7 +20,8 @@ DEFAULT_LATTICES = {3: (13, 0), 6: (4, 1), 8: (3, 2), 10: (3, 2)}
 @dataclass
 class ReferenceVectorSet:
     """Unit vectors guiding selection, their uniform initial copies, and per-vector
-    minimum neighbor angles (radians)."""
+    minimum neighbor angles (radians). ``initial`` is read-only, shared by
+    every set adapted from it."""
 
     current: np.ndarray  # (N, M), unit rows
     initial: np.ndarray  # (N, M), unit rows
@@ -112,7 +113,9 @@ def to_unit_vectors(weights: np.ndarray) -> ReferenceVectorSet:
     if np.any(norms == 0.0):
         raise ConfigurationError("zero-norm weight vector cannot be normalized")
     current = weights / norms[:, None]
-    return ReferenceVectorSet(current=current, initial=current.copy(), gamma=_min_angles(current))
+    initial = current.copy()
+    initial.setflags(write=False)  # every adapted set shares it
+    return ReferenceVectorSet(current=current, initial=initial, gamma=_min_angles(current))
 
 
 def _min_angles(vectors: np.ndarray) -> np.ndarray:
@@ -140,4 +143,4 @@ def adapt(refs: ReferenceVectorSet, z_max: np.ndarray, z_min: np.ndarray) -> Ref
     ranges = np.maximum(z_max - z_min, RANGE_FLOOR)
     scaled = refs.initial * ranges
     current = scaled / np.linalg.norm(scaled, axis=1)[:, None]
-    return ReferenceVectorSet(current=current, initial=refs.initial.copy(), gamma=_min_angles(current))
+    return ReferenceVectorSet(current=current, initial=refs.initial, gamma=_min_angles(current))

@@ -23,6 +23,7 @@ from .core import ConfigurationError, RandomSource, TrainingError
 from .neuronet import (
     AdamState,
     Mlp,
+    _critic_seed,
     _forward_sweep,
     adam_step,
     critic_gradient,
@@ -100,19 +101,15 @@ def _noise(cfg: GanConfig, count: int, rng: RandomSource) -> np.ndarray:
 
 
 def _critic_update(
-    critic: Mlp,
-    opt: AdamState,
-    good: np.ndarray,
-    bad: np.ndarray,
-    mixed: np.ndarray,
-    lambda_gp: float,
+    critic: Mlp, opt: AdamState, x: np.ndarray, top: np.ndarray, lambda_gp: float
 ) -> tuple[float, float, float]:
     """One critic step on loss mean D(bad) - mean D(good) + lambda * penalty,
-    with the penalty taken at the interpolates `mixed`.
+    on the stacked [good; bad; mixed] rows x with the penalty taken at the
+    interpolates `mixed`; top is their `_critic_seed`.
 
     Returns (loss, penalty, mean D(good) - mean D(bad)).
     """
-    y_good, y_bad, penalty, grads = critic_gradient(critic, good, bad, mixed, lambda_gp)
+    y_good, y_bad, penalty, grads = critic_gradient(critic, x, lambda_gp, top)
     b = len(y_good)
     mean_good, mean_bad = (np.add.reduce(y, axis=None) / b for y in (y_good, y_bad))
     loss = float(mean_bad - mean_good + lambda_gp * penalty)
@@ -140,12 +137,17 @@ def pretrain_discriminator(
     real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
     n_good, n_bad = real.shape[0], bad.shape[0]
     b = min(cfg.batch_size, n_good, n_bad)
+    # The [good; bad; mixed] rows of a step, refilled every epoch.
+    x = np.empty((3 * b, real.shape[1]), dtype=real.dtype)
+    good_batch, bad_batch, mixed = x[:b], x[b:2 * b], x[2 * b:]
+    top = _critic_seed(b, x.dtype)
     for _ in range(cfg.pretrain_epochs):
-        good_batch = real[rng.integers(0, n_good, size=b)]
-        bad_batch = bad[rng.integers(0, n_bad, size=b)]
+        np.take(real, rng.integers(0, n_good, size=b), axis=0, out=good_batch)
+        np.take(bad, rng.integers(0, n_bad, size=b), axis=0, out=bad_batch)
         eps = rng.random((b, 1)).astype(real.dtype)
-        mixed = eps * good_batch + (1.0 - eps) * bad_batch
-        _critic_update(critic, opt, good_batch, bad_batch, mixed, cfg.lambda_gp)
+        np.multiply(eps, good_batch, out=mixed)
+        mixed += (1.0 - eps) * bad_batch
+        _critic_update(critic, opt, x, top, cfg.lambda_gp)
     return critic
 
 
@@ -170,7 +172,9 @@ def train(
     generator step's latent batch. One forward pass of the generator over the
     stacked (critic_steps + 1, b, latent) draws then serves every critic step
     and the generator step; a 3-D product multiplies each b-row slice on its
-    own, so each slice gets the bits a forward pass on it alone would.
+    own, so each slice gets the bits a forward pass on it alone would. The
+    critic steps' [good; bad; mixed] rows are stacked in one (critic_steps,
+    3b, n) array, refilled every epoch.
     """
     n_real = real.shape[0]
     if n_real == 0:
@@ -178,6 +182,9 @@ def train(
     b = min(cfg.batch_size, n_real)
     steps = cfg.critic_steps
     real = np.asarray(real, dtype=critic.params.dtype)
+    x = np.empty((steps, 3 * b, real.shape[1]), dtype=real.dtype)
+    good, bad, mixed = x[:, :b], x[:, b:2 * b], x[:, 2 * b:]
+    top = _critic_seed(b, x.dtype)
     trace = []
     for epoch in range(cfg.epochs):
         idx = np.empty((steps, b), dtype=np.int64)
@@ -190,14 +197,15 @@ def train(
         z[steps] = _noise(cfg, b, rng)
         z = z.astype(gen.params.dtype)
         gen_hs = _forward_sweep(gen, z)
-        fake, good = gen_hs[-1], real[idx]
+        fake = gen_hs[-1][:steps]
+        np.take(real, idx, axis=0, out=good)
+        bad[...] = fake
         eps = eps.astype(real.dtype)
-        mixed = eps * good + (1.0 - eps) * fake[:steps]
+        np.multiply(eps, good, out=mixed)
+        mixed += (1.0 - eps) * fake
         critic_loss = penalty = w_est = 0.0
         for s in range(steps):
-            critic_loss, penalty, w_est = _critic_update(
-                critic, critic_opt, good[s], fake[s], mixed[s], cfg.lambda_gp
-            )
+            critic_loss, penalty, w_est = _critic_update(critic, critic_opt, x[s], top, cfg.lambda_gp)
         scores, gen_grads = generator_gradient(gen, z[steps], [h[steps] for h in gen_hs], critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):

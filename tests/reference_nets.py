@@ -3,9 +3,12 @@
 ``rveawg.neuronet`` runs a critic step and a generator step each as one fused
 call. The functions here run the same sweeps on one batch at a time:
 backpropagation to parameters, the critic's per-sample input gradient and the
-gradient penalty's parameter gradient. The tests compare the fused steps
-against sums of these, bit for bit at the training batch, and check these
-against finite differences.
+gradient penalty's parameter gradient, each in its own sweeps, and
+``folded_critic_step``, the critic step in the fused step's summation order.
+The tests compare the fused critic step with ``folded_critic_step`` bit for
+bit at the training batch and with the sum of the separate sweeps to a few
+ulps, the generator step with ``backward`` bit for bit, and these functions
+with finite differences.
 
 A forward pass is kept as (x, hs): the batch as the network saw it and the
 post-activation output of every layer, the last entry being the output.
@@ -19,10 +22,66 @@ from rveawg.neuronet import (
     _as_batch,
     _forward_sweep,
     _layer_views,
-    _penalty_backward,
     _require_scalar_critic,
     _reverse_sweep,
 )
+
+
+def _penalty_backward(net: Mlp, x, hs, sech2, ds, wts, grad_w: list, grad_b: list) -> float:
+    """The gradient penalty at rows x, given their forward sweep and their
+    reverse sweep seeded with 1; its parameter gradient is added to the
+    per-layer gradient views grad_w and grad_b. The tangent sweep multiplies
+    by wts, as ``_forward_sweep`` does. The output bias gets no gradient: the
+    input gradient does not depend on it. A row whose input gradient is
+    exactly zero contributes the subgradient 0 at the norm kink."""
+    b = x.shape[0]
+    L = net.n_layers
+    g = ds[0] @ net.weights[0]  # (b, in), per-sample input gradient
+
+    # np.linalg.norm and np.mean, spelled as the reductions they run.
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    penalty = float(np.add.reduce((norms - 1.0) ** 2) / b)
+
+    # Descent direction of the penalty in input-gradient space, with the 1/b
+    # of the mean folded in; zero-norm rows keep the zero subgradient.
+    scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros_like(norms), where=norms > 0.0)
+    u = scale[:, None] * g / b
+
+    # Tangent sweep: directional derivative of the forward pass along u.
+    ta = [None] * L  # tangent pre-activations per hidden layer
+    th = [None] * L  # tangent post-activations
+    t_prev = u
+    for k in range(L - 1):
+        ta[k] = t_prev @ wts[k]
+        th[k] = sech2[k] * ta[k]
+        t_prev = th[k]
+    # The scalar u.g per sample would be th[L-2] @ W_L^T; only its parameter
+    # gradient is needed.
+
+    hbar = [None] * (L - 1)
+
+    # Reverse through the tangent chain.
+    last_t = u if L == 1 else th[L - 2]
+    grad_w[L - 1] += np.add.reduce(last_t, axis=0)[None, :]
+    tbar = net.weights[L - 1][0]  # the same for every row until the first product below
+    for k in range(L - 2, -1, -1):
+        tabar = tbar * sech2[k]
+        hbar[k] = tbar * (-2.0 * hs[k] * ta[k])
+        prev_t = u if k == 0 else th[k - 1]
+        grad_w[k] += tabar.T @ prev_t
+        if k > 0:
+            tbar = tabar @ net.weights[k]
+
+    # Reverse through the primal chain for the activation dependencies.
+    for k in range(L - 2, -1, -1):
+        abar = hbar[k] * sech2[k]
+        prev = x if k == 0 else hs[k - 1]
+        grad_w[k] += abar.T @ prev
+        grad_b[k] += np.add.reduce(abar, axis=0)
+        if k > 0:
+            hbar[k - 1] += abar @ net.weights[k]
+
+    return penalty
 
 
 def forward_pass(net: Mlp, x) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -39,7 +98,7 @@ def backward(net: Mlp, x: np.ndarray, hs: list[np.ndarray], loss_grad) -> np.nda
         raise ValueError(f"loss_grad shape {loss_grad.shape} does not match output {y.shape}")
     ds, _ = _reverse_sweep(net, hs, loss_grad)
     grad = np.zeros_like(net.params)
-    _add_param_grads(x, hs, ds, slice(None), *_layer_views(grad, net.shapes))
+    _add_param_grads(x, hs, ds, *_layer_views(grad, net.shapes))
     return grad
 
 
@@ -69,3 +128,58 @@ def gradient_penalty_backward(net: Mlp, interpolated) -> tuple[float, np.ndarray
     wts = [w.T for w in net.weights]
     penalty = _penalty_backward(net, x, hs, sech2, ds, wts, *_layer_views(grad, net.shapes))
     return penalty, grad
+
+
+def folded_critic_step(net: Mlp, good, bad, mixed, lambda_gp: float) -> tuple:
+    """``critic_gradient`` in its summation order, one batch at a time: a
+    forward pass and a reverse sweep per batch, seeded with -1/b, +1/b and 1,
+    the penalty's tangent and adjoint sweeps on the mixed batch with lambda_gp
+    folded into its direction, then per layer one weight-gradient product
+    over the stacked [good; bad; penalty adjoint] rows plus the tangent term.
+    The output layer's product takes the good and bad rows only. Returns
+    (D(good), D(bad), penalty, gradient)."""
+    _require_scalar_critic(net)
+    b, L = len(good), net.n_layers
+    passes = [forward_pass(net, rows) for rows in (good, bad, mixed)]
+    dss = []
+    for (x, hs), seed in zip(passes, (-1.0 / b, 1.0 / b, 1.0)):
+        ds, sech2 = _reverse_sweep(net, hs, np.full((b, 1), seed, dtype=x.dtype))
+        dss.append(ds)
+    # x, hs, ds and sech2 now belong to the mixed batch.
+
+    g = ds[0] @ net.weights[0]
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))
+    penalty = float(np.add.reduce((norms - 1.0) ** 2) / b)
+    scale = np.divide(2.0 * (norms - 1.0), norms, out=np.zeros_like(norms), where=norms > 0.0)
+    scale *= lambda_gp / b
+    u = scale[:, None] * g
+    wts = [np.ascontiguousarray(w.T) for w in net.weights]
+    ta, th = [], [u]
+    for k in range(L - 1):
+        ta.append(th[k] @ wts[k])
+        th.append(sech2[k] * ta[k])
+
+    # Reverse through both chains: abar[k] is the penalty's adjoint of layer
+    # k's pre-activation, tangent[k] the weight gradient of u.g's tangent path.
+    abar, tangent = [None] * L, [None] * L
+    tangent[L - 1] = np.add.reduce(th[L - 1], axis=0)
+    tbar = net.weights[L - 1][0]
+    for k in range(L - 2, -1, -1):
+        hbar = tbar * (-2.0 * hs[k] * ta[k])
+        if k < L - 2:
+            hbar += abar[k + 1] @ net.weights[k + 1]
+        tabar = tbar * sech2[k]
+        abar[k] = hbar * sech2[k]
+        tangent[k] = tabar.T @ th[k]
+        tbar = tabar @ net.weights[k]
+
+    grad = np.empty_like(net.params)
+    grad_w, grad_b = _layer_views(grad, net.shapes)
+    for k in range(L):
+        blocks = [dss[0][k], dss[1][k]] + ([abar[k]] if k < L - 1 else [])
+        d = np.vstack(blocks)
+        prev = np.vstack([x if k == 0 else hs[k - 1] for x, hs in passes[:len(blocks)]])
+        grad_w[k][...] = d.T @ prev
+        grad_w[k] += tangent[k]
+        grad_b[k][...] = np.add.reduce(d, axis=0)
+    return passes[0][1][-1], passes[1][1][-1], penalty, grad

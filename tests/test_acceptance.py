@@ -73,11 +73,11 @@ def test_criterion_3_gradient_checks():
     rng = RandomSource(314)
     for _ in range(20):
         critic = random_net(rng)
-        good, bad, mixed = (rng.standard_normal((3, critic.in_dim)) for _ in range(3))
-        _, _, _, got = critic_gradient(critic, good, bad, mixed, 10.0)
+        x = np.vstack([rng.standard_normal((3, critic.in_dim)) for _ in range(3)])  # [good; bad; mixed]
+        _, _, _, got = critic_gradient(critic, x, 10.0)
 
         def critic_loss():
-            y_good, y_bad, penalty, _ = critic_gradient(critic, good, bad, mixed, 10.0)
+            y_good, y_bad, penalty, _ = critic_gradient(critic, x, 10.0)
             return float(np.mean(y_bad) - np.mean(y_good) + 10.0 * penalty)
 
         assert_grads_close(got, fd_param_gradient(critic, critic_loss), rtol=1e-3)

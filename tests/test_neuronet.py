@@ -17,7 +17,13 @@ from rveawg.neuronet import (
     save_params,
 )
 
-from reference_nets import backward, forward_pass, gradient_penalty_backward, input_gradient
+from reference_nets import (
+    backward,
+    folded_critic_step,
+    forward_pass,
+    gradient_penalty_backward,
+    input_gradient,
+)
 
 H = 1e-5
 
@@ -363,8 +369,8 @@ def test_float32_critic_step_tracks_float64():
     good, bad = rng.uniform(-1.0, 1.0, size=(2, 32, 12))
     eps = rng.random((32, 1))
     mixed = eps * good + (1.0 - eps) * bad
-    want = critic_gradient(net64, good, bad, mixed, 10.0)
-    got = critic_gradient(net32, good, bad, mixed, 10.0)
+    want = critic_gradient(net64, np.vstack([good, bad, mixed]), 10.0)
+    got = critic_gradient(net32, np.vstack([good, bad, mixed]), 10.0)
     assert got[3].dtype == np.float32
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-5 * np.max(np.abs(w)))
@@ -385,10 +391,13 @@ def unfused_critic_step(net, good, bad, mixed, lam):
 @pytest.mark.parametrize("b", [32, 7])
 @pytest.mark.parametrize("depth", [1, 3])
 def test_fused_critic_step_equals_unfused(n, b, depth):
-    """Bit for bit at the training batch of 32 rows. For other batch sizes
-    OpenBLAS may pick another kernel for the 3b stacked rows than for b rows,
-    which moves results by a few ulps, so those are compared with a tolerance
-    of 45 float64 ulps of the largest entry."""
+    """Bit for bit against the folded-order reference at the training batch
+    of 32 rows; for other batch sizes OpenBLAS may pick another kernel for
+    the 3b stacked rows than for b rows, which moves the last bits. Against
+    the separate sweeps the scores and the penalty keep their bits at 32
+    rows, and the gradient, summed in another order, is compared with a
+    tolerance of 45 float64 ulps of the largest entry, as is everything at
+    other batch sizes."""
     rng = RandomSource(1000 * n + 10 * b + depth)
     net = init_mlp([n] + [64] * (depth - 1) + [1], output_tanh=False, rng=rng)
     net.params += 0.05 * rng.standard_normal(net.params.shape)
@@ -396,24 +405,45 @@ def test_fused_critic_step_equals_unfused(n, b, depth):
     bad = rng.uniform(-1.0, 1.0, size=(b, n))
     eps = rng.random((b, 1))
     mixed = eps * good + (1.0 - eps) * bad
-    y_good, y_bad, penalty, grads = critic_gradient(net, good, bad, mixed, 10.0)
-    want = unfused_critic_step(net, good, bad, mixed, 10.0)
+    y_good, y_bad, penalty, grads = critic_gradient(net, np.vstack([good, bad, mixed]), 10.0)
     got = (y_good, y_bad, np.array(penalty), grads)
-    for g, w in zip(got, want):
-        if b == 32:
-            assert np.array_equal(g, w)
-        else:
-            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14 * np.max(np.abs(w)))
+    folded = folded_critic_step(net, good, bad, mixed, 10.0)
+    unfused = unfused_critic_step(net, good, bad, mixed, 10.0)
+    for k, (g, f, w) in enumerate(zip(got, folded, unfused)):
+        for want, exact in ((f, b == 32), (w, b == 32 and k < 3)):
+            if exact:
+                assert np.array_equal(g, want)
+            else:
+                np.testing.assert_allclose(g, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_fused_critic_step_zero_input_gradient():
+    """A critic with zero first-layer weights has a zero input gradient
+    everywhere: the penalty is exactly 1, and every mixed row takes the
+    zero subgradient, so the gradient is the one at lambda_gp = 0 bit for
+    bit; the lambda_gp folded into the penalty direction reaches no row."""
+    rng = RandomSource(64)
+    for dtype in (np.float64, np.float32):
+        net = init_mlp([12, 64, 64, 1], output_tanh=False, rng=rng, dtype=dtype)
+        net.weights[0][...] = 0.0
+        for bias in net.biases:
+            bias += (0.1 * rng.standard_normal(bias.shape)).astype(dtype)
+        x = rng.uniform(-1.0, 1.0, size=(96, 12))
+        _, _, penalty, grads = critic_gradient(net, x, 10.0)
+        _, _, penalty_off, grads_off = critic_gradient(net, x, 0.0)
+        assert penalty == penalty_off == 1.0
+        assert grads.dtype == dtype and np.isfinite(grads).all() and np.any(grads != 0.0)
+        assert grads.tobytes() == grads_off.tobytes()
 
 
 def test_fused_critic_gradient_matches_finite_differences():
     rng = RandomSource(61)
     net = random_net(rng)
-    good, bad, mixed = (rng.standard_normal((3, net.in_dim)) for _ in range(3))
-    _, _, _, got = critic_gradient(net, good, bad, mixed, 10.0)
+    x = np.vstack([rng.standard_normal((3, net.in_dim)) for _ in range(3)])  # [good; bad; mixed]
+    _, _, _, got = critic_gradient(net, x, 10.0)
 
     def scalar():
-        y_good, y_bad, penalty, _ = critic_gradient(net, good, bad, mixed, 10.0)
+        y_good, y_bad, penalty, _ = critic_gradient(net, x, 10.0)
         return float(np.mean(y_bad) - np.mean(y_good) + 10.0 * penalty)
 
     assert_grads_close(got, fd_param_gradient(net, scalar), rtol=1e-3)

@@ -127,3 +127,11 @@ def test_adapt_idempotent_for_fixed_ranges():
     twice = adapt(once, z_max, z_min)
     assert np.array_equal(once.current, twice.current)
     assert np.array_equal(once.initial, refs.initial)
+
+
+def test_adapt_shares_read_only_initial():
+    refs = to_unit_vectors(lattice_for(3))
+    adapted = adapt(refs, np.array([3.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0]))
+    assert adapted.initial is refs.initial
+    with pytest.raises(ValueError):
+        adapted.initial[0, 0] = 0.0

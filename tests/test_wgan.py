@@ -143,7 +143,7 @@ def reference_train(gen, gen_opt, critic, critic_opt, real, cfg, rng):
     def critic_update(critic, opt, good, bad, lambda_gp, rng):
         eps = rng.random((good.shape[0], 1)).astype(good.dtype)
         mixed = eps * good + (1.0 - eps) * bad
-        y_good, y_bad, penalty, grads = neuronet.critic_gradient(critic, good, bad, mixed, lambda_gp)
+        y_good, y_bad, penalty, grads = neuronet.critic_gradient(critic, np.vstack([good, bad, mixed]), lambda_gp)
         mean_good, mean_bad = np.mean(y_good), np.mean(y_bad)
         loss = float(mean_bad - mean_good + lambda_gp * penalty)
         if not np.isfinite(loss):
@@ -266,19 +266,22 @@ def test_run_networks_stay_float32(monkeypatch):
     """float64 survivors in, float32 arithmetic throughout, float64 offspring
     out. A silent upcast would cost the speed of float32 while every result
     still looked right."""
-    seen = []  # dtypes of every critic-step batch and of every array swept for a gradient
+    # dtypes of every stacked critic-step batch, its seed, scores and
+    # gradient, and of every array the generator step sweeps for a gradient
+    seen = []
 
     def spy(module, name, arrays_of):
         real = getattr(module, name)
 
         def recording(*args):
-            seen.extend(a.dtype for a in arrays_of(*args))
-            return real(*args)
+            result = real(*args)
+            seen.extend(a.dtype for a in arrays_of(args, result))
+            return result
 
         monkeypatch.setattr(module, name, recording)
 
-    spy(wgan, "critic_gradient", lambda net, good, bad, mixed, lambda_gp: (good, bad, mixed))
-    spy(neuronet, "_add_param_grads", lambda x, hs, ds, rows, grad_w, grad_b: [x, *hs, *ds])
+    spy(wgan, "critic_gradient", lambda args, result: [args[1], args[3], *result[:2], result[3]])
+    spy(neuronet, "_add_param_grads", lambda args, result: [args[0], *args[1], *args[2]])
     cfg = GanConfig(epochs=3, pretrain_epochs=2, hidden=8)
     data_rng = RandomSource(71)
     real = data_rng.uniform(-0.5, 0.5, size=(30, 4))
@@ -292,7 +295,8 @@ def test_run_networks_stay_float32(monkeypatch):
         assert array.dtype == np.float32
 
     # float64 batches are cast on entry: scores and gradients come out float32.
-    y_good, y_bad, _, grads = neuronet.critic_gradient(critic, real[:8], bad[:8], 0.5 * (real[:8] + bad[:8]), 10.0)
+    x = np.vstack([real[:8], bad[:8], 0.5 * (real[:8] + bad[:8])])
+    y_good, y_bad, _, grads = neuronet.critic_gradient(critic, x, 10.0)
     scores, gen_grads = generator_gradient(gen, *forward_pass(gen, rng.standard_normal((8, cfg.latent_dim))), critic)
     slopes = input_gradient(critic, real)
     for array in (y_good, y_bad, grads, scores, gen_grads, slopes):
