@@ -5,17 +5,16 @@ benchmark problems, an NSGA-II baseline, and IGD evaluation tooling."""
 from .core import (
     ConfigurationError,
     EvaluationError,
-    RandomSource,
     TrainingError,
     evaluate,
     init_population,
 )
 from .harness import RunConfig, RunRecord, nsga2_run, run_experiment, run_single, rvea_wg_run
-from .metrics import IgdResult, aggregate_runs, igd
+from .metrics import IgdResult, igd
 from .problems import PROBLEM_NAMES, ProblemDef, dtlz, lsmop, make_problem, sample_front
 from .refvec import ReferenceVectorSet, adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
 from .selection import elitism_select, partition, translate
-from .variation import MutationConfig, sbx_crossover
+from .variation import sbx_crossover
 from .wgan import GanConfig
 
 __version__ = "0.1.0"
@@ -25,16 +24,13 @@ __all__ = [
     "EvaluationError",
     "GanConfig",
     "IgdResult",
-    "MutationConfig",
     "PROBLEM_NAMES",
     "ProblemDef",
-    "RandomSource",
     "ReferenceVectorSet",
     "RunConfig",
     "RunRecord",
     "TrainingError",
     "adapt",
-    "aggregate_runs",
     "dtlz",
     "elitism_select",
     "evaluate",

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RandomSource, evaluate
-from .variation import MutationConfig, mutate_matrix, sbx_crossover
+from .core import evaluate
+from .variation import mutate_matrix, sbx_crossover
+
+# Distribution index of SBX crossover.
+ETA_C = 20.0
 
 
 def fast_nondominated_sort(objectives: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
@@ -80,12 +83,7 @@ def environmental_select(objs: np.ndarray, n_pop: int) -> np.ndarray:
 
 
 def nsga2_generation(
-    xs: np.ndarray,
-    fs: np.ndarray,
-    problem,
-    mutation: MutationConfig,
-    eta_c: float,
-    rng: RandomSource,
+    xs: np.ndarray, fs: np.ndarray, problem, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generation: tournament mating, SBX + mutation, elitist truncation to N.
 
@@ -108,11 +106,11 @@ def nsga2_generation(
         u[k] = rng.random((2, n_var))
     p1 = _tournament(rank, crowding, picks[:, 0], picks[:, 1])
     p2 = _tournament(rank, crowding, picks[:, 2], picks[:, 3])
-    c1, c2 = sbx_crossover(xs[p1], xs[p2], u[:, 0], u[:, 1], problem.lower, problem.upper, eta_c)
+    c1, c2 = sbx_crossover(xs[p1], xs[p2], u[:, 0], u[:, 1], problem.lower, problem.upper, ETA_C)
     children = np.empty((2 * pairs, n_var))
     children[0::2] = c1
     children[1::2] = c2
-    child_x = mutate_matrix(children[:n_pop], problem.lower, problem.upper, mutation, rng)
+    child_x = mutate_matrix(children[:n_pop], problem.lower, problem.upper, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
     survivors = environmental_select(union_f, n_pop)

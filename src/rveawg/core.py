@@ -19,46 +19,19 @@ class TrainingError(RuntimeError):
     """Raised when network training receives or produces invalid numbers."""
 
 
-class RandomSource:
-    """Deterministic random stream with independently derivable child streams.
+def child(rng: np.random.Generator, tag) -> np.random.Generator:
+    """A PCG64 stream derived from `rng`'s seed and the tag, independent of
+    how much of `rng` has been consumed.
 
-    Built on PCG64 seeded through a SeedSequence so that the same seed plus
-    the same call sequence reproduces the same values bit for bit, and
-    ``child(tag)`` streams are statistically independent of the parent and
-    of each other regardless of how much the parent has been consumed.
+    The child's SeedSequence keeps `rng`'s entropy and extends its spawn key
+    by the tag: the CRC-32 of a string, or an int modulo 2**32. The same seed
+    and tags therefore give the same stream bit for bit, and distinct tags
+    give statistically independent streams.
     """
-
-    def __init__(self, seed: int, _key: tuple = ()):
-        self.seed = int(seed)
-        self._key = tuple(_key)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self._key)
-        self.generator = np.random.Generator(np.random.PCG64(seq))
-
-    def child(self, tag) -> "RandomSource":
-        if isinstance(tag, str):
-            code = zlib.crc32(tag.encode("utf-8"))
-        else:
-            code = int(tag) % (2**32)
-        return RandomSource(self.seed, self._key + (code,))
-
-    # Thin delegation so call sites read like a numpy Generator.
-    def random(self, size=None):
-        return self.generator.random(size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.generator.uniform(low, high, size)
-
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size=size)
-
-    def permutation(self, x):
-        return self.generator.permutation(x)
-
-    def __repr__(self):
-        return f"RandomSource(seed={self.seed}, key={self._key})"
+    seq = rng.bit_generator.seed_seq
+    code = zlib.crc32(tag.encode("utf-8")) if isinstance(tag, str) else int(tag) % (2**32)
+    key = (*seq.spawn_key, code)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seq.entropy, spawn_key=key)))
 
 
 def check_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +44,7 @@ def check_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.n
     return lower, upper
 
 
-def init_population(problem, size: int, rng: RandomSource) -> np.ndarray:
+def init_population(problem, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `size` decision vectors uniformly inside the problem box, as an (N, n) matrix."""
     if size < 1:
         raise ConfigurationError(f"population size must be >= 1, got {size}")

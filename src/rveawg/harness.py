@@ -12,20 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import nsga2_generation
-from .core import ConfigurationError, RandomSource, evaluate, init_population
-from .metrics import aggregate_runs, igd
+from .core import ConfigurationError, child, evaluate, init_population
+from .metrics import igd
 from .problems import ProblemDef, make_problem, sample_front
 from .refvec import adapt, lattice_for, to_unit_vectors
 from .selection import elitism_select
-from .variation import MutationConfig, mutate_matrix
+from .variation import mutate_matrix
 from .wgan import EpochStats, GanConfig, init_networks, normalize_to_net
 from .wgan import pretrain_discriminator, sample_offspring, train
 
 ALGORITHMS = ("rvea-wg", "nsga2")
-# Variation settings of both algorithms: polynomial mutation at p_m = 1/n and
-# eta_m = 20, and the SBX distribution index of NSGA-II.
-MUTATION = MutationConfig()
-ETA_C = 20.0
 
 
 @dataclass
@@ -88,7 +84,7 @@ def config_snapshot(cfg: RunConfig, pop_size: int) -> dict:
     return snap
 
 
-def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
+def rvea_wg_run(cfg: RunConfig, seed: int) -> RunRecord:
     """One optimization run of the adversarial-offspring algorithm.
 
     Per generation: draw a fresh generator/critic pair, train it on the
@@ -103,16 +99,17 @@ def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
     front = sample_front(problem, reference_front_size(problem.m))
     started = time.perf_counter()
 
-    xs = init_population(problem, n_pop, rng.child("init"))
+    rng = np.random.default_rng(seed)
+    xs = init_population(problem, n_pop, child(rng, "init"))
     fs = evaluate(xs, problem)
     evaluations = len(xs)
-    gan_rng = rng.child("gan")
-    init_rng = gan_rng.child("init")
+    gan_rng = child(rng, "gan")
+    init_rng = child(gan_rng, "init")
     # Draw and discard one pair. The networks were once drawn at set-up and
     # then redrawn before every generation, so generation 0 trains this
     # stream's second draw; skipping the first would change every seeded result.
     init_networks(problem.n, cfg.gan, init_rng)
-    mut_rng = rng.child("mutation")
+    mut_rng = child(rng, "mutation")
     eliminated_x = np.zeros((0, problem.n))
     trace: list[float] = []
     gan_trace: list[EpochStats] = []
@@ -124,7 +121,7 @@ def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
         pretrain_discriminator(critic, critic_opt, real, bad, cfg.gan, gan_rng)
         gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan, gan_rng))
         offspring = sample_offspring(gen, n_pop, problem.lower, problem.upper, gan_rng, cfg.gan)
-        offspring = mutate_matrix(offspring, problem.lower, problem.upper, MUTATION, mut_rng)
+        offspring = mutate_matrix(offspring, problem.lower, problem.upper, mut_rng)
         union_x = np.vstack([xs, offspring])
         union_f = np.vstack([fs, evaluate(offspring, problem)])
         evaluations += len(offspring)
@@ -139,7 +136,7 @@ def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
 
     return RunRecord(
         config=config_snapshot(cfg, n_pop),
-        seed=rng.seed,
+        seed=seed,
         igd_trace=trace,
         final_x=xs,
         final_f=fs,
@@ -150,26 +147,27 @@ def rvea_wg_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
     )
 
 
-def nsga2_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
+def nsga2_run(cfg: RunConfig, seed: int) -> RunRecord:
     """NSGA-II under the same evaluation protocol (N offspring per generation)."""
     problem, weights = resolve_setup(cfg)
     n_pop = weights.shape[0]
     front = sample_front(problem, reference_front_size(problem.m))
     started = time.perf_counter()
 
-    xs = init_population(problem, n_pop, rng.child("init"))
+    rng = np.random.default_rng(seed)
+    xs = init_population(problem, n_pop, child(rng, "init"))
     fs = evaluate(xs, problem)
     evaluations = len(xs)
-    loop_rng = rng.child("nsga2")
+    loop_rng = child(rng, "nsga2")
     trace: list[float] = []
     for _ in range(cfg.generations):
-        xs, fs = nsga2_generation(xs, fs, problem, MUTATION, ETA_C, loop_rng)
+        xs, fs = nsga2_generation(xs, fs, problem, loop_rng)
         evaluations += len(xs)  # the generation evaluated one child per parent
         trace.append(igd(front, fs).value)
 
     return RunRecord(
         config=config_snapshot(cfg, n_pop),
-        seed=rng.seed,
+        seed=seed,
         igd_trace=trace,
         final_x=xs,
         final_f=fs,
@@ -179,10 +177,9 @@ def nsga2_run(cfg: RunConfig, rng: RandomSource) -> RunRecord:
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
-    rng = RandomSource(seed)
     if cfg.algorithm == "rvea-wg":
-        return rvea_wg_run(cfg, rng)
-    return nsga2_run(cfg, rng)
+        return rvea_wg_run(cfg, seed)
+    return nsga2_run(cfg, seed)
 
 
 @dataclass
@@ -240,15 +237,14 @@ def run_experiment(configs: list[RunConfig], jobs: int = 1) -> list[ExperimentRo
         base_record = results[offset][1]
         offset += cfg.runs
         finite = [v for v in per_run if np.isfinite(v)]
-        stats = aggregate_runs(finite) if finite else None
         rows.append(
             ExperimentRow(
                 problem=cfg.problem,
                 objectives=cfg.objectives,
                 algorithm=cfg.algorithm,
                 runs=cfg.runs,
-                mean_igd=stats.mean if stats else float("nan"),
-                std_igd=stats.std if stats else float("nan"),
+                mean_igd=float(np.mean(finite)) if finite else float("nan"),
+                std_igd=float(np.std(finite)) if finite else float("nan"),
                 per_run=per_run,
                 base_record=base_record,
             )

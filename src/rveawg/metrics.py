@@ -1,4 +1,4 @@
-"""Inverted generational distance and run statistics.
+"""Inverted generational distance.
 
 The IGD here is defined as the literal double loop: for every reference point
 take the minimum Euclidean distance to any solution, then average over the
@@ -34,15 +34,6 @@ class IgdResult:
     value: float
     reference_count: int
     solution_count: int
-
-
-@dataclass
-class RunStats:
-    mean: float
-    std: float
-    median: float
-    min: float
-    max: float
 
 
 # Reference rows per block: a block's (rows, N) screen product stays in cache.
@@ -89,17 +80,4 @@ def igd(reference, solutions) -> IgdResult:
         value=total / k,
         reference_count=k,
         solution_count=n,
-    )
-
-
-def aggregate_runs(values) -> RunStats:
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("need a non-empty list of per-run values")
-    return RunStats(
-        mean=float(np.mean(vals)),
-        std=float(np.std(vals)),
-        median=float(np.median(vals)),
-        min=float(np.min(vals)),
-        max=float(np.max(vals)),
     )

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomSource, TrainingError
+from .core import TrainingError
 
 
 def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -111,7 +111,7 @@ def save_params(net: Mlp, path) -> None:
     net.params.astype("<f8").tofile(path)
 
 
-def init_mlp(layer_sizes: list[int], output_tanh: bool, rng: RandomSource, dtype=np.float64) -> Mlp:
+def init_mlp(layer_sizes: list[int], output_tanh: bool, rng: np.random.Generator, dtype=np.float64) -> Mlp:
     """Glorot-range uniform weights, zero biases, in the given dtype; the
     weights are drawn in float64 and then cast."""
     if len(layer_sizes) < 2:
@@ -290,15 +290,18 @@ def generator_gradient(gen: Mlp, z: np.ndarray, hs: list, critic: Mlp) -> tuple[
     return critic_hs[-1], grad
 
 
+# Adam's decay rates of the two moments and its denominator offset.
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.9
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray  # first moment, laid out like the network's params
     v: np.ndarray  # second moment
     step: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.5
-    beta2: float = 0.9
-    eps: float = 1e-8
 
     @classmethod
     def for_net(cls, net: Mlp, learning_rate=1e-3) -> "AdamState":
@@ -311,20 +314,20 @@ def adam_step(net: Mlp, g: np.ndarray, state: AdamState) -> tuple[Mlp, AdamState
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient passed to the optimizer")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     # Two temporaries: t carries (1 - beta1) g, then (1 - beta2) g g, then
     # sqrt(v / c2) + eps; u carries lr (m / c1) / t.
-    t = np.multiply(g, 1.0 - state.beta1)
-    state.m *= state.beta1
+    t = np.multiply(g, 1.0 - ADAM_BETA1)
+    state.m *= ADAM_BETA1
     state.m += t
-    np.multiply(g, 1.0 - state.beta2, out=t)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=t)
     t *= g
-    state.v *= state.beta2
+    state.v *= ADAM_BETA2
     state.v += t
     np.divide(state.v, c2, out=t)
     np.sqrt(t, out=t)
-    t += state.eps
+    t += ADAM_EPS
     u = np.divide(state.m, c1)
     u *= state.learning_rate
     u /= t

@@ -10,44 +10,33 @@ from .refvec import ReferenceVectorSet
 
 
 @dataclass
-class TranslatedObjectives:
-    """Objectives shifted so the per-column minimum sits at the origin."""
-
-    rows: np.ndarray   # (P, M), all components >= 0
-    z_min: np.ndarray  # (M,)
-    z_max: np.ndarray  # (M,)
-
-
-@dataclass
-class Partition:
-    assignment: np.ndarray  # (P,) index of the closest reference vector
-    cosines: np.ndarray     # (P,) cosine to the assigned vector
-
-
-@dataclass
 class SelectionResult:
     selected_indices: np.ndarray  # row indices into the input objectives, by partition order
     z_min: np.ndarray             # column minima of the combined population
     z_max: np.ndarray             # column maxima of the combined population
 
 
-def translate(objectives) -> TranslatedObjectives:
-    """Subtract the column-wise minimum from every objective vector."""
+def translate(objectives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subtract the column-wise minimum from every objective vector.
+
+    Returns (rows, z_min, z_max): the (P, M) translated rows, all components
+    >= 0, and the (M,) column minima and maxima of the input.
+    """
     rows = np.asarray(objectives, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise EvaluationError("translation needs a non-empty (P, M) objective array")
     z_min = rows.min(axis=0)
     z_max = rows.max(axis=0)
-    return TranslatedObjectives(rows=rows - z_min, z_min=z_min, z_max=z_max)
+    return rows - z_min, z_min, z_max
 
 
-def partition(translated: TranslatedObjectives, refs: ReferenceVectorSet) -> Partition:
-    """Assign each individual to the reference vector with maximal cosine.
+def partition(rows: np.ndarray, refs: ReferenceVectorSet) -> tuple[np.ndarray, np.ndarray]:
+    """Assign each translated row to the reference vector with maximal cosine.
 
-    Ties go to the lowest vector index; rows at the ideal point (zero norm)
-    go to vector 0 with cosine 1.
+    Returns (assignment, cosines), both (P,): the index of the closest
+    vector and the cosine to it. Ties go to the lowest vector index; rows at
+    the ideal point (zero norm) go to vector 0 with cosine 1.
     """
-    rows = translated.rows
     norms = np.linalg.norm(rows, axis=1)
     cos = np.zeros((rows.shape[0], len(refs)))
     nz = norms > 0.0
@@ -57,7 +46,7 @@ def partition(translated: TranslatedObjectives, refs: ReferenceVectorSet) -> Par
     best = cos[np.arange(rows.shape[0]), assignment]
     assignment[~nz] = 0
     best[~nz] = 1.0
-    return Partition(assignment=assignment, cosines=best)
+    return assignment, best
 
 
 def elitism_select(
@@ -73,22 +62,18 @@ def elitism_select(
     skipped, so the output may be smaller than the vector count. The combined
     population's objective extrema are returned for vector adaptation.
     """
-    translated = translate(objectives)
-    part = partition(translated, refs)
-    norms = np.linalg.norm(translated.rows, axis=1)
-    angles = np.arccos(np.clip(part.cosines, -1.0, 1.0))
+    rows, z_min, z_max = translate(objectives)
+    assignment, cosines = partition(rows, refs)
+    norms = np.linalg.norm(rows, axis=1)
+    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
     angles[norms == 0.0] = 0.0
     scale = refs.m * (t / t_max) ** alpha
-    distances = (1.0 + scale * angles / refs.gamma[part.assignment]) * norms
+    distances = (1.0 + scale * angles / refs.gamma[assignment]) * norms
 
     selected = []
     for j in range(len(refs)):
-        members = np.flatnonzero(part.assignment == j)
+        members = np.flatnonzero(assignment == j)
         if members.size == 0:
             continue
         selected.append(members[int(np.argmin(distances[members]))])
-    return SelectionResult(
-        selected_indices=np.array(selected, dtype=int),
-        z_min=translated.z_min,
-        z_max=translated.z_max,
-    )
+    return SelectionResult(selected_indices=np.array(selected, dtype=int), z_min=z_min, z_max=z_max)

@@ -1,23 +1,10 @@
 """Bounded variation operators: polynomial mutation and simulated binary crossover."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ConfigurationError, RandomSource
-
-
-@dataclass
-class MutationConfig:
-    eta_m: float = 20.0
-    p_m: float | None = None  # None means 1/n, resolved against the problem
-
-    def prob(self, n_var: int) -> float:
-        p = 1.0 / n_var if self.p_m is None else self.p_m
-        if not 0.0 <= p <= 1.0 or self.eta_m <= 0.0:
-            raise ConfigurationError("need 0 <= p_m <= 1 and eta_m > 0")
-        return p
+# Distribution index of polynomial mutation; the mutation rate is 1/n.
+ETA_M = 20.0
 
 
 def mutation_delta(u: np.ndarray, delta1: np.ndarray, delta2: np.ndarray, eta: float) -> np.ndarray:
@@ -33,23 +20,17 @@ def mutation_delta(u: np.ndarray, delta1: np.ndarray, delta2: np.ndarray, eta: f
     return np.where(low, val_low**exponent - 1.0, 1.0 - val_high**exponent)
 
 
-def mutate_matrix(
-    xs: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    cfg: MutationConfig,
-    rng: RandomSource,
-) -> np.ndarray:
-    """Polynomial mutation applied independently to every entry of an (N, n) matrix."""
+def mutate_matrix(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Polynomial mutation at rate 1/n and index ETA_M, applied independently
+    to every entry of an (N, n) matrix."""
     xs = np.asarray(xs, dtype=float)
     span = upper - lower
-    p = cfg.prob(xs.shape[-1])
     # Draw both grids up front so the stream consumption is shape-determined.
-    mask = rng.random(xs.shape) < p
+    mask = rng.random(xs.shape) < 1.0 / xs.shape[-1]
     u = rng.random(xs.shape)
     delta1 = (xs - lower) / span
     delta2 = (upper - xs) / span
-    moved = xs + mutation_delta(u, delta1, delta2, cfg.eta_m) * span
+    moved = xs + mutation_delta(u, delta1, delta2, ETA_M) * span
     out = np.where(mask, moved, xs)
     return np.clip(out, lower, upper)
 

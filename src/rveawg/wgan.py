@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, RandomSource, TrainingError
+from .core import ConfigurationError, TrainingError
 from .neuronet import (
     AdamState,
     Mlp,
@@ -87,7 +87,7 @@ def denormalize_from_net(y: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
     return np.clip(x, lower, upper)
 
 
-def init_networks(n_var: int, cfg: GanConfig, rng: RandomSource) -> tuple[Mlp, AdamState, Mlp, AdamState]:
+def init_networks(n_var: int, cfg: GanConfig, rng: np.random.Generator) -> tuple[Mlp, AdamState, Mlp, AdamState]:
     """A freshly drawn (generator, generator Adam, critic, critic Adam), both
     optimizers zeroed and at cfg.learning_rate."""
     h = cfg.hidden
@@ -96,7 +96,7 @@ def init_networks(n_var: int, cfg: GanConfig, rng: RandomSource) -> tuple[Mlp, A
     return gen, AdamState.for_net(gen, cfg.learning_rate), critic, AdamState.for_net(critic, cfg.learning_rate)
 
 
-def _noise(cfg: GanConfig, count: int, rng: RandomSource) -> np.ndarray:
+def _noise(cfg: GanConfig, count: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((count, cfg.latent_dim))
 
 
@@ -125,7 +125,7 @@ def pretrain_discriminator(
     real: np.ndarray,
     bad: np.ndarray,
     cfg: GanConfig,
-    rng: RandomSource,
+    rng: np.random.Generator,
 ) -> Mlp:
     """Push the critic up on survivor rows `real` and down on eliminated rows
     `bad`, both (rows, n) in normalized coordinates.
@@ -158,7 +158,7 @@ def train(
     critic_opt: AdamState,
     real: np.ndarray,
     cfg: GanConfig,
-    rng: RandomSource,
+    rng: np.random.Generator,
 ) -> list[EpochStats]:
     """Adversarial training on the (rows, n) survivor matrix `real`.
 
@@ -228,7 +228,7 @@ def sample_offspring(
     count: int,
     lower: np.ndarray,
     upper: np.ndarray,
-    rng: RandomSource,
+    rng: np.random.Generator,
     cfg: GanConfig,
 ) -> np.ndarray:
     """Decode `count` latent draws into an in-bounds (count, n) decision matrix."""

@@ -11,7 +11,6 @@ import numpy as np
 
 from rveawg import (
     GanConfig,
-    RandomSource,
     dtlz,
     igd,
     lattice_for,
@@ -21,6 +20,7 @@ from rveawg import (
 )
 from rveawg.baselines import fast_nondominated_sort
 from rveawg.cli import main
+from rveawg.core import child
 from rveawg.neuronet import AdamState, critic_gradient, forward, generator_gradient, init_mlp
 from rveawg.selection import elitism_select
 from rveawg.wgan import pretrain_discriminator, train
@@ -50,7 +50,7 @@ def test_criterion_1_reference_vector_counts():
 
 def test_criterion_2_selection_oracle():
     started = time.perf_counter()
-    rng = RandomSource(42)
+    rng = np.random.default_rng(42)
     for _ in range(200):
         m = int(rng.integers(2, 4))
         n_vec = int(rng.integers(2, 11))
@@ -70,7 +70,7 @@ def test_criterion_3_gradient_checks():
     """Finite differences of the two training steps runs take: the critic
     step, gradient penalty included, and the generator step."""
     started = time.perf_counter()
-    rng = RandomSource(314)
+    rng = np.random.default_rng(314)
     for _ in range(20):
         critic = random_net(rng)
         x = np.vstack([rng.standard_normal((3, critic.in_dim)) for _ in range(3)])  # [good; bad; mixed]
@@ -99,14 +99,14 @@ def test_criterion_4_gan_single_point_collapse():
     # rate orbits the target instead of settling (see GanConfig docstring).
     point = np.array([0.5, -0.25, 0.1, 0.75])
     for seed in range(5):
-        rng = RandomSource(100 + seed)
+        rng = np.random.default_rng(100 + seed)
         cfg = GanConfig(epochs=300, learning_rate=1e-3)
-        gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, 4], output_tanh=True, rng=rng.child("g"))
-        critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=rng.child("c"))
+        gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, 4], output_tanh=True, rng=child(rng, "g"))
+        critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=child(rng, "c"))
         gopt = AdamState.for_net(gen, 2e-4)  # two time scales: the generator learns slower
         copt = AdamState.for_net(critic, cfg.learning_rate)
-        train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, rng.child("t"))
-        samples = forward(gen, rng.child("s").standard_normal((256, cfg.latent_dim)))
+        train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, child(rng, "t"))
+        samples = forward(gen, child(rng, "s").standard_normal((256, cfg.latent_dim)))
         deviation = np.max(np.abs(samples.mean(axis=0) - point))
         assert deviation < 0.15, f"seed {seed}: worst coordinate deviation {deviation:.3f}"
     report(4, "single-point GAN collapse within 0.15, 5/5 seeds", started, limit=60.0)
@@ -115,20 +115,20 @@ def test_criterion_4_gan_single_point_collapse():
 def test_criterion_5_pretrain_separation():
     started = time.perf_counter()
     for seed in range(5):
-        rng = RandomSource(500 + seed)
+        rng = np.random.default_rng(500 + seed)
         cfg = GanConfig(pretrain_epochs=200)
-        critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=rng.child("c"))
+        critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=child(rng, "c"))
         copt = AdamState.for_net(critic, cfg.learning_rate)
-        good = 0.5 + 0.05 * rng.child("good").standard_normal((40, 4))
-        bad = -0.5 + 0.05 * rng.child("bad").standard_normal((40, 4))
-        pretrain_discriminator(critic, copt, good, bad, cfg, rng.child("t"))
+        good = 0.5 + 0.05 * child(rng, "good").standard_normal((40, 4))
+        bad = -0.5 + 0.05 * child(rng, "bad").standard_normal((40, 4))
+        pretrain_discriminator(critic, copt, good, bad, cfg, child(rng, "t"))
         assert forward(critic, good).mean() > forward(critic, bad).mean(), f"seed {seed}"
     report(5, "critic pre-training separates clusters, 5/5 seeds", started, limit=30.0)
 
 
 def test_criterion_6_igd_oracle():
     started = time.perf_counter()
-    rng = RandomSource(606)
+    rng = np.random.default_rng(606)
     for _ in range(100):
         ref = rng.uniform(-5, 5, size=(int(rng.integers(1, 40)), int(rng.integers(2, 6))))
         sol = rng.uniform(-5, 5, size=(int(rng.integers(1, 30)), ref.shape[1]))
@@ -140,7 +140,7 @@ def test_criterion_6_igd_oracle():
 
 def test_criterion_7_dtlz_analytic_identities():
     started = time.perf_counter()
-    rng = RandomSource(707)
+    rng = np.random.default_rng(707)
     pos = rng.uniform(0, 1, size=(100, 2))
     f1 = dtlz(1, 3).evaluate(np.hstack([pos, np.full((100, 5), 0.5)]))
     assert np.max(np.abs(f1.sum(axis=1) - 0.5)) < 1e-12
@@ -155,7 +155,7 @@ def test_criterion_7_dtlz_analytic_identities():
 
 def test_criterion_8_sorting_oracle():
     started = time.perf_counter()
-    rng = RandomSource(808)
+    rng = np.random.default_rng(808)
     for _ in range(100):
         n = int(rng.integers(2, 51))
         m = int(rng.integers(2, 6))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from rveawg import MutationConfig, RandomSource, evaluate, init_population, make_problem, sbx_crossover
+from rveawg import evaluate, init_population, make_problem, sbx_crossover
 from rveawg.baselines import (
     crowding_distance,
     environmental_select,
     fast_nondominated_sort,
     nsga2_generation,
 )
+from rveawg.core import child
 from rveawg.variation import mutate_matrix
 
 
@@ -45,9 +46,10 @@ def deb_reference_sort(objs):
     return rank, fronts
 
 
-def reference_generation(xs, fs, problem, mutation, eta_c, rng):
+def reference_generation(xs, fs, problem, rng):
     """One NSGA-II generation mating one pair at a time: two binary
-    tournaments, then SBX with its own two draws, per pair of children."""
+    tournaments, then SBX (eta_c = 20) with its own two draws, per pair of
+    children."""
     n_pop = len(xs)
     rank, fronts = fast_nondominated_sort(fs)
     crowding = np.zeros(n_pop)
@@ -68,9 +70,9 @@ def reference_generation(xs, fs, problem, mutation, eta_c, rng):
         p2 = tournament(int(picks[2]), int(picks[3]))
         u_cross = rng.random(problem.n)
         u_beta = rng.random(problem.n)
-        c1, c2 = sbx_crossover(xs[p1], xs[p2], u_cross, u_beta, problem.lower, problem.upper, eta_c)
+        c1, c2 = sbx_crossover(xs[p1], xs[p2], u_cross, u_beta, problem.lower, problem.upper, 20.0)
         children.extend([c1, c2])
-    child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, mutation, rng)
+    child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
     survivors = environmental_select(union_f, n_pop)
@@ -120,7 +122,7 @@ def test_sort_chain():
 
 
 def test_sort_matches_brute_force_on_random_populations():
-    rng = RandomSource(101)
+    rng = np.random.default_rng(101)
     for case in range(100):
         n = int(rng.integers(2, 51))
         m = int(rng.integers(2, 6))
@@ -134,7 +136,7 @@ def test_sort_matches_deb_loop_front_order():
     # from rounding, exact duplicate rows, n up to 600 and M from 2 to 10. The
     # first 20 cases are M=2 chains with many fronts, each member fed by
     # several dominators in the front before it.
-    rng = RandomSource(102)
+    rng = np.random.default_rng(102)
     for case in range(80):
         if case < 20:
             objs = np.round(rng.uniform(0, 1, size=(int(rng.integers(50, 300)), 2)), 2)
@@ -175,13 +177,12 @@ def test_crowding_small_front_all_infinite():
 
 def test_generation_preserves_size():
     problem = make_problem("dtlz2", 3)
-    rng = RandomSource(5)
-    xs = init_population(problem, 24, rng.child("init"))
+    rng = np.random.default_rng(5)
+    xs = init_population(problem, 24, child(rng, "init"))
     fs = evaluate(xs, problem)
-    cfg = MutationConfig()
-    loop = rng.child("loop")
+    loop = child(rng, "loop")
     for _ in range(10):
-        xs, fs = nsga2_generation(xs, fs, problem, cfg, 20.0, loop)
+        xs, fs = nsga2_generation(xs, fs, problem, loop)
         assert xs.shape == (24, problem.n) and fs.shape == (24, 3)
         assert np.array_equal(fs, evaluate(xs, problem))
 
@@ -192,22 +193,22 @@ def test_generation_matches_per_pair_reference(name, m, n_pop):
     # even and odd population sizes. A population of copies makes every
     # tournament a crowding tie.
     problem = make_problem(name, m)
-    rng = RandomSource(7 + n_pop)
-    start = init_population(problem, n_pop, rng.child("init"))
+    rng = np.random.default_rng(7 + n_pop)
+    start = init_population(problem, n_pop, child(rng, "init"))
     for xs in (start, np.repeat(start[:1], n_pop, axis=0)):
         fs = evaluate(xs, problem)
         ref_x, ref_f = xs, fs
-        fast, slow = rng.child("loop"), rng.child("loop")
+        fast, slow = child(rng, "loop"), child(rng, "loop")
         for _ in range(4):
-            xs, fs = nsga2_generation(xs, fs, problem, MutationConfig(), 20.0, fast)
-            ref_x, ref_f = reference_generation(ref_x, ref_f, problem, MutationConfig(), 20.0, slow)
+            xs, fs = nsga2_generation(xs, fs, problem, fast)
+            ref_x, ref_f = reference_generation(ref_x, ref_f, problem, slow)
             assert np.array_equal(xs, ref_x) and np.array_equal(fs, ref_f)
-            assert fast.generator.bit_generator.state == slow.generator.bit_generator.state
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_environmental_selection_is_rank_prefix():
     # No discarded individual may outrank a kept one.
-    rng = RandomSource(55)
+    rng = np.random.default_rng(55)
     for _ in range(20):
         size = int(rng.integers(10, 40))
         objs = rng.uniform(0, 1, size=(size, 3))
@@ -221,10 +222,10 @@ def test_environmental_selection_is_rank_prefix():
 
 def test_generation_handles_identical_population():
     problem = make_problem("dtlz2", 3)
-    rng = RandomSource(6)
+    rng = np.random.default_rng(6)
     xs = np.repeat(init_population(problem, 1, rng), 12, axis=0)
     fs = evaluate(xs, problem)
-    out_x, out_f = nsga2_generation(xs, fs, problem, MutationConfig(), 20.0, rng)
+    out_x, out_f = nsga2_generation(xs, fs, problem, rng)
     assert out_x.shape == (12, problem.n) and out_f.shape == (12, 3)
 
 

@@ -5,31 +5,31 @@ from rveawg import (
     PROBLEM_NAMES,
     ConfigurationError,
     EvaluationError,
-    RandomSource,
     evaluate,
     init_population,
     make_problem,
 )
+from rveawg.core import child
 from rveawg.problems import ProblemDef
 
 
 def test_init_population_rejects_size_zero():
     problem = make_problem("dtlz2", 3)
     with pytest.raises(ConfigurationError):
-        init_population(problem, 0, RandomSource(1))
+        init_population(problem, 0, np.random.default_rng(1))
 
 
 def test_init_population_within_bounds():
     problem = make_problem("dtlz2", 3)
-    xs = init_population(problem, 50, RandomSource(3))
+    xs = init_population(problem, 50, np.random.default_rng(3))
     assert xs.shape == (50, problem.n)
     assert np.all(xs >= problem.lower) and np.all(xs <= problem.upper)
 
 
 def test_init_population_seed_replay_bit_exact():
     problem = make_problem("lsmop1", 3)
-    a = init_population(problem, 20, RandomSource(42))
-    b = init_population(problem, 20, RandomSource(42))
+    a = init_population(problem, 20, np.random.default_rng(42))
+    b = init_population(problem, 20, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
@@ -44,7 +44,7 @@ def test_malformed_bounds_rejected():
         front_sampler=lambda count: np.zeros((count, 2)),
     )
     with pytest.raises(ConfigurationError):
-        init_population(bad, 5, RandomSource(0))
+        init_population(bad, 5, np.random.default_rng(0))
 
 
 def test_evaluate_dtlz2_analytic_point():
@@ -64,7 +64,7 @@ def test_evaluate_empty_population():
 
 def test_evaluate_is_pure():
     problem = make_problem("dtlz4", 3)
-    xs = init_population(problem, 10, RandomSource(7))
+    xs = init_population(problem, 10, np.random.default_rng(7))
     before = xs.copy()
     once = evaluate(xs, problem)
     twice = evaluate(xs, problem)
@@ -87,14 +87,32 @@ def test_evaluate_reports_nonfinite_individual():
         evaluate=broken,
         front_sampler=lambda count: np.zeros((count, 2)),
     )
-    xs = init_population(problem, 3, RandomSource(0))
+    xs = init_population(problem, 3, np.random.default_rng(0))
     with pytest.raises(EvaluationError, match="individual 1"):
         evaluate(xs, problem)
 
 
 def test_random_source_children_independent_and_reproducible():
-    a = RandomSource(9).child("gan").standard_normal(8)
-    b = RandomSource(9).child("gan").standard_normal(8)
-    c = RandomSource(9).child("init").standard_normal(8)
+    a = child(np.random.default_rng(9), "gan").standard_normal(8)
+    b = child(np.random.default_rng(9), "gan").standard_normal(8)
+    c = child(np.random.default_rng(9), "init").standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_child_streams_pinned():
+    # Every seeded result rests on this derivation, so its draws are pinned
+    # on every numpy build, not only the one the fingerprints were made with.
+    gan = child(np.random.default_rng(9), "gan").standard_normal(3)
+    assert gan.tolist() == [0.2471253469096397, -0.4215472495722319, -0.6130736085336213]
+    init = child(child(child(np.random.default_rng(9), "gan"), "init"), 7)
+    assert init.integers(0, 1000, size=4).tolist() == [331, 869, 237, 844]
+
+
+def test_child_ignores_parent_consumption():
+    used = np.random.default_rng(5)
+    used.random(100)
+    fresh = np.random.default_rng(5)
+    assert child(used, "x").bit_generator.state == child(fresh, "x").bit_generator.state
+    # An int tag is taken modulo 2**32.
+    assert child(fresh, -1).bit_generator.state == child(fresh, 2**32 - 1).bit_generator.state

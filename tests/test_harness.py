@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rveawg import ConfigurationError, RandomSource, RunConfig, harness, run_experiment, run_single
+from rveawg import ConfigurationError, RunConfig, harness, run_experiment, run_single
 from rveawg.cli import main, parse_config_file
+from rveawg.core import child
 from rveawg.harness import emit_plot_data, resolve_setup, rvea_wg_run, write_experiment_csv
 from rveawg.wgan import GanConfig, init_networks
 
@@ -39,7 +40,7 @@ def small_cfg(algorithm="rvea-wg", **kw):
 
 def test_single_generation_run():
     cfg = small_cfg(generations=1)
-    record = rvea_wg_run(cfg, RandomSource(3))
+    record = rvea_wg_run(cfg, 3)
     assert len(record.igd_trace) == 1
     assert record.final_f.shape[1] == 3
     assert record.evaluations == 15 + 15  # init + one offspring batch
@@ -63,7 +64,7 @@ def test_evaluations_count_rows_evaluated():
 
 def test_population_never_exceeds_lattice_size():
     cfg = small_cfg(generations=5)
-    record = rvea_wg_run(cfg, RandomSource(9))
+    record = rvea_wg_run(cfg, 9)
     assert record.final_f.shape[0] <= 15
 
 
@@ -84,7 +85,7 @@ def test_generation_zero_trains_second_init_draw():
     cfg.gan.pretrain_epochs = 0
     record = run_single(cfg, 12)
     n_var = record.final_x.shape[1]
-    init_rng = RandomSource(12).child("gan").child("init")
+    init_rng = child(child(np.random.default_rng(12), "gan"), "init")
     init_networks(n_var, cfg.gan, init_rng)
     gen, _, critic, _ = init_networks(n_var, cfg.gan, init_rng)
     assert np.array_equal(record.networks["generator"].params, gen.params)
@@ -311,6 +312,26 @@ def test_cli_failed_runs_exit_2(tmp_path, monkeypatch, capsys):
         rows = list(csv.reader(fh))
     assert rows[1][6:8] == ["nan", "nan"]  # the table is still written
     assert "2 of 2 runs failed" in capsys.readouterr().err
+
+
+def test_row_mean_and_std_of_finite_runs(monkeypatch):
+    # A failed run is a NaN cell that its row's mean and std leave out; a row
+    # whose runs all failed reads NaN and is never flagged best.
+    real = harness.run_single
+
+    def flaky(cfg, seed):
+        if seed == 1 or cfg.problem == "dtlz1":
+            raise RuntimeError("boom")
+        return real(cfg, seed)
+
+    monkeypatch.setattr(harness, "run_single", flaky)
+    row, dead = run_experiment([small_cfg("nsga2", runs=4), small_cfg("nsga2", problem="dtlz1", runs=2)])
+    assert np.isnan(row.per_run[1])
+    finite = [row.per_run[i] for i in (0, 2, 3)]
+    assert np.isfinite(finite).all()
+    assert row.mean_igd == np.mean(finite) and row.std_igd == np.std(finite)
+    assert np.isnan(dead.mean_igd) and np.isnan(dead.std_igd)
+    assert row.best and not dead.best
 
 
 def test_cli_sweep_small(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rveawg import RandomSource, aggregate_runs, igd
+from rveawg import igd
 from rveawg.metrics import IGD_BLOCK
 
 
@@ -36,7 +36,7 @@ def test_igd_hand_computed():
 
 
 def test_igd_monotone_under_added_solutions():
-    rng = RandomSource(21)
+    rng = np.random.default_rng(21)
     ref = rng.uniform(0, 1, size=(50, 3))
     sols = rng.uniform(0, 1, size=(10, 3))
     base = igd(ref, sols).value
@@ -45,14 +45,14 @@ def test_igd_monotone_under_added_solutions():
 
 
 def test_igd_duplicate_solutions_no_effect():
-    rng = RandomSource(22)
+    rng = np.random.default_rng(22)
     ref = rng.uniform(0, 1, size=(20, 2))
     sols = rng.uniform(0, 1, size=(6, 2))
     assert igd(ref, sols).value == igd(ref, np.vstack([sols, sols])).value
 
 
 def test_igd_axis_permutation_symmetry():
-    rng = RandomSource(23)
+    rng = np.random.default_rng(23)
     ref = rng.uniform(0, 1, size=(20, 3))
     sols = rng.uniform(0, 1, size=(7, 3))
     perm = [2, 0, 1]
@@ -78,7 +78,7 @@ def test_igd_rejects_bad_input():
 
 
 def test_igd_matches_naive_loop_bit_exactly():
-    rng = RandomSource(24)
+    rng = np.random.default_rng(24)
     for case in range(100):
         n_ref = int(rng.integers(1, 40))
         n_sol = int(rng.integers(1, 30))
@@ -92,7 +92,7 @@ def test_igd_matches_naive_loop_bit_exactly():
 def test_igd_matches_naive_loop_across_blocks(n_ref):
     # Reference sets that end inside, at and one past a block boundary, and
     # M from 2 to 15 with a single solution and with many.
-    rng = RandomSource(26 + n_ref)
+    rng = np.random.default_rng(26 + n_ref)
     for m, n_sol in [(2, 1), (3, 300), (7, 45), (10, 128)] + [(m, n) for m in range(2, 16) for n in (1, 50)]:
         ref = rng.uniform(-5, 5, size=(n_ref, m))
         sols = rng.uniform(-5, 5, size=(n_sol, m))
@@ -102,7 +102,7 @@ def test_igd_matches_naive_loop_across_blocks(n_ref):
 def test_igd_screen_exact_on_ties_and_duplicates():
     # Several solutions at exactly the same distance, and repeated rows, on
     # both sides; rounding to a coarse grid makes distances tie often.
-    rng = RandomSource(27)
+    rng = np.random.default_rng(27)
     for case in range(60):
         m = int(rng.integers(2, 8))
         ref = np.round(rng.uniform(0, 1, size=(int(rng.integers(1, 120)), m)), 1)
@@ -121,7 +121,7 @@ def test_igd_screen_exact_on_ties_and_duplicates():
 def test_igd_screen_exact_under_cancellation(offset):
     # A common offset leaves the distances alone but makes |r|^2 and |c|^2
     # huge next to them; at 1e6 the slack admits every pair of a row.
-    rng = RandomSource(28)
+    rng = np.random.default_rng(28)
     for case in range(30):
         m = int(rng.integers(2, 16))
         ref = rng.uniform(0, 1, size=(int(rng.integers(1, 200)), m)) + offset
@@ -143,34 +143,9 @@ def test_igd_screen_exact_when_squares_underflow():
     # Squared distances near and below the smallest normal double round in
     # absolute, not relative, terms; a purely relative slack missed the
     # loop's minimiser in cases like these.
-    rng = RandomSource(31)
+    rng = np.random.default_rng(31)
     for case in range(300):
         ref = rng.uniform(0, 1, size=(1, 3)) * 3e-161
         sols = rng.uniform(0, 1, size=(6, 3)) * 3e-161
         assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
 
-
-def test_aggregate_single_value():
-    stats = aggregate_runs([1.0])
-    assert stats.mean == 1.0 and stats.std == 0.0 and stats.median == 1.0
-
-
-def test_aggregate_two_values():
-    stats = aggregate_runs([1.0, 3.0])
-    assert stats.mean == 2.0 and stats.median == 2.0
-    assert stats.min == 1.0 and stats.max == 3.0
-
-
-def test_aggregate_mean_matches_two_pass_oracle():
-    rng = RandomSource(25)
-    vals = rng.uniform(1e-3, 1e3, size=10)
-    stats = aggregate_runs(vals)
-    first_pass = sum(float(v) for v in vals) / len(vals)
-    # Two-pass: recenter then average the residuals.
-    second_pass = first_pass + sum(float(v) - first_pass for v in vals) / len(vals)
-    assert abs(stats.mean - second_pass) < 1e-12
-
-
-def test_aggregate_rejects_empty():
-    with pytest.raises(ValueError):
-        aggregate_runs([])

@@ -3,9 +3,11 @@ import pickle
 import numpy as np
 import pytest
 
-from rveawg import RandomSource
 from rveawg.core import TrainingError
 from rveawg.neuronet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Mlp,
     _layer_views,
@@ -78,7 +80,7 @@ def test_forward_identity_path_linear():
 
 
 def test_forward_matches_per_sample_loop():
-    rng = RandomSource(31)
+    rng = np.random.default_rng(31)
     net = random_net(rng, out_dim=3, output_tanh=True)
     x = rng.standard_normal((4, net.in_dim))
     batch = forward(net, x)
@@ -91,13 +93,13 @@ def test_forward_matches_per_sample_loop():
 
 
 def test_forward_rejects_wrong_width():
-    net = init_mlp([3, 4, 4, 1], output_tanh=False, rng=RandomSource(0))
+    net = init_mlp([3, 4, 4, 1], output_tanh=False, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         forward(net, np.zeros((2, 5)))
 
 
 def test_backward_zero_loss_grad_gives_zero():
-    rng = RandomSource(5)
+    rng = np.random.default_rng(5)
     net = random_net(rng, out_dim=2)
     x = rng.standard_normal((3, net.in_dim))
     grad = backward(net, *forward_pass(net, x), np.zeros((3, 2)))
@@ -105,7 +107,7 @@ def test_backward_zero_loss_grad_gives_zero():
 
 
 def test_backward_matches_finite_differences():
-    rng = RandomSource(17)
+    rng = np.random.default_rng(17)
     for _ in range(5):
         net = random_net(rng, out_dim=int(rng.integers(1, 4)), output_tanh=bool(rng.integers(0, 2)))
         x = rng.standard_normal((3, net.in_dim))
@@ -119,7 +121,7 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_linear_in_loss_grad():
-    rng = RandomSource(23)
+    rng = np.random.default_rng(23)
     net = random_net(rng, out_dim=2)
     x = rng.standard_normal((4, net.in_dim))
     lg = rng.standard_normal((4, 2))
@@ -146,7 +148,7 @@ def test_input_gradient_single_linear_layer_returns_weights():
 
 
 def test_input_gradient_matches_finite_differences():
-    rng = RandomSource(41)
+    rng = np.random.default_rng(41)
     net = random_net(rng)
     x = rng.standard_normal((3, net.in_dim))
     got = input_gradient(net, x)
@@ -161,7 +163,7 @@ def test_input_gradient_matches_finite_differences():
 
 
 def test_input_gradient_requires_scalar_linear_output():
-    rng = RandomSource(2)
+    rng = np.random.default_rng(2)
     wide = random_net(rng, out_dim=2)
     with pytest.raises(ValueError):
         input_gradient(wide, np.zeros((1, wide.in_dim)))
@@ -190,7 +192,7 @@ def test_penalty_zero_critic_is_one_with_zero_subgradient():
 
 
 def test_penalty_gradient_matches_finite_differences():
-    rng = RandomSource(59)
+    rng = np.random.default_rng(59)
     for _ in range(5):
         net = random_net(rng)
         x = rng.standard_normal((4, net.in_dim))
@@ -203,7 +205,7 @@ def test_penalty_gradient_matches_finite_differences():
 
 
 def test_adam_zero_gradient_keeps_parameters():
-    rng = RandomSource(8)
+    rng = np.random.default_rng(8)
     net = random_net(rng)
     before = [w.copy() for w in net.weights]
     adam_step(net, np.zeros_like(net.params), AdamState.for_net(net))
@@ -211,7 +213,7 @@ def test_adam_zero_gradient_keeps_parameters():
 
 
 def test_adam_first_step_is_signed_learning_rate():
-    rng = RandomSource(12)
+    rng = np.random.default_rng(12)
     net = random_net(rng)
     grad = rng.standard_normal(net.params.shape)
     before = net.params.copy()
@@ -223,12 +225,12 @@ def test_adam_first_step_is_signed_learning_rate():
 
 
 def test_adam_replay_is_deterministic():
-    rng = RandomSource(77)
+    rng = np.random.default_rng(77)
     net_a = random_net(rng)
     net_b = Mlp(net_a.weights, net_a.biases, net_a.output_tanh)
     state_a = AdamState.for_net(net_a)
     state_b = AdamState.for_net(net_b)
-    seq_rng = RandomSource(78)
+    seq_rng = np.random.default_rng(78)
     seq = [seq_rng.standard_normal(net_a.params.shape) for _ in range(3)]
     for g in seq:
         adam_step(net_a, g, state_a)
@@ -239,7 +241,7 @@ def test_adam_replay_is_deterministic():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    rng = RandomSource(4)
+    rng = np.random.default_rng(4)
     net = random_net(rng)
     grad = np.zeros_like(net.params)
     grad[0] = np.nan
@@ -248,7 +250,7 @@ def test_adam_rejects_nonfinite_gradient():
 
 
 def test_gradient_checks_across_twenty_random_nets():
-    rng = RandomSource(99)
+    rng = np.random.default_rng(99)
     for _ in range(20):
         net = random_net(rng)
         x = rng.standard_normal((2, net.in_dim))
@@ -262,7 +264,7 @@ def test_gradient_checks_across_twenty_random_nets():
 
 
 def test_layers_are_views_of_params():
-    rng = RandomSource(21)
+    rng = np.random.default_rng(21)
     net = random_net(rng, out_dim=2, output_tanh=True)
     assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
     for w, b in zip(net.weights, net.biases):
@@ -278,7 +280,7 @@ def test_layers_are_views_of_params():
 
 
 def test_constructor_shares_no_memory():
-    net = random_net(RandomSource(22))
+    net = random_net(np.random.default_rng(22))
     twin = Mlp(net.weights, net.biases, net.output_tanh)
     assert np.array_equal(twin.params, net.params) and twin.output_tanh == net.output_tanh
     for a in [twin.params] + twin.weights + twin.biases:
@@ -289,7 +291,7 @@ def test_constructor_shares_no_memory():
 
 
 def test_pickle_round_trip_keeps_views():
-    net = random_net(RandomSource(23))
+    net = random_net(np.random.default_rng(23))
     back = pickle.loads(pickle.dumps(net))
     assert np.array_equal(back.params, net.params)
     assert back.output_tanh == net.output_tanh
@@ -302,7 +304,7 @@ def test_pickle_round_trip_keeps_views():
 
 
 def test_flat_adam_matches_per_array_loop():
-    rng = RandomSource(24)
+    rng = np.random.default_rng(24)
     net = random_net(rng)
     ref_params = [a.copy() for a in net.weights + net.biases]
     ref_m = [np.zeros_like(a) for a in ref_params]
@@ -314,13 +316,13 @@ def test_flat_adam_matches_per_array_loop():
         for g in grad_w + grad_b:
             g += rng.standard_normal(g.shape)
         adam_step(net, grad, state)
-        c1, c2 = 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
+        c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
         for p, g, m, v in zip(ref_params, grad_w + grad_b, ref_m, ref_v):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, ref_params))
     L = net.n_layers
     for flat, ref in ((state.m, ref_m), (state.v, ref_v)):
@@ -329,12 +331,12 @@ def test_flat_adam_matches_per_array_loop():
 
 
 def test_save_params_layout(tmp_path):
-    net = random_net(RandomSource(25), out_dim=2)
+    net = random_net(np.random.default_rng(25), out_dim=2)
     save_params(net, tmp_path / "net.bin")
     want = b"".join(a.astype("<f8").tobytes() for w, b in zip(net.weights, net.biases) for a in (w, b))
     assert (tmp_path / "net.bin").read_bytes() == want
     # float32 nets are written widened to float64, which narrows back exactly.
-    net32 = init_mlp([5, 7, 3], output_tanh=True, rng=RandomSource(26), dtype=np.float32)
+    net32 = init_mlp([5, 7, 3], output_tanh=True, rng=np.random.default_rng(26), dtype=np.float32)
     net32.biases[0] += 0.1
     save_params(net32, tmp_path / "net32.bin")
     back = np.fromfile(tmp_path / "net32.bin", "<f8").astype(np.float32)
@@ -343,7 +345,7 @@ def test_save_params_layout(tmp_path):
 
 def test_init_mlp_casts_float64_draws():
     sizes = [5, 7, 1]
-    rng64, rng32 = RandomSource(27), RandomSource(27)
+    rng64, rng32 = np.random.default_rng(27), np.random.default_rng(27)
     net64 = init_mlp(sizes, output_tanh=False, rng=rng64)
     net32 = init_mlp(sizes, output_tanh=False, rng=rng32, dtype=np.float32)
     assert net32.params.dtype == np.float32
@@ -360,7 +362,7 @@ def test_init_mlp_casts_float64_draws():
 def test_float32_critic_step_tracks_float64():
     """The float32 step computes the float64 one, to float32 rounding: the
     tolerance is 1e-5 of the largest entry, about 84 float32 ulps."""
-    rng = RandomSource(28)
+    rng = np.random.default_rng(28)
     net64 = init_mlp([12, 64, 64, 1], output_tanh=False, rng=rng)
     net64.params += 0.05 * rng.standard_normal(net64.params.shape)
     net32 = Mlp(
@@ -398,7 +400,7 @@ def test_fused_critic_step_equals_unfused(n, b, depth):
     rows, and the gradient, summed in another order, is compared with a
     tolerance of 45 float64 ulps of the largest entry, as is everything at
     other batch sizes."""
-    rng = RandomSource(1000 * n + 10 * b + depth)
+    rng = np.random.default_rng(1000 * n + 10 * b + depth)
     net = init_mlp([n] + [64] * (depth - 1) + [1], output_tanh=False, rng=rng)
     net.params += 0.05 * rng.standard_normal(net.params.shape)
     good = rng.uniform(-1.0, 1.0, size=(b, n))
@@ -422,7 +424,7 @@ def test_fused_critic_step_zero_input_gradient():
     everywhere: the penalty is exactly 1, and every mixed row takes the
     zero subgradient, so the gradient is the one at lambda_gp = 0 bit for
     bit; the lambda_gp folded into the penalty direction reaches no row."""
-    rng = RandomSource(64)
+    rng = np.random.default_rng(64)
     for dtype in (np.float64, np.float32):
         net = init_mlp([12, 64, 64, 1], output_tanh=False, rng=rng, dtype=dtype)
         net.weights[0][...] = 0.0
@@ -437,7 +439,7 @@ def test_fused_critic_step_zero_input_gradient():
 
 
 def test_fused_critic_gradient_matches_finite_differences():
-    rng = RandomSource(61)
+    rng = np.random.default_rng(61)
     net = random_net(rng)
     x = np.vstack([rng.standard_normal((3, net.in_dim)) for _ in range(3)])  # [good; bad; mixed]
     _, _, _, got = critic_gradient(net, x, 10.0)
@@ -462,7 +464,7 @@ def test_generator_gradient_equals_unfused():
     """The scores are the critic's forward pass on G(z), and the gradient is
     backward through the generator seeded with -1/b times the critic's input
     gradient, bit for bit."""
-    rng = RandomSource(62)
+    rng = np.random.default_rng(62)
     for rows in (1, 6):
         gen, critic, z, hs = random_pair(rng, rows)
         scores, got = generator_gradient(gen, z, hs, critic)
@@ -472,7 +474,7 @@ def test_generator_gradient_equals_unfused():
 
 
 def test_generator_gradient_matches_finite_differences():
-    rng = RandomSource(63)
+    rng = np.random.default_rng(63)
     for _ in range(5):
         gen, critic, z, hs = random_pair(rng, 4)
         _, got = generator_gradient(gen, z, hs, critic)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rveawg import ConfigurationError, RandomSource, dtlz, lsmop, make_problem, sample_front
+from rveawg import ConfigurationError, dtlz, lsmop, make_problem, sample_front
 from test_baselines import dominates
 
 
@@ -19,7 +19,7 @@ def test_dtlz_rejects_bad_index():
 
 def test_dtlz1_optimum_on_linear_front():
     problem = dtlz(1, 3)
-    rng = RandomSource(1)
+    rng = np.random.default_rng(1)
     pos = rng.uniform(0, 1, size=(50, 2))
     xs = np.hstack([pos, np.full((50, 5), 0.5)])
     f = problem.evaluate(xs)
@@ -29,7 +29,7 @@ def test_dtlz1_optimum_on_linear_front():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_dtlz_spherical_optimum(k):
     problem = dtlz(k, 3)
-    rng = RandomSource(2)
+    rng = np.random.default_rng(2)
     pos = rng.uniform(0, 1, size=(50, 2))
     xs = np.hstack([pos, np.full((50, 10), 0.5)])
     f = problem.evaluate(xs)
@@ -68,7 +68,7 @@ def test_lsmop_front_is_unit_simplex():
 
 def test_lsmop_evaluation_bit_exact_pure():
     problem = lsmop(2, 3)
-    x = RandomSource(3).uniform(problem.lower, problem.upper, size=(5, problem.n))
+    x = np.random.default_rng(3).uniform(problem.lower, problem.upper, size=(5, problem.n))
     assert np.array_equal(problem.evaluate(x), problem.evaluate(x))
 
 
@@ -85,7 +85,7 @@ def test_lsmop_known_structure():
 @pytest.mark.parametrize("name", ["dtlz1", "dtlz2", "dtlz3", "dtlz4", "lsmop1", "lsmop2", "lsmop3"])
 def test_objectives_finite_on_random_points(name):
     problem = make_problem(name, 3)
-    xs = RandomSource(11).uniform(problem.lower, problem.upper, size=(10_000, problem.n))
+    xs = np.random.default_rng(11).uniform(problem.lower, problem.upper, size=(10_000, problem.n))
     f = problem.evaluate(xs)
     assert np.all(np.isfinite(f))
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rveawg import RandomSource, elitism_select, to_unit_vectors, translate
+from rveawg import elitism_select, to_unit_vectors, translate
 from rveawg.core import EvaluationError
 from rveawg.selection import partition
 
@@ -56,21 +56,21 @@ def oracle_select(objs, vectors, t, t_max, alpha):
 
 
 def test_translate_column_minima():
-    out = translate([[1.0, 2.0], [3.0, 1.0]])
-    assert np.array_equal(out.z_min, [1.0, 1.0])
-    assert np.array_equal(out.z_max, [3.0, 2.0])
-    assert np.array_equal(out.rows, [[0.0, 1.0], [2.0, 0.0]])
+    rows, z_min, z_max = translate([[1.0, 2.0], [3.0, 1.0]])
+    assert np.array_equal(z_min, [1.0, 1.0])
+    assert np.array_equal(z_max, [3.0, 2.0])
+    assert np.array_equal(rows, [[0.0, 1.0], [2.0, 0.0]])
 
 
 def test_translate_single_point_goes_to_origin():
-    out = translate([[4.0, 5.0, 6.0]])
-    assert np.array_equal(out.rows, [[0.0, 0.0, 0.0]])
+    rows, _, _ = translate([[4.0, 5.0, 6.0]])
+    assert np.array_equal(rows, [[0.0, 0.0, 0.0]])
 
 
 def test_translate_noop_when_minima_zero():
     rows = [[0.0, 2.0], [3.0, 0.0]]
-    out = translate(rows)
-    assert np.array_equal(out.rows, rows)
+    out, _, _ = translate(rows)
+    assert np.array_equal(out, rows)
 
 
 def test_translate_rejects_empty():
@@ -80,18 +80,18 @@ def test_translate_rejects_empty():
 
 def test_partition_prefers_nearest_vector():
     refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    part = partition(translate([[2.0, 0.1], [0.0, 0.0]]), refs)
+    assignment, cosines = partition(translate([[2.0, 0.1], [0.0, 0.0]])[0], refs)
     # Only the first row is meaningful; cos to (1,0) = 2/sqrt(4.01) = 0.9988.
-    assert part.assignment[0] == 0
-    assert abs(part.cosines[0] - 2.0 / math.sqrt(4.01)) < 1e-12
+    assert assignment[0] == 0
+    assert abs(cosines[0] - 2.0 / math.sqrt(4.01)) < 1e-12
 
 
 def test_partition_exact_alignment_and_tie_break():
     refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    part = partition(translate([[0.0, 3.0], [2.0, 2.0], [0.0, 0.0]]), refs)
-    assert part.assignment[0] == 1 and abs(part.cosines[0] - 1.0) < 1e-12
-    assert part.assignment[1] == 0  # equal cosines, lowest index wins
-    assert part.assignment[2] == 0 and part.cosines[2] == 1.0  # ideal point
+    assignment, cosines = partition(translate([[0.0, 3.0], [2.0, 2.0], [0.0, 0.0]])[0], refs)
+    assert assignment[0] == 1 and abs(cosines[0] - 1.0) < 1e-12
+    assert assignment[1] == 0  # equal cosines, lowest index wins
+    assert assignment[2] == 0 and cosines[2] == 1.0  # ideal point
 
 
 def test_apd_zero_generation_is_pure_norm():
@@ -127,17 +127,28 @@ def test_elitism_min_norm_wins_at_t0():
 
 
 def test_elitism_never_doubles_a_partition():
-    rng = RandomSource(11)
+    rng = np.random.default_rng(11)
     refs = to_unit_vectors(np.abs(rng.standard_normal((8, 3))) + 1e-3)
     objs = rng.uniform(0, 5, size=(40, 3))
     result = elitism_select(objs, refs, t=3, t_max=10)
-    part = partition(translate(objs), refs)
-    chosen = part.assignment[result.selected_indices]
+    assignment, _ = partition(translate(objs)[0], refs)
+    chosen = assignment[result.selected_indices]
     assert len(set(chosen.tolist())) == len(chosen)
 
 
+def test_elitism_skips_empty_partitions():
+    # Every row falls into the first vector's partition (the first at the
+    # ideal point), so the other two are empty and one row is kept.
+    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
+    objs = np.array([[2.0, 0.0], [3.0, 0.01], [4.0, 0.0]])
+    result = elitism_select(objs, refs, t=0, t_max=10)
+    assert list(result.selected_indices) == [0]
+    assignment, _ = partition(translate(objs)[0], refs)
+    assert len(result.selected_indices) == len(np.unique(assignment))
+
+
 def test_translation_invariance_of_selection():
-    rng = RandomSource(13)
+    rng = np.random.default_rng(13)
     refs = to_unit_vectors(np.abs(rng.standard_normal((6, 3))) + 1e-3)
     objs = rng.uniform(0, 4, size=(25, 3))
     base = elitism_select(objs, refs, t=4, t_max=15)
@@ -146,7 +157,7 @@ def test_translation_invariance_of_selection():
 
 
 def test_selection_matches_bruteforce_oracle_on_random_instances():
-    rng = RandomSource(2024)
+    rng = np.random.default_rng(2024)
     for case in range(200):
         m = int(rng.integers(2, 4))
         n_vec = int(rng.integers(2, 11))

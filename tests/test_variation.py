@@ -1,17 +1,10 @@
 import numpy as np
 
-from rveawg import MutationConfig, RandomSource, sbx_crossover
+from rveawg import sbx_crossover
 from rveawg.variation import mutate_matrix, mutation_delta
 
 LOWER = np.zeros(6)
 UPPER = np.ones(6)
-
-
-def test_zero_probability_is_identity():
-    rng = RandomSource(1)
-    x = rng.uniform(0, 1, 6)
-    cfg = MutationConfig(p_m=0.0)
-    assert np.array_equal(mutate_matrix(x[None], LOWER, UPPER, cfg, RandomSource(2))[0], x)
 
 
 def test_delta_zero_at_symmetry_point():
@@ -22,41 +15,48 @@ def test_delta_zero_at_symmetry_point():
 
 
 def test_mutation_stays_in_bounds():
-    rng = RandomSource(3)
-    cfg = MutationConfig(p_m=1.0)
+    # One-variable rows, so the rate 1/n is 1 and every entry moves.
+    rng = np.random.default_rng(3)
     for _ in range(200):
-        x = rng.uniform(0, 1, 6)
-        y = mutate_matrix(x[None], LOWER, UPPER, cfg, rng)[0]
-        assert np.all(y >= LOWER) and np.all(y <= UPPER)
+        x = rng.uniform(0, 1, (6, 1))
+        y = mutate_matrix(x, LOWER[:1], UPPER[:1], rng)
+        assert np.all(y != x)
+        assert np.all(y >= 0.0) and np.all(y <= 1.0)
+
+
+def test_mutation_rate_is_one_over_n():
+    rng = np.random.default_rng(8)
+    x = np.full((2000, 10), 0.5)
+    y = mutate_matrix(x, np.zeros(10), np.ones(10), rng)
+    stderr = np.sqrt(0.1 * 0.9 / x.size)
+    assert abs(np.mean(y != x) - 0.1) < 3 * stderr
 
 
 def test_mutation_distribution_symmetric_at_midpoint():
-    rng = RandomSource(4)
-    cfg = MutationConfig(p_m=1.0, eta_m=20.0)
+    rng = np.random.default_rng(4)
     n = 100_000
     x = np.full((n, 1), 0.5)
-    moved = mutate_matrix(x, np.zeros(1), np.ones(1), cfg, rng)[:, 0] - 0.5
+    moved = mutate_matrix(x, np.zeros(1), np.ones(1), rng)[:, 0] - 0.5
     stderr = moved.std() / np.sqrt(n)
     assert abs(moved.mean()) < 3 * stderr
 
 
 def test_mutation_seed_replay():
-    cfg = MutationConfig()
     x = np.linspace(0.1, 0.9, 6)
-    a = mutate_matrix(x[None], LOWER, UPPER, cfg, RandomSource(9))
-    b = mutate_matrix(x[None], LOWER, UPPER, cfg, RandomSource(9))
+    a = mutate_matrix(x[None], LOWER, UPPER, np.random.default_rng(9))
+    b = mutate_matrix(x[None], LOWER, UPPER, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
 def test_sbx_identical_parents_unchanged():
     x = np.linspace(0.2, 0.8, 6)
-    rng = RandomSource(5)
+    rng = np.random.default_rng(5)
     c1, c2 = sbx_crossover(x, x, rng.random(6), rng.random(6), LOWER, UPPER, 20.0)
     assert np.allclose(c1, x, atol=1e-12) and np.allclose(c2, x, atol=1e-12)
 
 
 def test_sbx_preserves_per_variable_mean():
-    rng = RandomSource(6)
+    rng = np.random.default_rng(6)
     for _ in range(100):
         a = rng.uniform(0.2, 0.8, 6)
         b = rng.uniform(0.2, 0.8, 6)
@@ -67,7 +67,7 @@ def test_sbx_preserves_per_variable_mean():
 
 
 def test_sbx_bounds_monte_carlo():
-    rng = RandomSource(7)
+    rng = np.random.default_rng(7)
     for _ in range(10_000 // 20):
         a = rng.uniform(0, 1, 6)
         b = rng.uniform(0, 1, 6)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rveawg import GanConfig, RandomSource, neuronet, wgan
-from rveawg.core import ConfigurationError, TrainingError
+from rveawg import GanConfig, neuronet, wgan
+from rveawg.core import ConfigurationError, TrainingError, child
 from rveawg.neuronet import AdamState, Mlp, adam_step, forward, generator_gradient, init_mlp
 from rveawg.wgan import (
     EpochStats,
@@ -21,12 +21,12 @@ UPPER4 = np.array([1.0, 3.0, 4.0, 30.0])
 
 
 def fresh_pair(n_var, cfg, seed, gen_rate=None, dtype=np.float64):
-    rng = RandomSource(seed)
-    gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, n_var], output_tanh=True, rng=rng.child("g"), dtype=dtype)
-    critic = init_mlp([n_var, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=rng.child("c"), dtype=dtype)
+    rng = np.random.default_rng(seed)
+    gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, n_var], output_tanh=True, rng=child(rng, "g"), dtype=dtype)
+    critic = init_mlp([n_var, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=child(rng, "c"), dtype=dtype)
     gopt = AdamState.for_net(gen, cfg.learning_rate if gen_rate is None else gen_rate)
     copt = AdamState.for_net(critic, cfg.learning_rate)
-    return gen, gopt, critic, copt, rng.child("train")
+    return gen, gopt, critic, copt, child(rng, "train")
 
 
 def layer_sizes(net):
@@ -45,7 +45,7 @@ def test_normalize_maps_bounds_to_unit_box():
 
 
 def test_normalize_round_trip():
-    rng = RandomSource(6)
+    rng = np.random.default_rng(6)
     x = rng.uniform(LOWER4, UPPER4, size=(20, 4))
     back = denormalize_from_net(normalize_to_net(x, LOWER4, UPPER4), LOWER4, UPPER4)
     assert np.max(np.abs(back - x)) < 1e-12
@@ -70,9 +70,9 @@ def test_pretrain_zero_epochs_is_noop():
 def test_pretrain_separates_clusters():
     cfg = GanConfig(pretrain_epochs=200)
     _, _, critic, copt, rng = fresh_pair(4, cfg, 3)
-    data_rng = RandomSource(30)
-    good = 0.5 + 0.05 * data_rng.child("g").standard_normal((40, 4))
-    bad = -0.5 + 0.05 * data_rng.child("b").standard_normal((40, 4))
+    data_rng = np.random.default_rng(30)
+    good = 0.5 + 0.05 * child(data_rng, "g").standard_normal((40, 4))
+    bad = -0.5 + 0.05 * child(data_rng, "b").standard_normal((40, 4))
     pretrain_discriminator(critic, copt, good, bad, cfg, rng)
     assert forward(critic, good).mean() > forward(critic, bad).mean()
 
@@ -88,6 +88,20 @@ def test_critic_divergence_leaves_critic_untouched():
             pretrain_discriminator(critic, copt, np.zeros((10, 4)), bad, cfg, rng)
         assert [p.tobytes() for p in params_of(critic)] == before
         assert copt.step == 0
+
+
+def test_generator_divergence_leaves_generator_untouched():
+    # No critic steps, and a NaN critic scores every generated row NaN, so
+    # the first generator step diverges before its Adam update.
+    cfg = GanConfig(epochs=2, critic_steps=0)
+    for dtype in (np.float64, np.float32):
+        gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 6, dtype=dtype)
+        critic.params[:] = np.nan
+        before = gen.params.tobytes()
+        with pytest.raises(TrainingError, match="^generator loss diverged at epoch 0$"):
+            train(gen, gopt, critic, copt, np.zeros((8, 4)), cfg, rng)
+        assert gen.params.tobytes() == before
+        assert gopt.step == 0
 
 
 def test_train_zero_epochs_is_noop():
@@ -115,20 +129,20 @@ def test_train_collapses_to_repeated_point():
     trace = train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, rng)
     assert len(trace) == 300
     assert all(np.isfinite([s.critic_loss, s.gen_loss, s.wasserstein, s.penalty]).all() for s in trace)
-    samples = forward(gen, RandomSource(1000).standard_normal((256, cfg.latent_dim)))
+    samples = forward(gen, np.random.default_rng(1000).standard_normal((256, cfg.latent_dim)))
     assert np.max(np.abs(samples.mean(axis=0) - point)) < 0.15
 
 
 def test_train_covers_two_clusters():
     cfg = GanConfig(epochs=300, learning_rate=1e-3)
     centers = np.array([[0.6, 0.6, 0.6, 0.6], [-0.6, -0.6, -0.6, -0.6]])
-    data_rng = RandomSource(55)
+    data_rng = np.random.default_rng(55)
     real = np.vstack(
-        [c + 0.03 * data_rng.child(i).standard_normal((32, 4)) for i, c in enumerate(centers)]
+        [c + 0.03 * child(data_rng, i).standard_normal((32, 4)) for i, c in enumerate(centers)]
     )
     gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 200, gen_rate=2e-4)
     train(gen, gopt, critic, copt, real, cfg, rng)
-    samples = forward(gen, RandomSource(2000).standard_normal((256, cfg.latent_dim)))
+    samples = forward(gen, np.random.default_rng(2000).standard_normal((256, cfg.latent_dim)))
     inter = np.linalg.norm(centers[0] - centers[1])
     nearest = np.minimum(
         np.linalg.norm(samples - centers[0], axis=1), np.linalg.norm(samples - centers[1], axis=1)
@@ -179,7 +193,7 @@ def test_train_equals_per_step_loop(n_rows, critic_steps, dtype):
     loop's results bit for bit: the same trace, networks, Adam moments and
     random stream state, at the full batch of 32 rows and at a 7-row corpus."""
     cfg = GanConfig(epochs=4, critic_steps=critic_steps)
-    real = RandomSource(90).uniform(-0.8, 0.8, size=(n_rows, 12))
+    real = np.random.default_rng(90).uniform(-0.8, 0.8, size=(n_rows, 12))
     want = fresh_pair(12, cfg, 91, dtype=dtype)
     got = fresh_pair(12, cfg, 91, dtype=dtype)
     want_trace = reference_train(*want[:4], real, cfg, want[4])
@@ -191,7 +205,7 @@ def test_train_equals_per_step_loop(n_rows, critic_steps, dtype):
     for opt_w, opt_g in ((want[1], got[1]), (want[3], got[3])):
         assert opt_g.step == opt_w.step
         assert opt_g.m.tobytes() == opt_w.m.tobytes() and opt_g.v.tobytes() == opt_w.v.tobytes()
-    assert got[4].generator.bit_generator.state == want[4].generator.bit_generator.state
+    assert got[4].bit_generator.state == want[4].bit_generator.state
 
 
 def test_sample_offspring_zero_generator_hits_midpoint():
@@ -201,7 +215,7 @@ def test_sample_offspring_zero_generator_hits_midpoint():
         biases=[np.zeros(4), np.zeros(4), np.zeros(4)],
         output_tanh=True,
     )
-    xs = sample_offspring(gen, 5, LOWER4, UPPER4, RandomSource(1), cfg)
+    xs = sample_offspring(gen, 5, LOWER4, UPPER4, np.random.default_rng(1), cfg)
     mid = (LOWER4 + UPPER4) / 2
     assert xs.shape == (5, 4)
     assert np.allclose(xs, mid, atol=1e-12)
@@ -209,7 +223,7 @@ def test_sample_offspring_zero_generator_hits_midpoint():
 
 def test_sample_offspring_count_and_bounds():
     cfg = GanConfig()
-    rng = RandomSource(9)
+    rng = np.random.default_rng(9)
     gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=rng)
     # Saturate the outputs to check clamping stays inside the box.
     gen.weights[-1] *= 50.0
@@ -220,21 +234,21 @@ def test_sample_offspring_count_and_bounds():
 
 def test_sample_offspring_seed_replay():
     cfg = GanConfig()
-    gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=RandomSource(77))
-    a = sample_offspring(gen, 10, LOWER4, UPPER4, RandomSource(5), cfg)
-    b = sample_offspring(gen, 10, LOWER4, UPPER4, RandomSource(5), cfg)
+    gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=np.random.default_rng(77))
+    a = sample_offspring(gen, 10, LOWER4, UPPER4, np.random.default_rng(5), cfg)
+    b = sample_offspring(gen, 10, LOWER4, UPPER4, np.random.default_rng(5), cfg)
     assert np.array_equal(a, b)
 
 
 def test_generation_step_is_reproducible():
-    data_rng = RandomSource(70)
+    data_rng = np.random.default_rng(70)
     real = data_rng.uniform(-0.5, 0.5, size=(30, 4))
     bad = data_rng.uniform(-1.0, 1.0, size=(20, 4))
 
     def one(seed):
         cfg = GanConfig(epochs=3, pretrain_epochs=2)
-        rng = RandomSource(seed)
-        gen, gopt, critic, copt = init_networks(4, cfg, rng.child("init"))
+        rng = np.random.default_rng(seed)
+        gen, gopt, critic, copt = init_networks(4, cfg, child(rng, "init"))
         pretrain_discriminator(critic, copt, real, bad, cfg, rng)
         train(gen, gopt, critic, copt, real, cfg, rng)
         return sample_offspring(gen, 8, LOWER4, UPPER4, rng, cfg)
@@ -245,7 +259,7 @@ def test_generation_step_is_reproducible():
 
 def test_init_networks_draws_fresh_pair_with_zeroed_adam():
     cfg = GanConfig(hidden=8)
-    rng = RandomSource(8)
+    rng = np.random.default_rng(8)
     first, second = init_networks(4, cfg, rng), init_networks(4, cfg, rng)
     for gen, gopt, critic, copt in (first, second):
         assert layer_sizes(gen) == [cfg.latent_dim, 8, 8, 4]
@@ -283,11 +297,11 @@ def test_run_networks_stay_float32(monkeypatch):
     spy(wgan, "critic_gradient", lambda args, result: [args[1], args[3], *result[:2], result[3]])
     spy(neuronet, "_add_param_grads", lambda args, result: [args[0], *args[1], *args[2]])
     cfg = GanConfig(epochs=3, pretrain_epochs=2, hidden=8)
-    data_rng = RandomSource(71)
+    data_rng = np.random.default_rng(71)
     real = data_rng.uniform(-0.5, 0.5, size=(30, 4))
     bad = data_rng.uniform(-1.0, 1.0, size=(20, 4))
-    rng = RandomSource(7)
-    gen, gopt, critic, copt = init_networks(4, cfg, rng.child("init"))
+    rng = np.random.default_rng(7)
+    gen, gopt, critic, copt = init_networks(4, cfg, child(rng, "init"))
     pretrain_discriminator(critic, copt, real, bad, cfg, rng)
     train(gen, gopt, critic, copt, real, cfg, rng)
     assert copt.step == cfg.pretrain_epochs + cfg.epochs * cfg.critic_steps and gopt.step == cfg.epochs
