@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rveawg import igd
+from rveawg import ConfigurationError, RunConfig, harness, igd, run_experiment
 from rveawg.metrics import IGD_BLOCK
 
 
@@ -149,3 +149,50 @@ def test_igd_screen_exact_when_squares_underflow():
         sols = rng.uniform(0, 1, size=(6, 3)) * 3e-161
         assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
 
+
+
+def row_of(values, monkeypatch):
+    """The results row that `run_experiment` builds from runs whose final IGDs
+    are `values` (NaN for a run that fails)."""
+
+    def stub(cfg, seed):
+        value = values[seed - cfg.seed]
+        if np.isnan(value):
+            raise RuntimeError("boom")
+        return harness.RunRecord(
+            config={}, seed=seed, igd_trace=[value], final_x=np.zeros((1, 1)),
+            final_f=np.zeros((1, 1)), evaluations=1, duration=0.0,
+        )
+
+    monkeypatch.setattr(harness, "run_single", stub)
+    (row,) = run_experiment([RunConfig(algorithm="nsga2", runs=len(values))])
+    return row
+
+
+def test_aggregate_single_value(monkeypatch):
+    row = row_of([1.0], monkeypatch)
+    assert row.mean_igd == 1.0 and row.std_igd == 0.0 and row.per_run == [1.0]
+
+
+def test_aggregate_two_values(monkeypatch):
+    row = row_of([1.0, 3.0], monkeypatch)
+    assert row.mean_igd == 2.0 and row.std_igd == 1.0
+    assert min(row.per_run) == 1.0 and max(row.per_run) == 3.0
+
+
+def test_aggregate_mean_matches_two_pass_oracle(monkeypatch):
+    vals = np.random.default_rng(25).uniform(1e-3, 1e3, size=10)
+    row = row_of(list(vals), monkeypatch)
+    first_pass = sum(float(v) for v in vals) / len(vals)
+    # Two-pass: recenter then average the residuals.
+    second_pass = first_pass + sum(float(v) - first_pass for v in vals) / len(vals)
+    assert abs(row.mean_igd - second_pass) < 1e-12
+
+
+def test_aggregate_rejects_empty(monkeypatch):
+    # A row of no runs is refused before anything runs; a row whose runs all
+    # failed has no finite value to aggregate and reads NaN.
+    with pytest.raises(ConfigurationError):
+        run_experiment([RunConfig(algorithm="nsga2", runs=0)])
+    row = row_of([float("nan")] * 2, monkeypatch)
+    assert np.isnan(row.mean_igd) and np.isnan(row.std_igd) and not row.best
