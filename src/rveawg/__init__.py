@@ -12,7 +12,7 @@ from .core import (
 from .harness import RunConfig, RunRecord, nsga2_run, run_experiment, run_single, rvea_wg_run
 from .metrics import IgdResult, igd
 from .problems import PROBLEM_NAMES, ProblemDef, dtlz, lsmop, make_problem, sample_front
-from .refvec import ReferenceVectorSet, adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
+from .refvec import adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
 from .selection import elitism_select, partition, translate
 from .variation import sbx_crossover
 from .wgan import GanConfig
@@ -26,7 +26,6 @@ __all__ = [
     "IgdResult",
     "PROBLEM_NAMES",
     "ProblemDef",
-    "ReferenceVectorSet",
     "RunConfig",
     "RunRecord",
     "TrainingError",

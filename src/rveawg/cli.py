@@ -107,9 +107,15 @@ def sweep_configs(values: dict[str, str], args) -> tuple[list[RunConfig], Path, 
         except ValueError:
             raise ConfigurationError(f"{key} = {raw!r} is not a valid {kind.__name__}") from None
 
-    problems = _csv_list(values.get("problems", "dtlz1,dtlz2,dtlz3,dtlz4"))
-    objectives = [number("objectives", v) for v in _csv_list(values.get("objectives", "3,6,8,10"))]
-    algorithms = _csv_list(values.get("algorithms", "rvea-wg,nsga2"))
+    def axis(key, default):
+        items = _csv_list(values.get(key, default))
+        if not items:
+            raise ConfigurationError(f"{key} lists nothing to run")
+        return items
+
+    problems = axis("problems", "dtlz1,dtlz2,dtlz3,dtlz4")
+    objectives = [number("objectives", v) for v in axis("objectives", "3,6,8,10")]
+    algorithms = axis("algorithms", "rvea-wg,nsga2")
     runs = args.runs if args.runs is not None else number("runs", values.get("runs", 10))
     seed = args.seed if args.seed is not None else number("seed", values.get("seed", 0))
     out = Path(args.out if args.out is not None else values.get("out", "results"))
@@ -164,10 +170,9 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.dump_refvecs:
-        refs = to_unit_vectors(weights)
         with (out / "refvecs.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
-            for row in refs.current:
+            for row in to_unit_vectors(weights):
                 writer.writerow([repr(float(v)) for v in row])
 
     rows_path = out / "results.csv"

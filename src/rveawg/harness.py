@@ -43,6 +43,8 @@ class RunConfig:
             raise ConfigurationError("need at least one generation")
         if self.runs < 1:
             raise ConfigurationError("need at least one run")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigurationError(f"angle-penalty exponent alpha must be finite and >= 0, got {self.alpha}")
         self.gan.validate()
@@ -95,7 +97,8 @@ def rvea_wg_run(cfg: RunConfig, seed: int) -> RunRecord:
     """
     problem, weights = resolve_setup(cfg)
     n_pop = weights.shape[0]
-    refs = to_unit_vectors(weights)
+    initial = to_unit_vectors(weights)
+    vectors = initial
     front = sample_front(problem, reference_front_size(problem.m))
     started = time.perf_counter()
 
@@ -126,8 +129,8 @@ def rvea_wg_run(cfg: RunConfig, seed: int) -> RunRecord:
         union_f = np.vstack([fs, evaluate(offspring, problem)])
         evaluations += len(offspring)
 
-        result = elitism_select(union_f, refs, t, cfg.generations, cfg.alpha)
-        refs = adapt(refs, result.z_max, result.z_min)
+        result = elitism_select(union_f, vectors, t, cfg.generations, cfg.alpha)
+        vectors = adapt(initial, result.z_max, result.z_min)
         eliminated = np.ones(len(union_x), dtype=bool)
         eliminated[result.selected_indices] = False
         eliminated_x = union_x[eliminated]

@@ -32,8 +32,6 @@ import numpy as np
 @dataclass
 class IgdResult:
     value: float
-    reference_count: int
-    solution_count: int
 
 
 # Reference rows per block: a block's (rows, N) screen product stays in cache.
@@ -76,8 +74,4 @@ def igd(reference, solutions) -> IgdResult:
     total = 0.0
     for v in np.sqrt(mins).tolist():
         total += v
-    return IgdResult(
-        value=total / k,
-        reference_count=k,
-        solution_count=n,
-    )
+    return IgdResult(value=total / k)

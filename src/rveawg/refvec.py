@@ -1,7 +1,9 @@
-"""Uniform unit reference vectors: lattice generation, normalization, range adaptation."""
+"""Uniform unit reference vectors: lattice generation, normalization, range adaptation.
+
+A set of N reference vectors in M objectives is a plain (N, M) array of unit rows.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -15,24 +17,6 @@ RANGE_FLOOR = 1e-12
 # Lattice settings whose vector counts equal the benchmark population sizes
 # 105 / 132 / 156 / 275 for 3 / 6 / 8 / 10 objectives.
 DEFAULT_LATTICES = {3: (13, 0), 6: (4, 1), 8: (3, 2), 10: (3, 2)}
-
-
-@dataclass
-class ReferenceVectorSet:
-    """Unit vectors guiding selection, their uniform initial copies, and per-vector
-    minimum neighbor angles (radians). ``initial`` is read-only, shared by
-    every set adapted from it."""
-
-    current: np.ndarray  # (N, M), unit rows
-    initial: np.ndarray  # (N, M), unit rows
-    gamma: np.ndarray    # (N,)
-
-    def __len__(self) -> int:
-        return self.current.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.current.shape[1]
 
 
 def simplex_lattice(m: int, h: int) -> np.ndarray:
@@ -104,22 +88,19 @@ def lattice_for(m: int, pop_size: int | None = None) -> np.ndarray:
     return simplex_lattice(m, h)
 
 
-def to_unit_vectors(weights: np.ndarray) -> ReferenceVectorSet:
-    """Normalize lattice weights to unit vectors; initial = current; gamma computed."""
+def to_unit_vectors(weights: np.ndarray) -> np.ndarray:
+    """Normalize lattice weights to (N, M) unit rows."""
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[0] == 0:
         raise ConfigurationError("need a non-empty (N, M) weight array")
     norms = np.linalg.norm(weights, axis=1)
     if np.any(norms == 0.0):
         raise ConfigurationError("zero-norm weight vector cannot be normalized")
-    current = weights / norms[:, None]
-    initial = current.copy()
-    initial.setflags(write=False)  # every adapted set shares it
-    return ReferenceVectorSet(current=current, initial=initial, gamma=_min_angles(current))
+    return weights / norms[:, None]
 
 
 def _min_angles(vectors: np.ndarray) -> np.ndarray:
-    """Per-vector smallest angle to any other vector in the set."""
+    """Per-vector smallest angle (radians) to any other vector in the set."""
     n = vectors.shape[0]
     if n == 1:
         # Degenerate single-vector set; half a right angle keeps the APD
@@ -130,17 +111,14 @@ def _min_angles(vectors: np.ndarray) -> np.ndarray:
     return np.arccos(np.max(cos, axis=1))
 
 
-def adapt(refs: ReferenceVectorSet, z_max: np.ndarray, z_min: np.ndarray) -> ReferenceVectorSet:
-    """Rescale the initial vectors by the objective ranges and renormalize.
-
-    Always starts from the initial uniform set, so adapting twice with the
-    same ranges gives the same result. Collapsed ranges are floored.
-    """
+def adapt(initial: np.ndarray, z_max: np.ndarray, z_min: np.ndarray) -> np.ndarray:
+    """Rescale the uniform initial unit rows by the objective ranges and
+    renormalize. Collapsed ranges are floored."""
     z_max = np.asarray(z_max, dtype=float)
     z_min = np.asarray(z_min, dtype=float)
-    if z_max.shape != (refs.m,) or z_min.shape != (refs.m,):
+    m = initial.shape[1]
+    if z_max.shape != (m,) or z_min.shape != (m,):
         raise ConfigurationError("objective range vectors must have length M")
     ranges = np.maximum(z_max - z_min, RANGE_FLOOR)
-    scaled = refs.initial * ranges
-    current = scaled / np.linalg.norm(scaled, axis=1)[:, None]
-    return ReferenceVectorSet(current=current, initial=refs.initial, gamma=_min_angles(current))
+    scaled = initial * ranges
+    return scaled / np.linalg.norm(scaled, axis=1)[:, None]

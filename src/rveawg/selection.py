@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvaluationError
-from .refvec import ReferenceVectorSet
+from .refvec import _min_angles
 
 
 @dataclass
@@ -30,50 +30,51 @@ def translate(objectives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows - z_min, z_min, z_max
 
 
-def partition(rows: np.ndarray, refs: ReferenceVectorSet) -> tuple[np.ndarray, np.ndarray]:
-    """Assign each translated row to the reference vector with maximal cosine.
+def partition(rows: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assign each translated row to the unit reference vector with maximal cosine.
 
-    Returns (assignment, cosines), both (P,): the index of the closest
-    vector and the cosine to it. Ties go to the lowest vector index; rows at
-    the ideal point (zero norm) go to vector 0 with cosine 1.
+    Returns (assignment, cosines, norms), all (P,): the index of the closest
+    vector, the cosine to it and the row's Euclidean norm. Ties go to the
+    lowest vector index; rows at the ideal point (zero norm) go to vector 0
+    with cosine 1.
     """
     norms = np.linalg.norm(rows, axis=1)
-    cos = np.zeros((rows.shape[0], len(refs)))
+    cos = np.zeros((rows.shape[0], len(vectors)))
     nz = norms > 0.0
     if np.any(nz):
-        cos[nz] = (rows[nz] @ refs.current.T) / norms[nz, None]
+        cos[nz] = (rows[nz] @ vectors.T) / norms[nz, None]
     assignment = np.argmax(cos, axis=1)
     best = cos[np.arange(rows.shape[0]), assignment]
     assignment[~nz] = 0
     best[~nz] = 1.0
-    return assignment, best
+    return assignment, best, norms
 
 
 def elitism_select(
     objectives: np.ndarray,
-    refs: ReferenceVectorSet,
+    vectors: np.ndarray,
     t: int,
     t_max: int,
     alpha: float = 2.0,
 ) -> SelectionResult:
-    """Keep the minimum-APD row of a (P, M) objective matrix in every non-empty partition.
+    """Keep the minimum-APD row of a (P, M) objective matrix in every non-empty
+    partition of the (N, M) unit reference vectors.
 
-    APD ties resolve to the lowest row index. Empty partitions are
-    skipped, so the output may be smaller than the vector count. The combined
-    population's objective extrema are returned for vector adaptation.
+    APD ties resolve to the lowest row index, and a NaN APD (from vectors
+    whose nearest neighbour angle is 0) wins its partition, as np.argmin
+    would pick it. Empty partitions are skipped, so the output may be smaller
+    than the vector count. The combined population's objective extrema are
+    returned for vector adaptation.
     """
     rows, z_min, z_max = translate(objectives)
-    assignment, cosines = partition(rows, refs)
-    norms = np.linalg.norm(rows, axis=1)
+    assignment, cosines, norms = partition(rows, vectors)
     angles = np.arccos(np.clip(cosines, -1.0, 1.0))
-    angles[norms == 0.0] = 0.0
-    scale = refs.m * (t / t_max) ** alpha
-    distances = (1.0 + scale * angles / refs.gamma[assignment]) * norms
+    scale = vectors.shape[1] * (t / t_max) ** alpha
+    distances = (1.0 + scale * angles / _min_angles(vectors)[assignment]) * norms
+    distances[np.isnan(distances)] = -np.inf
 
-    selected = []
-    for j in range(len(refs)):
-        members = np.flatnonzero(assignment == j)
-        if members.size == 0:
-            continue
-        selected.append(members[int(np.argmin(distances[members]))])
-    return SelectionResult(selected_indices=np.array(selected, dtype=int), z_min=z_min, z_max=z_max)
+    # Sort by partition, then APD; lexsort is stable, so equal APDs keep row
+    # order, and the first row of each partition is its survivor.
+    order = np.lexsort((distances, assignment))
+    _, first = np.unique(assignment[order], return_index=True)
+    return SelectionResult(selected_indices=order[first], z_min=z_min, z_max=z_max)

@@ -42,9 +42,9 @@ def report(number, name, started, limit):
 def test_criterion_1_reference_vector_counts():
     started = time.perf_counter()
     for m, expected in [(3, 105), (6, 132), (8, 156), (10, 275)]:
-        refs = to_unit_vectors(lattice_for(m))
-        assert len(refs) == expected
-        assert np.all(np.abs(np.linalg.norm(refs.current, axis=1) - 1.0) < 1e-12)
+        vectors = to_unit_vectors(lattice_for(m))
+        assert vectors.shape == (expected, m)
+        assert np.all(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) < 1e-12)
     report(1, "reference-vector counts 105/132/156/275", started, limit=1.0)
 
 
@@ -55,14 +55,12 @@ def test_criterion_2_selection_oracle():
         m = int(rng.integers(2, 4))
         n_vec = int(rng.integers(2, 11))
         p = int(rng.integers(1, 31))
-        refs = to_unit_vectors(np.abs(rng.standard_normal((n_vec, m))) + 1e-3)
+        vectors = to_unit_vectors(np.abs(rng.standard_normal((n_vec, m))) + 1e-3)
         objs = rng.uniform(0.0, 10.0, size=(p, m))
         t_max = int(rng.integers(1, 30))
         t = int(rng.integers(0, t_max + 1))
-        got = elitism_select(objs, refs, t=t, t_max=t_max, alpha=2.0)
-        assert list(got.selected_indices) == oracle_select(
-            objs.tolist(), refs.current.tolist(), t, t_max, 2.0
-        )
+        got = elitism_select(objs, vectors, t=t, t_max=t_max, alpha=2.0)
+        assert list(got.selected_indices) == oracle_select(objs.tolist(), vectors.tolist(), t, t_max, 2.0)
     report(2, "selection equals naive loop oracle on 200 instances", started, limit=10.0)
 
 

@@ -283,6 +283,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("alpha = x", "alpha = "),
         ("objectives = 3, ten", "objectives = "),
         ("alpha = nan", "angle-penalty exponent alpha must be finite and >= 0, got nan"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("problems = ,", "problems lists nothing to run"),
+        ("objectives =", "objectives lists nothing to run"),
+        ("algorithms = , ,", "algorithms lists nothing to run"),
     ):
         bad.write_text(line + "\n")
         capsys.readouterr()
@@ -295,7 +299,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "unknown key 'generation'" in err and "generations" in err
     assert main(["run", "--epochs", "-1", "--out", str(tmp_path / "out")]) == 1
     small = ["--generations", "2", "--epochs", "2", "--runs", "1", "--out", str(tmp_path / "out"), "--dump-refvecs"]
-    for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--alpha", "nan"], ["--jobs", "-3"]):
+    for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--alpha", "nan"], ["--jobs", "-3"], ["--seed", "-1"]):
         assert main(["run", *bad_input, *small]) == 1, bad_input
     assert not (tmp_path / "out").exists()  # rejected before writing anything
 

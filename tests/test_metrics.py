@@ -32,7 +32,6 @@ def test_igd_zero_when_sets_coincide():
 def test_igd_hand_computed():
     result = igd([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0]])
     assert result.value == 1.0
-    assert result.reference_count == 2 and result.solution_count == 1
 
 
 def test_igd_monotone_under_added_solutions():

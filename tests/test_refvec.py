@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rveawg import ConfigurationError, adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
+from rveawg.refvec import _min_angles
 
 
 def test_lattice_m2_h2_exact_set():
@@ -69,17 +70,18 @@ def test_lattice_for_snaps_requested_size_up():
 
 
 def test_unit_vectors_norm_and_sign():
-    refs = to_unit_vectors(lattice_for(6))
-    norms = np.linalg.norm(refs.current, axis=1)
+    weights = lattice_for(6)
+    vectors = to_unit_vectors(weights)
+    assert vectors.shape == weights.shape
+    norms = np.linalg.norm(vectors, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-12)
-    assert np.all(refs.current >= 0.0)
-    assert np.array_equal(refs.current, refs.initial)
+    assert np.all(vectors >= 0.0)
 
 
 def test_unit_vector_simple_cases():
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5]]))
-    assert np.allclose(refs.current[0], [1.0, 0.0], atol=1e-12)
-    assert np.allclose(refs.current[1], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12)
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5]]))
+    assert np.allclose(vectors[0], [1.0, 0.0], atol=1e-12)
+    assert np.allclose(vectors[1], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12)
 
 
 def test_zero_weight_rejected():
@@ -88,50 +90,49 @@ def test_zero_weight_rejected():
 
 
 def test_gamma_hand_computed():
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
+    gamma = _min_angles(to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])))
     # (1,0) vs (sqrt2/2, sqrt2/2): angle pi/4; vs (0,1): pi/2.
-    assert abs(refs.gamma[0] - np.pi / 4) < 1e-12
-    assert abs(refs.gamma[1] - np.pi / 4) < 1e-12
-    assert abs(refs.gamma[2] - np.pi / 4) < 1e-12
+    assert abs(gamma[0] - np.pi / 4) < 1e-12
+    assert abs(gamma[1] - np.pi / 4) < 1e-12
+    assert abs(gamma[2] - np.pi / 4) < 1e-12
 
 
 def test_gamma_positive_for_distinct_vectors():
-    refs = to_unit_vectors(lattice_for(3))
-    assert np.all(refs.gamma > 0.0)
+    assert np.all(_min_angles(to_unit_vectors(lattice_for(3))) > 0.0)
 
 
 def test_adapt_unit_range_is_identity():
-    refs = to_unit_vectors(lattice_for(3))
-    adapted = adapt(refs, np.ones(3), np.zeros(3))
-    assert np.allclose(adapted.current, refs.initial, atol=1e-12)
+    initial = to_unit_vectors(lattice_for(3))
+    adapted = adapt(initial, np.ones(3), np.zeros(3))
+    assert np.allclose(adapted, initial, atol=1e-12)
 
 
 def test_adapt_hand_computed():
-    refs = to_unit_vectors(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    adapted = adapt(refs, np.array([2.0, 1.0]), np.array([0.0, 0.0]))
+    initial = to_unit_vectors(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    adapted = adapt(initial, np.array([2.0, 1.0]), np.array([0.0, 0.0]))
     expected = np.array([2.0, 1.0]) / np.sqrt(5.0)
-    assert np.allclose(adapted.current[0], expected, atol=1e-12)
+    assert np.allclose(adapted[0], expected, atol=1e-12)
 
 
 def test_adapt_degenerate_range_floored():
-    refs = to_unit_vectors(np.array([[0.5, 0.5], [1.0, 0.0]]))
-    adapted = adapt(refs, np.array([1.0, 3.0]), np.array([1.0, 0.0]))
-    assert np.all(np.isfinite(adapted.current))
-    assert np.all(np.abs(np.linalg.norm(adapted.current, axis=1) - 1.0) < 1e-12)
+    initial = to_unit_vectors(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    adapted = adapt(initial, np.array([1.0, 3.0]), np.array([1.0, 0.0]))
+    assert np.all(np.isfinite(adapted))
+    assert np.all(np.abs(np.linalg.norm(adapted, axis=1) - 1.0) < 1e-12)
 
 
 def test_adapt_idempotent_for_fixed_ranges():
-    refs = to_unit_vectors(lattice_for(3))
+    initial = to_unit_vectors(lattice_for(3))
     z_max, z_min = np.array([3.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0])
-    once = adapt(refs, z_max, z_min)
-    twice = adapt(once, z_max, z_min)
-    assert np.array_equal(once.current, twice.current)
-    assert np.array_equal(once.initial, refs.initial)
+    once = adapt(initial, z_max, z_min)
+    twice = adapt(initial, z_max, z_min)
+    assert np.array_equal(once, twice)
 
 
-def test_adapt_shares_read_only_initial():
-    refs = to_unit_vectors(lattice_for(3))
-    adapted = adapt(refs, np.array([3.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0]))
-    assert adapted.initial is refs.initial
-    with pytest.raises(ValueError):
-        adapted.initial[0, 0] = 0.0
+def test_adapt_leaves_read_only_initial_unchanged():
+    initial = to_unit_vectors(lattice_for(3))
+    initial.setflags(write=False)
+    before = initial.copy()
+    adapted = adapt(initial, np.array([3.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0]))
+    assert np.array_equal(initial, before)
+    assert adapted.shape == initial.shape and not np.shares_memory(adapted, initial)

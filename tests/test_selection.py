@@ -79,19 +79,27 @@ def test_translate_rejects_empty():
 
 
 def test_partition_prefers_nearest_vector():
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assignment, cosines = partition(translate([[2.0, 0.1], [0.0, 0.0]])[0], refs)
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assignment, cosines, _ = partition(translate([[2.0, 0.1], [0.0, 0.0]])[0], vectors)
     # Only the first row is meaningful; cos to (1,0) = 2/sqrt(4.01) = 0.9988.
     assert assignment[0] == 0
     assert abs(cosines[0] - 2.0 / math.sqrt(4.01)) < 1e-12
 
 
 def test_partition_exact_alignment_and_tie_break():
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assignment, cosines = partition(translate([[0.0, 3.0], [2.0, 2.0], [0.0, 0.0]])[0], refs)
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assignment, cosines, _ = partition(translate([[0.0, 3.0], [2.0, 2.0], [0.0, 0.0]])[0], vectors)
     assert assignment[0] == 1 and abs(cosines[0] - 1.0) < 1e-12
     assert assignment[1] == 0  # equal cosines, lowest index wins
     assert assignment[2] == 0 and cosines[2] == 1.0  # ideal point
+
+
+def test_partition_norms_are_row_norms():
+    rng = np.random.default_rng(17)
+    vectors = to_unit_vectors(np.abs(rng.standard_normal((9, 4))) + 1e-3)
+    rows = translate(rng.uniform(0.0, 10.0, size=(50, 4)))[0]
+    _, _, norms = partition(rows, vectors)
+    assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
 
 
 def test_apd_zero_generation_is_pure_norm():
@@ -113,25 +121,25 @@ def test_apd_rejects_bad_gamma():
 
 
 def test_elitism_keeps_each_aligned_individual():
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
     objs = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
-    result = elitism_select(objs, refs, t=0, t_max=10)
+    result = elitism_select(objs, vectors, t=0, t_max=10)
     assert list(result.selected_indices) == [0, 1, 2]
 
 
 def test_elitism_min_norm_wins_at_t0():
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
     objs = np.array([[3.0, 0.2], [2.0, 0.1], [0.1, 5.0]])
-    result = elitism_select(objs, refs, t=0, t_max=10)
+    result = elitism_select(objs, vectors, t=0, t_max=10)
     assert 1 in result.selected_indices and 0 not in result.selected_indices
 
 
 def test_elitism_never_doubles_a_partition():
     rng = np.random.default_rng(11)
-    refs = to_unit_vectors(np.abs(rng.standard_normal((8, 3))) + 1e-3)
+    vectors = to_unit_vectors(np.abs(rng.standard_normal((8, 3))) + 1e-3)
     objs = rng.uniform(0, 5, size=(40, 3))
-    result = elitism_select(objs, refs, t=3, t_max=10)
-    assignment, _ = partition(translate(objs)[0], refs)
+    result = elitism_select(objs, vectors, t=3, t_max=10)
+    assignment = partition(translate(objs)[0], vectors)[0]
     chosen = assignment[result.selected_indices]
     assert len(set(chosen.tolist())) == len(chosen)
 
@@ -139,21 +147,42 @@ def test_elitism_never_doubles_a_partition():
 def test_elitism_skips_empty_partitions():
     # Every row falls into the first vector's partition (the first at the
     # ideal point), so the other two are empty and one row is kept.
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
     objs = np.array([[2.0, 0.0], [3.0, 0.01], [4.0, 0.0]])
-    result = elitism_select(objs, refs, t=0, t_max=10)
+    result = elitism_select(objs, vectors, t=0, t_max=10)
     assert list(result.selected_indices) == [0]
-    assignment, _ = partition(translate(objs)[0], refs)
+    assignment = partition(translate(objs)[0], vectors)[0]
     assert len(result.selected_indices) == len(np.unique(assignment))
 
 
 def test_translation_invariance_of_selection():
     rng = np.random.default_rng(13)
-    refs = to_unit_vectors(np.abs(rng.standard_normal((6, 3))) + 1e-3)
+    vectors = to_unit_vectors(np.abs(rng.standard_normal((6, 3))) + 1e-3)
     objs = rng.uniform(0, 4, size=(25, 3))
-    base = elitism_select(objs, refs, t=4, t_max=15)
-    shifted = elitism_select(objs + np.array([7.0, -2.0, 11.0]), refs, t=4, t_max=15)
+    base = elitism_select(objs, vectors, t=4, t_max=15)
+    shifted = elitism_select(objs + np.array([7.0, -2.0, 11.0]), vectors, t=4, t_max=15)
     assert np.array_equal(base.selected_indices, shifted.selected_indices)
+
+
+def test_elitism_apd_tie_goes_to_lowest_row():
+    # Rows 1 and 3 are identical and have the least APD of the first
+    # partition; row 1 must survive.
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    objs = np.array([[3.0, 0.5], [2.0, 0.2], [0.1, 4.0], [2.0, 0.2], [2.5, 0.3]])
+    for t in (0, 5):
+        result = elitism_select(objs, vectors, t=t, t_max=10)
+        assert list(result.selected_indices) == [1, 2]
+
+
+def test_elitism_nan_apd_wins_its_partition():
+    # Duplicate vectors have a nearest-neighbour angle of 0. Past t = 0, row 0
+    # (off the vector) then has APD inf and row 1 (on it) 0 / 0 = NaN. As with
+    # np.argmin over the partition, the NaN row survives.
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    objs = np.array([[3.0, 1.0], [2.0, 0.0], [0.0, 3.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = elitism_select(objs, vectors, t=5, t_max=10)
+    assert list(result.selected_indices) == [1, 2]
 
 
 def test_selection_matches_bruteforce_oracle_on_random_instances():
@@ -162,19 +191,18 @@ def test_selection_matches_bruteforce_oracle_on_random_instances():
         m = int(rng.integers(2, 4))
         n_vec = int(rng.integers(2, 11))
         p = int(rng.integers(1, 31))
-        vectors = np.abs(rng.standard_normal((n_vec, m))) + 1e-3
-        refs = to_unit_vectors(vectors)
+        vectors = to_unit_vectors(np.abs(rng.standard_normal((n_vec, m))) + 1e-3)
         objs = rng.uniform(0.0, 10.0, size=(p, m))
         t_max = int(rng.integers(1, 30))
         t = int(rng.integers(0, t_max + 1))
-        result = elitism_select(objs, refs, t=t, t_max=t_max, alpha=2.0)
-        expected = oracle_select(objs.tolist(), refs.current.tolist(), t, t_max, 2.0)
+        result = elitism_select(objs, vectors, t=t, t_max=t_max, alpha=2.0)
+        expected = oracle_select(objs.tolist(), vectors.tolist(), t, t_max, 2.0)
         assert list(result.selected_indices) == expected, f"case {case}"
 
 
 def test_selection_returns_extrema_for_adaptation():
     objs = np.array([[1.0, 5.0], [4.0, 2.0]])
-    refs = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    result = elitism_select(objs, refs, 0, 10)
+    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    result = elitism_select(objs, vectors, 0, 10)
     assert np.array_equal(result.z_min, [1.0, 2.0])
     assert np.array_equal(result.z_max, [4.0, 5.0])
