@@ -87,11 +87,11 @@ def nsga2_generation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generation: tournament mating, SBX + mutation, elitist truncation to N.
 
-    Draw order, per pair of children: four tournament picks
-    (``rng.integers(0, N, size=4)``), then the SBX draws u_cross and u_beta
-    (``rng.random((2, n))``); the mutation draws follow for all children.
-    The tournaments and SBX then run on all pairs at once. Returns the
-    survivors' decision and objective matrices.
+    Draw order: the tournament picks of all pairs of children
+    (``rng.integers(0, N, size=(pairs, 4))``), then their SBX draws u_cross
+    and u_beta (``rng.random((pairs, 2, n))``), then the mutation draws for
+    all children. The tournaments and SBX run on all pairs at once. Returns
+    the survivors' decision and objective matrices.
     """
     n_pop, n_var = xs.shape
     rank, fronts = fast_nondominated_sort(fs)
@@ -99,11 +99,8 @@ def nsga2_generation(
     for front in fronts:
         crowding[front] = crowding_distance(fs, front)
     pairs = (n_pop + 1) // 2
-    picks = np.empty((pairs, 4), dtype=np.int64)
-    u = np.empty((pairs, 2, n_var))
-    for k in range(pairs):
-        picks[k] = rng.integers(0, n_pop, size=4)
-        u[k] = rng.random((2, n_var))
+    picks = rng.integers(0, n_pop, size=(pairs, 4))
+    u = rng.random((pairs, 2, n_var))
     p1 = _tournament(rank, crowding, picks[:, 0], picks[:, 1])
     p2 = _tournament(rank, crowding, picks[:, 2], picks[:, 3])
     c1, c2 = sbx_crossover(xs[p1], xs[p2], u[:, 0], u[:, 1], problem.lower, problem.upper, ETA_C)

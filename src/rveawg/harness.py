@@ -108,10 +108,6 @@ def rvea_wg_run(cfg: RunConfig, seed: int) -> RunRecord:
     evaluations = len(xs)
     gan_rng = child(rng, "gan")
     init_rng = child(gan_rng, "init")
-    # Draw and discard one pair. The networks were once drawn at set-up and
-    # then redrawn before every generation, so generation 0 trains this
-    # stream's second draw; skipping the first would change every seeded result.
-    init_networks(problem.n, cfg.gan, init_rng)
     mut_rng = child(rng, "mutation")
     eliminated_x = np.zeros((0, problem.n))
     trace: list[float] = []
@@ -123,7 +119,7 @@ def rvea_wg_run(cfg: RunConfig, seed: int) -> RunRecord:
         bad = normalize_to_net(eliminated_x, problem.lower, problem.upper)
         pretrain_discriminator(critic, critic_opt, real, bad, cfg.gan, gan_rng)
         gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan, gan_rng))
-        offspring = sample_offspring(gen, n_pop, problem.lower, problem.upper, gan_rng, cfg.gan)
+        offspring = sample_offspring(gen, n_pop, problem.lower, problem.upper, gan_rng)
         offspring = mutate_matrix(offspring, problem.lower, problem.upper, mut_rng)
         union_x = np.vstack([xs, offspring])
         union_f = np.vstack([fs, evaluate(offspring, problem)])

@@ -100,15 +100,16 @@ def to_unit_vectors(weights: np.ndarray) -> np.ndarray:
 
 
 def _min_angles(vectors: np.ndarray) -> np.ndarray:
-    """Per-vector smallest angle (radians) to any other vector in the set."""
-    n = vectors.shape[0]
-    if n == 1:
-        # Degenerate single-vector set; half a right angle keeps the APD
-        # penalty finite.
-        return np.array([np.pi / 2])
+    """Per-vector smallest angle (radians) to any distinct vector in the set.
+
+    A vector whose clipped cosine to this one is exactly 1 coincides with it
+    and counts, like the vector itself, as no neighbour. A vector without a
+    distinct neighbour gets pi/2, so the APD penalty stays finite.
+    """
     cos = np.clip(vectors @ vectors.T, -1.0, 1.0)
-    np.fill_diagonal(cos, -np.inf)
-    return np.arccos(np.max(cos, axis=1))
+    np.fill_diagonal(cos, 1.0)
+    nearest = np.max(cos, axis=1, where=cos < 1.0, initial=-np.inf)
+    return np.arccos(np.where(nearest == -np.inf, 0.0, nearest))
 
 
 def adapt(initial: np.ndarray, z_max: np.ndarray, z_min: np.ndarray) -> np.ndarray:

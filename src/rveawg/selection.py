@@ -60,18 +60,15 @@ def elitism_select(
     """Keep the minimum-APD row of a (P, M) objective matrix in every non-empty
     partition of the (N, M) unit reference vectors.
 
-    APD ties resolve to the lowest row index, and a NaN APD (from vectors
-    whose nearest neighbour angle is 0) wins its partition, as np.argmin
-    would pick it. Empty partitions are skipped, so the output may be smaller
-    than the vector count. The combined population's objective extrema are
-    returned for vector adaptation.
+    APD ties resolve to the lowest row index. Empty partitions are skipped,
+    so the output may be smaller than the vector count. The combined
+    population's objective extrema are returned for vector adaptation.
     """
     rows, z_min, z_max = translate(objectives)
     assignment, cosines, norms = partition(rows, vectors)
     angles = np.arccos(np.clip(cosines, -1.0, 1.0))
     scale = vectors.shape[1] * (t / t_max) ** alpha
     distances = (1.0 + scale * angles / _min_angles(vectors)[assignment]) * norms
-    distances[np.isnan(distances)] = -np.inf
 
     # Sort by partition, then APD; lexsort is stable, so equal APDs keep row
     # order, and the first row of each partition is its survivor.

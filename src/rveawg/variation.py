@@ -48,9 +48,9 @@ def sbx_crossover(
 
     A variable is crossed where its uniform draw u_cross <= 0.5, with spread
     factor from u_beta; the children's per-variable mean equals the parents'
-    mean before the final clamp. Pure: the caller draws u_cross and then
-    u_beta, each of a's shape, which for one pair of length-n parents is the
-    stream order of ``rng.random(n)`` twice.
+    mean before the final clamp. Pure: the caller draws u_cross and u_beta,
+    each of a's shape; NSGA-II takes both for all of its pairs from one
+    ``rng.random((pairs, 2, n))`` call.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

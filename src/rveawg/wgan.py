@@ -7,11 +7,12 @@ generator's tanh output always lands inside the box. Latent draws are
 standard normal.
 
 The networks are float32, and the dtype follows their parameters: survivor
-and eliminated rows are cast once to the critic's dtype, the interpolation
-weights to the batches' dtype, and latent draws on entry to the generator.
-Every draw is made in float64 and then cast, so each random stream is
-consumed exactly as at float64. Box coordinates stay float64 on both sides:
-`normalize_to_net` maps in float64 and `denormalize_from_net` returns float64.
+and eliminated rows are cast once to the critic's dtype. Each call makes its
+draws up front, one call per array, in the networks' own dtype: latents in
+the generator's, interpolation weights in the critic's. So the stream a call
+consumes depends only on its shapes. Box coordinates stay float64 on both
+sides: `normalize_to_net` maps in float64 and `denormalize_from_net` returns
+float64.
 """
 from __future__ import annotations
 
@@ -96,10 +97,6 @@ def init_networks(n_var: int, cfg: GanConfig, rng: np.random.Generator) -> tuple
     return gen, AdamState.for_net(gen, cfg.learning_rate), critic, AdamState.for_net(critic, cfg.learning_rate)
 
 
-def _noise(cfg: GanConfig, count: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((count, cfg.latent_dim))
-
-
 def _critic_update(
     critic: Mlp, opt: AdamState, x: np.ndarray, top: np.ndarray, lambda_gp: float
 ) -> tuple[float, float, float]:
@@ -130,21 +127,26 @@ def pretrain_discriminator(
     """Push the critic up on survivor rows `real` and down on eliminated rows
     `bad`, both (rows, n) in normalized coordinates.
 
-    Without eliminated rows the critic is left untouched.
+    Without eliminated rows the critic is left untouched. Otherwise the
+    draws come first, in this stream order: the (pretrain_epochs, b) survivor
+    row indices, the (pretrain_epochs, b) eliminated row indices and the
+    (pretrain_epochs, b, 1) interpolation weights in the critic's dtype.
     """
     if bad.shape[0] == 0 or cfg.pretrain_epochs == 0:
         return critic
     real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
     n_good, n_bad = real.shape[0], bad.shape[0]
     b = min(cfg.batch_size, n_good, n_bad)
+    good_idx = rng.integers(0, n_good, size=(cfg.pretrain_epochs, b))
+    bad_idx = rng.integers(0, n_bad, size=(cfg.pretrain_epochs, b))
+    eps_all = rng.random((cfg.pretrain_epochs, b, 1), dtype=real.dtype)
     # The [good; bad; mixed] rows of a step, refilled every epoch.
     x = np.empty((3 * b, real.shape[1]), dtype=real.dtype)
     good_batch, bad_batch, mixed = x[:b], x[b:2 * b], x[2 * b:]
     top = _critic_seed(b, x.dtype)
-    for _ in range(cfg.pretrain_epochs):
-        np.take(real, rng.integers(0, n_good, size=b), axis=0, out=good_batch)
-        np.take(bad, rng.integers(0, n_bad, size=b), axis=0, out=bad_batch)
-        eps = rng.random((b, 1)).astype(real.dtype)
+    for good_rows, bad_rows, eps in zip(good_idx, bad_idx, eps_all):
+        np.take(real, good_rows, axis=0, out=good_batch)
+        np.take(bad, bad_rows, axis=0, out=bad_batch)
         np.multiply(eps, good_batch, out=mixed)
         mixed += (1.0 - eps) * bad_batch
         _critic_update(critic, opt, x, top, cfg.lambda_gp)
@@ -166,15 +168,16 @@ def train(
     (with the gradient penalty taken at uniform interpolates of real and
     generated rows), then one generator update on -mean D(G(z)).
 
-    The generator stays fixed for the whole epoch, so an epoch first makes
-    all of its draws, in this stream order: for each critic step the real
-    row indices, the latent batch and the interpolation weights, then the
-    generator step's latent batch. One forward pass of the generator over the
-    stacked (critic_steps + 1, b, latent) draws then serves every critic step
-    and the generator step; a 3-D product multiplies each b-row slice on its
-    own, so each slice gets the bits a forward pass on it alone would. The
-    critic steps' [good; bad; mixed] rows are stacked in one (critic_steps,
-    3b, n) array, refilled every epoch.
+    All draws come first, in this stream order: the (epochs, critic_steps, b)
+    real row indices, the (epochs, critic_steps + 1, b, latent) latents in the
+    generator's dtype, the last of each epoch's for its generator step, and
+    the (epochs, critic_steps, b, 1) interpolation weights in the critic's
+    dtype. The generator stays fixed for the whole epoch, so one forward pass
+    of the generator over the epoch's stacked latents serves every critic
+    step and the generator step; a 3-D product multiplies each b-row slice on
+    its own, so each slice gets the bits a forward pass on it alone would.
+    The critic steps' [good; bad; mixed] rows are stacked in one
+    (critic_steps, 3b, n) array, refilled every epoch.
     """
     n_real = real.shape[0]
     if n_real == 0:
@@ -182,25 +185,18 @@ def train(
     b = min(cfg.batch_size, n_real)
     steps = cfg.critic_steps
     real = np.asarray(real, dtype=critic.params.dtype)
+    idx_all = rng.integers(0, n_real, size=(cfg.epochs, steps, b))
+    z_all = rng.standard_normal((cfg.epochs, steps + 1, b, cfg.latent_dim), dtype=gen.params.dtype)
+    eps_all = rng.random((cfg.epochs, steps, b, 1), dtype=real.dtype)
     x = np.empty((steps, 3 * b, real.shape[1]), dtype=real.dtype)
     good, bad, mixed = x[:, :b], x[:, b:2 * b], x[:, 2 * b:]
     top = _critic_seed(b, x.dtype)
     trace = []
-    for epoch in range(cfg.epochs):
-        idx = np.empty((steps, b), dtype=np.int64)
-        z = np.empty((steps + 1, b, cfg.latent_dim))
-        eps = np.empty((steps, b, 1))
-        for s in range(steps):
-            idx[s] = rng.integers(0, n_real, size=b)
-            z[s] = _noise(cfg, b, rng)
-            eps[s] = rng.random((b, 1))
-        z[steps] = _noise(cfg, b, rng)
-        z = z.astype(gen.params.dtype)
+    for epoch, (idx, z, eps) in enumerate(zip(idx_all, z_all, eps_all)):
         gen_hs = _forward_sweep(gen, z)
         fake = gen_hs[-1][:steps]
         np.take(real, idx, axis=0, out=good)
         bad[...] = fake
-        eps = eps.astype(real.dtype)
         np.multiply(eps, good, out=mixed)
         mixed += (1.0 - eps) * fake
         critic_loss = penalty = w_est = 0.0
@@ -229,10 +225,11 @@ def sample_offspring(
     lower: np.ndarray,
     upper: np.ndarray,
     rng: np.random.Generator,
-    cfg: GanConfig,
 ) -> np.ndarray:
-    """Decode `count` latent draws into an in-bounds (count, n) decision matrix."""
+    """Decode `count` latent draws, made in the generator's dtype, into an
+    in-bounds (count, n) decision matrix."""
     if count < 1:
         raise ValueError(f"offspring count must be >= 1, got {count}")
-    return denormalize_from_net(forward(gen, _noise(cfg, count, rng)), lower, upper)
+    z = rng.standard_normal((count, gen.in_dim), dtype=gen.params.dtype)
+    return denormalize_from_net(forward(gen, z), lower, upper)
 

@@ -47,9 +47,9 @@ def deb_reference_sort(objs):
 
 
 def reference_generation(xs, fs, problem, rng):
-    """One NSGA-II generation mating one pair at a time: two binary
-    tournaments, then SBX (eta_c = 20) with its own two draws, per pair of
-    children."""
+    """One NSGA-II generation mating one pair at a time, on the same
+    up-front draws: two binary tournaments, then SBX (eta_c = 20) with its
+    own two rows of draws, per pair of children."""
     n_pop = len(xs)
     rank, fronts = fast_nondominated_sort(fs)
     crowding = np.zeros(n_pop)
@@ -63,13 +63,14 @@ def reference_generation(xs, fs, problem, rng):
             return i if crowding[i] > crowding[j] else j
         return i
 
+    pairs = (n_pop + 1) // 2
+    picks = rng.integers(0, n_pop, size=(pairs, 4))
+    u = rng.random((pairs, 2, problem.n))
     children = []
-    while len(children) < n_pop:
-        picks = rng.integers(0, n_pop, size=4)
-        p1 = tournament(int(picks[0]), int(picks[1]))
-        p2 = tournament(int(picks[2]), int(picks[3]))
-        u_cross = rng.random(problem.n)
-        u_beta = rng.random(problem.n)
+    for k in range(pairs):
+        p1 = tournament(int(picks[k, 0]), int(picks[k, 1]))
+        p2 = tournament(int(picks[k, 2]), int(picks[k, 3]))
+        u_cross, u_beta = u[k]
         c1, c2 = sbx_crossover(xs[p1], xs[p2], u_cross, u_beta, problem.lower, problem.upper, 20.0)
         children.extend([c1, c2])
     child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, rng)

@@ -77,16 +77,14 @@ def test_run_determinism_replay():
     assert np.array_equal(a.final_f, b.final_f)
 
 
-def test_generation_zero_trains_second_init_draw():
-    # The harness draws and discards one pair before generation 0; without
-    # training, the final generator is the stream's second draw.
+def test_generation_zero_trains_first_init_draw():
+    # Without training, the final generator is the init stream's first draw.
     cfg = small_cfg(generations=1)
     cfg.gan.epochs = 0
     cfg.gan.pretrain_epochs = 0
     record = run_single(cfg, 12)
     n_var = record.final_x.shape[1]
     init_rng = child(child(np.random.default_rng(12), "gan"), "init")
-    init_networks(n_var, cfg.gan, init_rng)
     gen, _, critic, _ = init_networks(n_var, cfg.gan, init_rng)
     assert np.array_equal(record.networks["generator"].params, gen.params)
     assert np.array_equal(record.networks["critic"].params, critic.params)

@@ -101,6 +101,14 @@ def test_gamma_positive_for_distinct_vectors():
     assert np.all(_min_angles(to_unit_vectors(lattice_for(3))) > 0.0)
 
 
+def test_gamma_skips_coincident_vectors():
+    # A coincident vector counts as no neighbour; with none left, gamma is pi/2.
+    gamma = _min_angles(to_unit_vectors(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])))
+    assert np.array_equal(gamma, np.full(3, np.pi / 2))
+    assert np.array_equal(_min_angles(np.array([[0.6, 0.8]])), [np.pi / 2])
+    assert np.array_equal(_min_angles(np.array([[0.6, 0.8], [0.6, 0.8]])), np.full(2, np.pi / 2))
+
+
 def test_adapt_unit_range_is_identity():
     initial = to_unit_vectors(lattice_for(3))
     adapted = adapt(initial, np.ones(3), np.zeros(3))

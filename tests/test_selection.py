@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rveawg import elitism_select, to_unit_vectors, translate
+from rveawg import adapt, elitism_select, lattice_for, to_unit_vectors, translate
 from rveawg.core import EvaluationError
 from rveawg.selection import partition
 
@@ -174,15 +175,25 @@ def test_elitism_apd_tie_goes_to_lowest_row():
         assert list(result.selected_indices) == [1, 2]
 
 
-def test_elitism_nan_apd_wins_its_partition():
-    # Duplicate vectors have a nearest-neighbour angle of 0. Past t = 0, row 0
-    # (off the vector) then has APD inf and row 1 (on it) 0 / 0 = NaN. As with
-    # np.argmin over the partition, the NaN row survives.
+def test_elitism_gamma_over_distinct_vectors():
+    # Vectors 0 and 1 coincide, so γ of vector 0 is its angle to vector 2,
+    # pi/2. The nearer row 1 wins the partition; with γ = 0 row 0 (on the
+    # vector) would get APD 0 / 0.
     vectors = to_unit_vectors(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    objs = np.array([[3.0, 1.0], [2.0, 0.0], [0.0, 3.0]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = elitism_select(objs, vectors, t=5, t_max=10)
+    objs = np.array([[5.0, 0.0], [1.0, 0.1], [0.0, 3.0]])
+    result = elitism_select(objs, vectors, t=5, t_max=10)
     assert list(result.selected_indices) == [1, 2]
+
+
+def test_elitism_after_collapsed_range_warns_nothing():
+    # A collapsed third objective makes 46 of the 105 adapted vectors
+    # coincide with another one; their APDs must stay finite.
+    vectors = adapt(to_unit_vectors(lattice_for(3)), np.array([1.0, 1.0, 5.0]), np.array([0.0, 0.0, 5.0]))
+    objs = np.random.default_rng(12).uniform(0.0, 1.0, size=(210, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = elitism_select(objs, vectors, t=5, t_max=10)
+    assert len(result.selected_indices) > 0
 
 
 def test_selection_matches_bruteforce_oracle_on_random_instances():

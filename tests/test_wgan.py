@@ -108,8 +108,10 @@ def test_train_zero_epochs_is_noop():
     cfg = GanConfig(epochs=0)
     gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 4)
     before = params_of(gen) + params_of(critic)
+    state = rng.bit_generator.state
     trace = train(gen, gopt, critic, copt, np.zeros((8, 4)), cfg, rng)
     assert trace == []
+    assert rng.bit_generator.state == state
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(gen) + params_of(critic)))
 
 
@@ -150,33 +152,71 @@ def test_train_covers_two_clusters():
     assert np.median(nearest) < inter / 2
 
 
+def reference_critic_update(critic, opt, good, bad, eps, lambda_gp):
+    """One critic step on its own [good; bad; mixed] rows."""
+    mixed = eps * good + (1.0 - eps) * bad
+    y_good, y_bad, penalty, grads = neuronet.critic_gradient(critic, np.vstack([good, bad, mixed]), lambda_gp)
+    mean_good, mean_bad = np.mean(y_good), np.mean(y_bad)
+    loss = float(mean_bad - mean_good + lambda_gp * penalty)
+    if not np.isfinite(loss):
+        raise TrainingError(f"critic loss diverged: {loss}")
+    adam_step(critic, grads, opt)
+    return loss, penalty, float(mean_good - mean_bad)
+
+
+def reference_pretrain(critic, opt, real, bad, cfg, rng):
+    """`pretrain_discriminator` as a per-epoch loop that stacks each step's
+    rows with np.vstack, on the same up-front draws."""
+    real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
+    b = min(cfg.batch_size, len(real), len(bad))
+    good_idx = rng.integers(0, len(real), size=(cfg.pretrain_epochs, b))
+    bad_idx = rng.integers(0, len(bad), size=(cfg.pretrain_epochs, b))
+    eps = rng.random((cfg.pretrain_epochs, b, 1), dtype=real.dtype)
+    for e in range(cfg.pretrain_epochs):
+        reference_critic_update(critic, opt, real[good_idx[e]], bad[bad_idx[e]], eps[e], cfg.lambda_gp)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_bad", [40, 7])
+def test_pretrain_equals_per_epoch_loop(n_bad, dtype):
+    """The refilled [good; bad; mixed] buffer gives the per-epoch loop's
+    critic, Adam moments and random stream state bit for bit."""
+    cfg = GanConfig(pretrain_epochs=6)
+    data_rng = np.random.default_rng(92)
+    real = data_rng.uniform(-0.8, 0.8, size=(40, 12))
+    bad = data_rng.uniform(-1.0, 1.0, size=(n_bad, 12))
+    _, _, want, want_opt, want_rng = fresh_pair(12, cfg, 93, dtype=dtype)
+    _, _, got, got_opt, got_rng = fresh_pair(12, cfg, 93, dtype=dtype)
+    reference_pretrain(want, want_opt, real, bad, cfg, want_rng)
+    pretrain_discriminator(got, got_opt, real, bad, cfg, got_rng)
+    assert got.params.dtype == dtype
+    assert got.params.tobytes() == want.params.tobytes()
+    assert got_opt.step == want_opt.step == cfg.pretrain_epochs
+    assert got_opt.m.tobytes() == want_opt.m.tobytes() and got_opt.v.tobytes() == want_opt.v.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def reference_train(gen, gen_opt, critic, critic_opt, real, cfg, rng):
-    """`train` as a per-step loop: each critic step draws and runs the
-    generator on its own, and the generator step runs it once more."""
-
-    def critic_update(critic, opt, good, bad, lambda_gp, rng):
-        eps = rng.random((good.shape[0], 1)).astype(good.dtype)
-        mixed = eps * good + (1.0 - eps) * bad
-        y_good, y_bad, penalty, grads = neuronet.critic_gradient(critic, np.vstack([good, bad, mixed]), lambda_gp)
-        mean_good, mean_bad = np.mean(y_good), np.mean(y_bad)
-        loss = float(mean_bad - mean_good + lambda_gp * penalty)
-        if not np.isfinite(loss):
-            raise TrainingError(f"critic loss diverged: {loss}")
-        adam_step(critic, grads, opt)
-        return loss, penalty, float(mean_good - mean_bad)
-
+    """`train` as a per-step loop on the same up-front draws: each critic
+    step runs the generator on its own latents, and the generator step runs
+    it once more."""
     n_real = real.shape[0]
     b = min(cfg.batch_size, n_real)
+    steps = cfg.critic_steps
     real = np.asarray(real, dtype=critic.params.dtype)
+    idx = rng.integers(0, n_real, size=(cfg.epochs, steps, b))
+    z = rng.standard_normal((cfg.epochs, steps + 1, b, cfg.latent_dim), dtype=gen.params.dtype)
+    eps = rng.random((cfg.epochs, steps, b, 1), dtype=real.dtype)
     trace = []
     for epoch in range(cfg.epochs):
         critic_loss = penalty = w_est = 0.0
-        for _ in range(cfg.critic_steps):
-            real_batch = real[rng.integers(0, n_real, size=b)]
-            fake = forward(gen, rng.standard_normal((b, cfg.latent_dim)))
-            critic_loss, penalty, w_est = critic_update(critic, critic_opt, real_batch, fake, cfg.lambda_gp, rng)
-        z, gen_hs = forward_pass(gen, rng.standard_normal((b, cfg.latent_dim)))
-        scores, gen_grads = generator_gradient(gen, z, gen_hs, critic)
+        for s in range(steps):
+            fake = forward(gen, z[epoch, s])
+            critic_loss, penalty, w_est = reference_critic_update(
+                critic, critic_opt, real[idx[epoch, s]], fake, eps[epoch, s], cfg.lambda_gp
+            )
+        gen_z, gen_hs = forward_pass(gen, z[epoch, steps])
+        scores, gen_grads = generator_gradient(gen, gen_z, gen_hs, critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")
@@ -189,8 +229,8 @@ def reference_train(gen, gen_opt, critic, critic_opt, real, cfg, rng):
 @pytest.mark.parametrize("critic_steps", [0, 1, 5])
 @pytest.mark.parametrize("n_rows", [40, 7])
 def test_train_equals_per_step_loop(n_rows, critic_steps, dtype):
-    """One generator pass per epoch over the stacked draws gives the per-step
-    loop's results bit for bit: the same trace, networks, Adam moments and
+    """One generator pass per epoch over the stacked latents gives the
+    per-step loop's results bit for bit: the same trace, networks, Adam moments and
     random stream state, at the full batch of 32 rows and at a 7-row corpus."""
     cfg = GanConfig(epochs=4, critic_steps=critic_steps)
     real = np.random.default_rng(90).uniform(-0.8, 0.8, size=(n_rows, 12))
@@ -215,7 +255,7 @@ def test_sample_offspring_zero_generator_hits_midpoint():
         biases=[np.zeros(4), np.zeros(4), np.zeros(4)],
         output_tanh=True,
     )
-    xs = sample_offspring(gen, 5, LOWER4, UPPER4, np.random.default_rng(1), cfg)
+    xs = sample_offspring(gen, 5, LOWER4, UPPER4, np.random.default_rng(1))
     mid = (LOWER4 + UPPER4) / 2
     assert xs.shape == (5, 4)
     assert np.allclose(xs, mid, atol=1e-12)
@@ -227,7 +267,7 @@ def test_sample_offspring_count_and_bounds():
     gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=rng)
     # Saturate the outputs to check clamping stays inside the box.
     gen.weights[-1] *= 50.0
-    xs = sample_offspring(gen, 37, LOWER4, UPPER4, rng, cfg)
+    xs = sample_offspring(gen, 37, LOWER4, UPPER4, rng)
     assert xs.shape == (37, 4)
     assert np.all(xs >= LOWER4) and np.all(xs <= UPPER4)
 
@@ -235,8 +275,8 @@ def test_sample_offspring_count_and_bounds():
 def test_sample_offspring_seed_replay():
     cfg = GanConfig()
     gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=np.random.default_rng(77))
-    a = sample_offspring(gen, 10, LOWER4, UPPER4, np.random.default_rng(5), cfg)
-    b = sample_offspring(gen, 10, LOWER4, UPPER4, np.random.default_rng(5), cfg)
+    a = sample_offspring(gen, 10, LOWER4, UPPER4, np.random.default_rng(5))
+    b = sample_offspring(gen, 10, LOWER4, UPPER4, np.random.default_rng(5))
     assert np.array_equal(a, b)
 
 
@@ -251,7 +291,7 @@ def test_generation_step_is_reproducible():
         gen, gopt, critic, copt = init_networks(4, cfg, child(rng, "init"))
         pretrain_discriminator(critic, copt, real, bad, cfg, rng)
         train(gen, gopt, critic, copt, real, cfg, rng)
-        return sample_offspring(gen, 8, LOWER4, UPPER4, rng, cfg)
+        return sample_offspring(gen, 8, LOWER4, UPPER4, rng)
 
     assert np.array_equal(one(3), one(3))
     assert not np.array_equal(one(3), one(4))
@@ -317,7 +357,7 @@ def test_run_networks_stay_float32(monkeypatch):
         assert array.dtype == np.float32
     assert seen and set(seen) == {np.dtype(np.float32)}
 
-    xs = sample_offspring(gen, 12, LOWER4, UPPER4, rng, cfg)
+    xs = sample_offspring(gen, 12, LOWER4, UPPER4, rng)
     assert xs.dtype == np.float64 and xs.shape == (12, 4)
     assert np.all(xs >= LOWER4) and np.all(xs <= UPPER4)
 
