@@ -26,12 +26,7 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--generations", type=int, default=15, help="generations per run")
-    parser.add_argument("--epochs", type=int, default=40, help="GAN epochs per generation")
-    parser.add_argument("--runs", type=int, default=10, help="repeated runs per configuration")
-    parser.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
-    parser.add_argument("--alpha", type=float, default=2.0, help="angle-penalty rate exponent")
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default="results", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
@@ -54,22 +49,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="requested population size; snapped up to the nearest lattice count",
     )
-    _add_common(run_p)
-    run_p.add_argument("--dump-refvecs", action="store_true", help="write refvecs.csv")
-    run_p.add_argument("--emit-plots", action="store_true", help="write per-run trace CSVs")
-    run_p.add_argument(
-        "--dump-gan-params",
-        action="store_true",
-        help="write the base-seed run's final generator/critic parameters "
-        "(flat little-endian float64, row-major, layer order)",
-    )
+    run_p.add_argument("--generations", type=int, default=15, help="generations per run")
+    run_p.add_argument("--epochs", type=int, default=40, help="GAN epochs per generation")
+    run_p.add_argument("--runs", type=int, default=10, help="repeated runs per configuration")
+    run_p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
+    run_p.add_argument("--alpha", type=float, default=2.0, help="angle-penalty rate exponent")
+    _add_output(run_p)
 
     sweep_p = sub.add_parser("sweep", help="run a multi-row experiment from a config file")
     sweep_p.add_argument("--config", type=str, required=True, help="flat key = value file")
-    sweep_p.add_argument("--out", type=str, default=None, help="override the file's out dir")
-    sweep_p.add_argument("--jobs", type=int, default=None)
-    sweep_p.add_argument("--runs", type=int, default=None)
-    sweep_p.add_argument("--seed", type=int, default=None)
+    _add_output(sweep_p)
     return parser
 
 
@@ -91,10 +80,10 @@ def _csv_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
-SWEEP_KEYS = ("problems", "objectives", "algorithms", "runs", "seed", "out", "jobs", "generations", "epochs", "alpha")
+SWEEP_KEYS = ("problems", "objectives", "algorithms", "runs", "seed", "generations", "epochs", "alpha")
 
 
-def sweep_configs(values: dict[str, str], args) -> tuple[list[RunConfig], Path, int]:
+def sweep_configs(values: dict[str, str]) -> list[RunConfig]:
     unknown = [key for key in values if key not in SWEEP_KEYS]
     if unknown:
         raise ConfigurationError(
@@ -116,10 +105,8 @@ def sweep_configs(values: dict[str, str], args) -> tuple[list[RunConfig], Path, 
     problems = axis("problems", "dtlz1,dtlz2,dtlz3,dtlz4")
     objectives = [number("objectives", v) for v in axis("objectives", "3,6,8,10")]
     algorithms = axis("algorithms", "rvea-wg,nsga2")
-    runs = args.runs if args.runs is not None else number("runs", values.get("runs", 10))
-    seed = args.seed if args.seed is not None else number("seed", values.get("seed", 0))
-    out = Path(args.out if args.out is not None else values.get("out", "results"))
-    jobs = args.jobs if args.jobs is not None else number("jobs", values.get("jobs", 1))
+    runs = number("runs", values.get("runs", 10))
+    seed = number("seed", values.get("seed", 0))
     generations = number("generations", values.get("generations", 15))
     epochs = number("epochs", values.get("epochs", 40))
     alpha = number("alpha", values.get("alpha", 2.0), float)
@@ -139,7 +126,7 @@ def sweep_configs(values: dict[str, str], args) -> tuple[list[RunConfig], Path, 
                 )
                 cfg.gan.epochs = epochs
                 configs.append(cfg)
-    return configs, out, jobs
+    return configs
 
 
 def _exit_status(rows: list[ExperimentRow]) -> int:
@@ -169,11 +156,10 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.dump_refvecs:
-        with (out / "refvecs.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in to_unit_vectors(weights):
-                writer.writerow([repr(float(v)) for v in row])
+    with (out / "refvecs.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in to_unit_vectors(weights):
+            writer.writerow([repr(float(v)) for v in row])
 
     rows_path = out / "results.csv"
     write_experiment_csv(rows, rows_path)
@@ -181,17 +167,13 @@ def cmd_run(args) -> int:
 
     # None when the base-seed run failed; that failure is on stderr and exits 2.
     record = rows[0].base_record
-    if args.emit_plots and record is not None:
+    if record is not None:
         for path in emit_plot_data(record, out):
             print(f"wrote {path}")
-    if args.dump_gan_params and record is not None:
-        if not record.networks:
-            print("no networks to dump (nsga2 run)", file=sys.stderr)
-        else:
-            for name, net in record.networks.items():
-                target = out / f"{name}_params.bin"
-                save_params(net, target)
-                print(f"wrote {target}")
+        for name, net in (record.networks or {}).items():  # rvea-wg runs only
+            target = out / f"{name}_params.bin"
+            save_params(net, target)
+            print(f"wrote {target}")
     mean = rows[0].mean_igd
     print(f"{cfg.problem} M={cfg.objectives} {cfg.algorithm}: mean IGD {mean:.5e} over {cfg.runs} runs")
     return _exit_status(rows)
@@ -201,8 +183,9 @@ def cmd_sweep(args) -> int:
     path = Path(args.config)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    configs, out, jobs = sweep_configs(parse_config_file(path), args)
-    rows = run_experiment(configs, jobs=jobs)
+    configs = sweep_configs(parse_config_file(path))
+    rows = run_experiment(configs, jobs=args.jobs)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_experiment_csv(rows, out / "results.csv")
     print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")

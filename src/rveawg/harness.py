@@ -127,9 +127,7 @@ def rvea_wg_run(cfg: RunConfig, seed: int) -> RunRecord:
 
         result = elitism_select(union_f, vectors, t, cfg.generations, cfg.alpha)
         vectors = adapt(initial, result.z_max, result.z_min)
-        eliminated = np.ones(len(union_x), dtype=bool)
-        eliminated[result.selected_indices] = False
-        eliminated_x = union_x[eliminated]
+        eliminated_x = np.delete(union_x, result.selected_indices, axis=0)
         xs, fs = union_x[result.selected_indices], union_f[result.selected_indices]
         trace.append(igd(front, fs).value)
 

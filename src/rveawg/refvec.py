@@ -14,6 +14,10 @@ from .core import ConfigurationError
 # adapted vector stays finite and unit-norm.
 RANGE_FLOOR = 1e-12
 
+# Cosines this close to 1 are rounding on equal vectors (adapt makes such
+# pairs when a range collapses): a true angle there would be under 5e-8 rad.
+COINCIDENT_COS = 1.0 - 4 * np.finfo(float).eps
+
 # Lattice settings whose vector counts equal the benchmark population sizes
 # 105 / 132 / 156 / 275 for 3 / 6 / 8 / 10 objectives.
 DEFAULT_LATTICES = {3: (13, 0), 6: (4, 1), 8: (3, 2), 10: (3, 2)}
@@ -102,13 +106,14 @@ def to_unit_vectors(weights: np.ndarray) -> np.ndarray:
 def _min_angles(vectors: np.ndarray) -> np.ndarray:
     """Per-vector smallest angle (radians) to any distinct vector in the set.
 
-    A vector whose clipped cosine to this one is exactly 1 coincides with it
-    and counts, like the vector itself, as no neighbour. A vector without a
-    distinct neighbour gets pi/2, so the APD penalty stays finite.
+    A vector whose clipped cosine to this one reaches COINCIDENT_COS
+    coincides with it and counts, like the vector itself, as no neighbour. A
+    vector without a distinct neighbour gets pi/2, so the APD penalty stays
+    finite.
     """
     cos = np.clip(vectors @ vectors.T, -1.0, 1.0)
     np.fill_diagonal(cos, 1.0)
-    nearest = np.max(cos, axis=1, where=cos < 1.0, initial=-np.inf)
+    nearest = np.max(cos, axis=1, where=cos < COINCIDENT_COS, initial=-np.inf)
     return np.arccos(np.where(nearest == -np.inf, 0.0, nearest))
 
 

@@ -33,6 +33,12 @@ from .neuronet import (
     init_mlp,
 )
 
+# Fixed trainer sizes: rows per batch (capped at the corpus size), the
+# gradient-penalty weight of WGAN-GP (Gulrajani et al.) and the latent width.
+BATCH_SIZE = 32
+LAMBDA_GP = 10.0
+LATENT_DIM = 16
+
 
 @dataclass
 class GanConfig:
@@ -49,23 +55,17 @@ class GanConfig:
 
     epochs: int = 40
     critic_steps: int = 5          # critic updates per generator update
-    batch_size: int = 32           # capped at the corpus size
-    lambda_gp: float = 10.0
     pretrain_epochs: int = 10
-    latent_dim: int = 16
     hidden: int = 64
     learning_rate: float = 7e-3
 
     def validate(self) -> None:
         if min(self.epochs, self.critic_steps, self.pretrain_epochs) < 0:
             raise ConfigurationError("GAN loop counts must be non-negative")
-        for name in ("batch_size", "latent_dim", "hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"GAN {name} must be >= 1, got {getattr(self, name)}")
+        if self.hidden < 1:
+            raise ConfigurationError(f"GAN hidden must be >= 1, got {self.hidden}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError(f"GAN learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (np.isfinite(self.lambda_gp) and self.lambda_gp >= 0):
-            raise ConfigurationError(f"gradient-penalty coefficient must be finite and >= 0, got {self.lambda_gp}")
 
 
 @dataclass
@@ -92,24 +92,22 @@ def init_networks(n_var: int, cfg: GanConfig, rng: np.random.Generator) -> tuple
     """A freshly drawn (generator, generator Adam, critic, critic Adam), both
     optimizers zeroed and at cfg.learning_rate."""
     h = cfg.hidden
-    gen = init_mlp([cfg.latent_dim, h, h, n_var], output_tanh=True, rng=rng, dtype=np.float32)
+    gen = init_mlp([LATENT_DIM, h, h, n_var], output_tanh=True, rng=rng, dtype=np.float32)
     critic = init_mlp([n_var, h, h, 1], output_tanh=False, rng=rng, dtype=np.float32)
     return gen, AdamState.for_net(gen, cfg.learning_rate), critic, AdamState.for_net(critic, cfg.learning_rate)
 
 
-def _critic_update(
-    critic: Mlp, opt: AdamState, x: np.ndarray, top: np.ndarray, lambda_gp: float
-) -> tuple[float, float, float]:
-    """One critic step on loss mean D(bad) - mean D(good) + lambda * penalty,
+def _critic_update(critic: Mlp, opt: AdamState, x: np.ndarray, top: np.ndarray) -> tuple[float, float, float]:
+    """One critic step on loss mean D(bad) - mean D(good) + LAMBDA_GP * penalty,
     on the stacked [good; bad; mixed] rows x with the penalty taken at the
     interpolates `mixed`; top is their `_critic_seed`.
 
     Returns (loss, penalty, mean D(good) - mean D(bad)).
     """
-    y_good, y_bad, penalty, grads = critic_gradient(critic, x, lambda_gp, top)
+    y_good, y_bad, penalty, grads = critic_gradient(critic, x, LAMBDA_GP, top)
     b = len(y_good)
     mean_good, mean_bad = (np.add.reduce(y, axis=None) / b for y in (y_good, y_bad))
-    loss = float(mean_bad - mean_good + lambda_gp * penalty)
+    loss = float(mean_bad - mean_good + LAMBDA_GP * penalty)
     if not np.isfinite(loss):
         raise TrainingError(f"critic loss diverged: {loss}")
     adam_step(critic, grads, opt)
@@ -136,7 +134,7 @@ def pretrain_discriminator(
         return critic
     real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
     n_good, n_bad = real.shape[0], bad.shape[0]
-    b = min(cfg.batch_size, n_good, n_bad)
+    b = min(BATCH_SIZE, n_good, n_bad)
     good_idx = rng.integers(0, n_good, size=(cfg.pretrain_epochs, b))
     bad_idx = rng.integers(0, n_bad, size=(cfg.pretrain_epochs, b))
     eps_all = rng.random((cfg.pretrain_epochs, b, 1), dtype=real.dtype)
@@ -149,7 +147,7 @@ def pretrain_discriminator(
         np.take(bad, bad_rows, axis=0, out=bad_batch)
         np.multiply(eps, good_batch, out=mixed)
         mixed += (1.0 - eps) * bad_batch
-        _critic_update(critic, opt, x, top, cfg.lambda_gp)
+        _critic_update(critic, opt, x, top)
     return critic
 
 
@@ -182,11 +180,11 @@ def train(
     n_real = real.shape[0]
     if n_real == 0:
         raise TrainingError("cannot train on an empty survivor set")
-    b = min(cfg.batch_size, n_real)
+    b = min(BATCH_SIZE, n_real)
     steps = cfg.critic_steps
     real = np.asarray(real, dtype=critic.params.dtype)
     idx_all = rng.integers(0, n_real, size=(cfg.epochs, steps, b))
-    z_all = rng.standard_normal((cfg.epochs, steps + 1, b, cfg.latent_dim), dtype=gen.params.dtype)
+    z_all = rng.standard_normal((cfg.epochs, steps + 1, b, LATENT_DIM), dtype=gen.params.dtype)
     eps_all = rng.random((cfg.epochs, steps, b, 1), dtype=real.dtype)
     x = np.empty((steps, 3 * b, real.shape[1]), dtype=real.dtype)
     good, bad, mixed = x[:, :b], x[:, b:2 * b], x[:, 2 * b:]
@@ -201,7 +199,7 @@ def train(
         mixed += (1.0 - eps) * fake
         critic_loss = penalty = w_est = 0.0
         for s in range(steps):
-            critic_loss, penalty, w_est = _critic_update(critic, critic_opt, x[s], top, cfg.lambda_gp)
+            critic_loss, penalty, w_est = _critic_update(critic, critic_opt, x[s], top)
         scores, gen_grads = generator_gradient(gen, z[steps], [h[steps] for h in gen_hs], critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):

@@ -23,7 +23,7 @@ from rveawg.cli import main
 from rveawg.core import child
 from rveawg.neuronet import AdamState, critic_gradient, forward, generator_gradient, init_mlp
 from rveawg.selection import elitism_select
-from rveawg.wgan import pretrain_discriminator, train
+from rveawg.wgan import LATENT_DIM, pretrain_discriminator, train
 
 from fingerprints import PATH, criterion_9_configs, environment, environment_difference
 from test_baselines import brute_force_fronts
@@ -99,12 +99,12 @@ def test_criterion_4_gan_single_point_collapse():
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         cfg = GanConfig(epochs=300, learning_rate=1e-3)
-        gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, 4], output_tanh=True, rng=child(rng, "g"))
+        gen = init_mlp([LATENT_DIM, cfg.hidden, cfg.hidden, 4], output_tanh=True, rng=child(rng, "g"))
         critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=child(rng, "c"))
         gopt = AdamState.for_net(gen, 2e-4)  # two time scales: the generator learns slower
         copt = AdamState.for_net(critic, cfg.learning_rate)
         train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, child(rng, "t"))
-        samples = forward(gen, child(rng, "s").standard_normal((256, cfg.latent_dim)))
+        samples = forward(gen, child(rng, "s").standard_normal((256, LATENT_DIM)))
         deviation = np.max(np.abs(samples.mean(axis=0) - point))
         assert deviation < 0.15, f"seed {seed}: worst coordinate deviation {deviation:.3f}"
     report(4, "single-point GAN collapse within 0.15, 5/5 seeds", started, limit=60.0)

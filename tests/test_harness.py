@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from rveawg import ConfigurationError, RunConfig, harness, run_experiment, run_single
-from rveawg.cli import main, parse_config_file
+from rveawg.cli import SWEEP_KEYS, build_parser, main, parse_config_file
 from rveawg.core import child
 from rveawg.harness import emit_plot_data, resolve_setup, rvea_wg_run, write_experiment_csv
 from rveawg.wgan import GanConfig, init_networks
@@ -156,14 +157,8 @@ def test_experiment_cardinality_for_sweep_shape():
     # A table-shaped sweep is problems x objectives x algorithms rows.
     from rveawg.cli import sweep_configs
 
-    class Args:
-        runs = None
-        seed = None
-        out = None
-        jobs = None
-
     values = {"problems": "dtlz1,dtlz2,dtlz3,dtlz4", "objectives": "3,6,8,10"}
-    configs, _, _ = sweep_configs(values, Args())
+    configs = sweep_configs(values)
     assert len(configs) == 4 * 4 * 2
 
 
@@ -203,7 +198,6 @@ def test_cli_dump_gan_params(tmp_path):
             "--epochs", "2",
             "--runs", "1",
             "--out", str(tmp_path),
-            "--dump-gan-params",
         ]
     )
     assert code == 0
@@ -225,8 +219,8 @@ def test_cli_plots_and_dump_reuse_base_seed_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_single", counting)
     args = ["run", "--pop-size", "15", "--generations", "2", "--epochs", "2", "--runs", "2", "--seed", "5"]
-    assert main(args + ["--out", str(tmp_path), "--emit-plots", "--dump-gan-params"]) == 0
-    assert sorted(calls) == [5, 6]  # each seed runs once; the plots reuse seed 5's record
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert sorted(calls) == [5, 6]  # each seed runs once; the run files reuse seed 5's record
     with (tmp_path / "igd_trace.csv").open() as fh:
         last = float(list(csv.reader(fh))[-1][1])
     with (tmp_path / "results.csv").open() as fh:
@@ -246,26 +240,19 @@ def test_config_file_parsing(tmp_path):
         parse_config_file(bad)
 
 
-def test_cli_run_writes_outputs(tmp_path):
-    code = main(
-        [
-            "run",
-            "--problem", "dtlz2",
-            "--objectives", "3",
-            "--pop-size", "15",
-            "--generations", "2",
-            "--epochs", "2",
-            "--runs", "1",
-            "--seed", "3",
-            "--out", str(tmp_path),
-            "--dump-refvecs",
-            "--emit-plots",
-        ]
-    )
-    assert code == 0
-    assert (tmp_path / "results.csv").exists()
-    assert (tmp_path / "igd_trace.csv").exists()
-    with (tmp_path / "refvecs.csv").open() as fh:
+RUN_FILES = {"results.csv", "refvecs.csv", "igd_trace.csv", "objectives.csv"}
+GAN_FILES = {"gan_trace.csv", "generator_params.bin", "critic_params.bin"}
+
+
+def test_cli_run_writes_outputs(tmp_path, capsys):
+    args = ["run", "--problem", "dtlz2", "--objectives", "3", "--pop-size", "15", "--generations", "2", "--epochs", "2"]
+    args += ["--runs", "1", "--seed", "3"]
+    assert main(args + ["--algorithm", "nsga2", "--out", str(tmp_path / "nsga2")]) == 0
+    assert {p.name for p in (tmp_path / "nsga2").iterdir()} == RUN_FILES  # no GAN files, and no word of them
+    assert capsys.readouterr().err == ""
+    assert main(args + ["--out", str(tmp_path / "rvea-wg")]) == 0
+    assert {p.name for p in (tmp_path / "rvea-wg").iterdir()} == RUN_FILES | GAN_FILES
+    with (tmp_path / "rvea-wg" / "refvecs.csv").open() as fh:
         vecs = np.array([[float(v) for v in row] for row in csv.reader(fh)])
     assert vecs.shape == (15, 3)
     assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
@@ -296,10 +283,44 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key 'generation'" in err and "generations" in err
     assert main(["run", "--epochs", "-1", "--out", str(tmp_path / "out")]) == 1
-    small = ["--generations", "2", "--epochs", "2", "--runs", "1", "--out", str(tmp_path / "out"), "--dump-refvecs"]
+    small = ["--generations", "2", "--epochs", "2", "--runs", "1", "--out", str(tmp_path / "out")]
     for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--alpha", "nan"], ["--jobs", "-3"], ["--seed", "-1"]):
         assert main(["run", *bad_input, *small]) == 1, bad_input
     assert not (tmp_path / "out").exists()  # rejected before writing anything
+    # Runs, seed and the output directory each have one source: the file sets
+    # runs and seed, and only flags set the directory and the worker count.
+    good = tmp_path / "good.cfg"
+    good.write_text("problems = dtlz2\nobjectives = 3\nalgorithms = nsga2\ngenerations = 1\nruns = 1\n")
+    for flag in (["--runs", "2"], ["--seed", "3"]):
+        assert main(["sweep", "--config", str(good), "--out", str(tmp_path / "out"), *flag]) == 1, flag
+    for line in ("out = x", "jobs = 2"):
+        bad.write_text(f"problems = dtlz2\n{line}\n")
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1, line
+        assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks() -> list[str]:
+    return re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+def test_cli_matches_readme():
+    """README's `rveawg run` and `rveawg sweep` lines show exactly the options
+    each subcommand takes, and its example sweep file sets exactly SWEEP_KEYS."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name, sub in commands.items():
+        lines = [b for b in _readme_blocks() if b.startswith(f"rveawg {name} ")]
+        assert len(lines) == 1, name
+        shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", lines[0]))
+        options = {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")}
+        assert shown == options - {"--help"}, name
+    example = next(b for b in _readme_blocks() if b.startswith("# sweep.cfg"))
+    keys = [line.split("=")[0].strip() for line in example.splitlines()[1:]]
+    assert sorted(keys) == sorted(SWEEP_KEYS)
 
 
 def test_cli_failed_runs_exit_2(tmp_path, monkeypatch, capsys):
@@ -367,8 +388,9 @@ def test_cli_run_byte_identical_repeat(tmp_path):
 
 
 def test_results_independent_of_blas_threads_and_jobs(tmp_path):
-    """A short LSMOP1 rvea-wg job writes the same results.csv, byte for byte,
-    on 1 and 2 BLAS threads, each with 1 and 2 worker processes."""
+    """A short LSMOP1 rvea-wg job writes the same files, byte for byte, on 1
+    and 2 BLAS threads, each with 1 and 2 worker processes: results.csv, the
+    plot data and the networks, which come back from a pool worker pickled."""
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     args = ["run", "--algorithm", "rvea-wg", "--problem", "lsmop1", "--runs", "2", "--generations", "2", "--epochs", "5"]
@@ -382,5 +404,8 @@ def test_results_independent_of_blas_threads_and_jobs(tmp_path):
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
-            tables[threads, jobs] = (out / "results.csv").read_bytes()
-    assert len(set(tables.values())) == 1, tables
+            tables[threads, jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    first = tables["1", "1"]
+    assert set(first) == RUN_FILES | GAN_FILES
+    for key, files in tables.items():
+        assert files == first, (key, [name for name in first if files.get(name) != first[name]])

@@ -107,6 +107,10 @@ def test_gamma_skips_coincident_vectors():
     assert np.array_equal(gamma, np.full(3, np.pi / 2))
     assert np.array_equal(_min_angles(np.array([[0.6, 0.8]])), [np.pi / 2])
     assert np.array_equal(_min_angles(np.array([[0.6, 0.8], [0.6, 0.8]])), np.full(2, np.pi / 2))
+    # A collapsed third range makes 24 cosines of adapted vectors round to
+    # 1 - 2**-53 or 1 - 2**-52, not 1: those pairs coincide too.
+    adapted = adapt(to_unit_vectors(lattice_for(3)), np.array([1.0, 1.0, 5.0]), np.array([0.0, 0.0, 5.0]))
+    assert _min_angles(adapted).min() > 7e-3
 
 
 def test_adapt_unit_range_is_identity():

@@ -5,6 +5,9 @@ from rveawg import GanConfig, neuronet, wgan
 from rveawg.core import ConfigurationError, TrainingError, child
 from rveawg.neuronet import AdamState, Mlp, adam_step, forward, generator_gradient, init_mlp
 from rveawg.wgan import (
+    BATCH_SIZE,
+    LAMBDA_GP,
+    LATENT_DIM,
     EpochStats,
     denormalize_from_net,
     init_networks,
@@ -22,7 +25,7 @@ UPPER4 = np.array([1.0, 3.0, 4.0, 30.0])
 
 def fresh_pair(n_var, cfg, seed, gen_rate=None, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    gen = init_mlp([cfg.latent_dim, cfg.hidden, cfg.hidden, n_var], output_tanh=True, rng=child(rng, "g"), dtype=dtype)
+    gen = init_mlp([LATENT_DIM, cfg.hidden, cfg.hidden, n_var], output_tanh=True, rng=child(rng, "g"), dtype=dtype)
     critic = init_mlp([n_var, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=child(rng, "c"), dtype=dtype)
     gopt = AdamState.for_net(gen, cfg.learning_rate if gen_rate is None else gen_rate)
     copt = AdamState.for_net(critic, cfg.learning_rate)
@@ -131,7 +134,7 @@ def test_train_collapses_to_repeated_point():
     trace = train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, rng)
     assert len(trace) == 300
     assert all(np.isfinite([s.critic_loss, s.gen_loss, s.wasserstein, s.penalty]).all() for s in trace)
-    samples = forward(gen, np.random.default_rng(1000).standard_normal((256, cfg.latent_dim)))
+    samples = forward(gen, np.random.default_rng(1000).standard_normal((256, LATENT_DIM)))
     assert np.max(np.abs(samples.mean(axis=0) - point)) < 0.15
 
 
@@ -144,7 +147,7 @@ def test_train_covers_two_clusters():
     )
     gen, gopt, critic, copt, rng = fresh_pair(4, cfg, 200, gen_rate=2e-4)
     train(gen, gopt, critic, copt, real, cfg, rng)
-    samples = forward(gen, np.random.default_rng(2000).standard_normal((256, cfg.latent_dim)))
+    samples = forward(gen, np.random.default_rng(2000).standard_normal((256, LATENT_DIM)))
     inter = np.linalg.norm(centers[0] - centers[1])
     nearest = np.minimum(
         np.linalg.norm(samples - centers[0], axis=1), np.linalg.norm(samples - centers[1], axis=1)
@@ -168,12 +171,12 @@ def reference_pretrain(critic, opt, real, bad, cfg, rng):
     """`pretrain_discriminator` as a per-epoch loop that stacks each step's
     rows with np.vstack, on the same up-front draws."""
     real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
-    b = min(cfg.batch_size, len(real), len(bad))
+    b = min(BATCH_SIZE, len(real), len(bad))
     good_idx = rng.integers(0, len(real), size=(cfg.pretrain_epochs, b))
     bad_idx = rng.integers(0, len(bad), size=(cfg.pretrain_epochs, b))
     eps = rng.random((cfg.pretrain_epochs, b, 1), dtype=real.dtype)
     for e in range(cfg.pretrain_epochs):
-        reference_critic_update(critic, opt, real[good_idx[e]], bad[bad_idx[e]], eps[e], cfg.lambda_gp)
+        reference_critic_update(critic, opt, real[good_idx[e]], bad[bad_idx[e]], eps[e], LAMBDA_GP)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -201,11 +204,11 @@ def reference_train(gen, gen_opt, critic, critic_opt, real, cfg, rng):
     step runs the generator on its own latents, and the generator step runs
     it once more."""
     n_real = real.shape[0]
-    b = min(cfg.batch_size, n_real)
+    b = min(BATCH_SIZE, n_real)
     steps = cfg.critic_steps
     real = np.asarray(real, dtype=critic.params.dtype)
     idx = rng.integers(0, n_real, size=(cfg.epochs, steps, b))
-    z = rng.standard_normal((cfg.epochs, steps + 1, b, cfg.latent_dim), dtype=gen.params.dtype)
+    z = rng.standard_normal((cfg.epochs, steps + 1, b, LATENT_DIM), dtype=gen.params.dtype)
     eps = rng.random((cfg.epochs, steps, b, 1), dtype=real.dtype)
     trace = []
     for epoch in range(cfg.epochs):
@@ -213,7 +216,7 @@ def reference_train(gen, gen_opt, critic, critic_opt, real, cfg, rng):
         for s in range(steps):
             fake = forward(gen, z[epoch, s])
             critic_loss, penalty, w_est = reference_critic_update(
-                critic, critic_opt, real[idx[epoch, s]], fake, eps[epoch, s], cfg.lambda_gp
+                critic, critic_opt, real[idx[epoch, s]], fake, eps[epoch, s], LAMBDA_GP
             )
         gen_z, gen_hs = forward_pass(gen, z[epoch, steps])
         scores, gen_grads = generator_gradient(gen, gen_z, gen_hs, critic)
@@ -251,7 +254,7 @@ def test_train_equals_per_step_loop(n_rows, critic_steps, dtype):
 def test_sample_offspring_zero_generator_hits_midpoint():
     cfg = GanConfig()
     gen = Mlp(
-        weights=[np.zeros((4, cfg.latent_dim)), np.zeros((4, 4)), np.zeros((4, 4))],
+        weights=[np.zeros((4, LATENT_DIM)), np.zeros((4, 4)), np.zeros((4, 4))],
         biases=[np.zeros(4), np.zeros(4), np.zeros(4)],
         output_tanh=True,
     )
@@ -264,7 +267,7 @@ def test_sample_offspring_zero_generator_hits_midpoint():
 def test_sample_offspring_count_and_bounds():
     cfg = GanConfig()
     rng = np.random.default_rng(9)
-    gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=rng)
+    gen = init_mlp([LATENT_DIM, 8, 8, 4], output_tanh=True, rng=rng)
     # Saturate the outputs to check clamping stays inside the box.
     gen.weights[-1] *= 50.0
     xs = sample_offspring(gen, 37, LOWER4, UPPER4, rng)
@@ -274,7 +277,7 @@ def test_sample_offspring_count_and_bounds():
 
 def test_sample_offspring_seed_replay():
     cfg = GanConfig()
-    gen = init_mlp([cfg.latent_dim, 8, 8, 4], output_tanh=True, rng=np.random.default_rng(77))
+    gen = init_mlp([LATENT_DIM, 8, 8, 4], output_tanh=True, rng=np.random.default_rng(77))
     a = sample_offspring(gen, 10, LOWER4, UPPER4, np.random.default_rng(5))
     b = sample_offspring(gen, 10, LOWER4, UPPER4, np.random.default_rng(5))
     assert np.array_equal(a, b)
@@ -302,7 +305,7 @@ def test_init_networks_draws_fresh_pair_with_zeroed_adam():
     rng = np.random.default_rng(8)
     first, second = init_networks(4, cfg, rng), init_networks(4, cfg, rng)
     for gen, gopt, critic, copt in (first, second):
-        assert layer_sizes(gen) == [cfg.latent_dim, 8, 8, 4]
+        assert layer_sizes(gen) == [LATENT_DIM, 8, 8, 4]
         assert layer_sizes(critic) == [4, 8, 8, 1]
         assert gen.output_tanh and not critic.output_tanh
         for net, opt in ((gen, gopt), (critic, copt)):
@@ -351,7 +354,7 @@ def test_run_networks_stay_float32(monkeypatch):
     # float64 batches are cast on entry: scores and gradients come out float32.
     x = np.vstack([real[:8], bad[:8], 0.5 * (real[:8] + bad[:8])])
     y_good, y_bad, _, grads = neuronet.critic_gradient(critic, x, 10.0)
-    scores, gen_grads = generator_gradient(gen, *forward_pass(gen, rng.standard_normal((8, cfg.latent_dim))), critic)
+    scores, gen_grads = generator_gradient(gen, *forward_pass(gen, rng.standard_normal((8, LATENT_DIM))), critic)
     slopes = input_gradient(critic, real)
     for array in (y_good, y_bad, grads, scores, gen_grads, slopes):
         assert array.dtype == np.float32
@@ -363,20 +366,15 @@ def test_run_networks_stay_float32(monkeypatch):
 
 
 def test_gan_config_validation():
-    """Settings that would only fail inside training (a division by a zero
-    batch or width, a NaN loss) are configuration errors up front."""
+    """Settings that would only fail inside training (a zero width, a NaN
+    loss) are configuration errors up front."""
     GanConfig().validate()
-    GanConfig(epochs=0, critic_steps=0, pretrain_epochs=0, lambda_gp=0.0, batch_size=1, hidden=1, latent_dim=1).validate()
+    GanConfig(epochs=0, critic_steps=0, pretrain_epochs=0, hidden=1).validate()
     bad = [
-        {"lambda_gp": -1.0},
-        {"lambda_gp": float("nan")},
         {"epochs": -1},
         {"critic_steps": -1},
         {"pretrain_epochs": -1},
-        {"batch_size": 0},
-        {"batch_size": -4},
         {"hidden": 0},
-        {"latent_dim": 0},
         {"learning_rate": 0.0},
         {"learning_rate": -1e-3},
         {"learning_rate": float("nan")},
