@@ -63,16 +63,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
-    """Flat `key = value` lines; blank lines and # comments ignored."""
+    """Flat UTF-8 `key = value` lines, each key at most once; blank lines and
+    # comments ignored."""
+    if not path.is_file():
+        raise ConfigurationError(f"config file not found or not a file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got '{raw}'")
         key, value = line.split("=", 1)
-        values[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in first_line:
+            raise ConfigurationError(f"{path}:{lineno}: key '{key}' already set on line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -180,10 +192,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    configs = sweep_configs(parse_config_file(path))
+    configs = sweep_configs(parse_config_file(Path(args.config)))
     rows = run_experiment(configs, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ from .problems import ProblemDef, make_problem, sample_front
 from .refvec import adapt, lattice_for, to_unit_vectors
 from .selection import elitism_select
 from .variation import mutate_matrix
-from .wgan import EpochStats, GanConfig, init_networks, normalize_to_net
+from .wgan import CRITIC_STEPS, PRETRAIN_EPOCHS, EpochStats, GanConfig, init_networks, normalize_to_net
 from .wgan import pretrain_discriminator, sample_offspring, train
 
 ALGORITHMS = ("rvea-wg", "nsga2")
@@ -114,11 +114,11 @@ def rvea_wg_run(cfg: RunConfig, seed: int) -> RunRecord:
     gan_trace: list[EpochStats] = []
 
     for t in range(cfg.generations):
-        gen, gen_opt, critic, critic_opt = init_networks(problem.n, cfg.gan, init_rng)
+        gen, gen_opt, critic, critic_opt = init_networks(problem.n, init_rng)
         real = normalize_to_net(xs, problem.lower, problem.upper)
         bad = normalize_to_net(eliminated_x, problem.lower, problem.upper)
-        pretrain_discriminator(critic, critic_opt, real, bad, cfg.gan, gan_rng)
-        gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan, gan_rng))
+        pretrain_discriminator(critic, critic_opt, real, bad, PRETRAIN_EPOCHS, gan_rng)
+        gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan.epochs, CRITIC_STEPS, gan_rng))
         offspring = sample_offspring(gen, n_pop, problem.lower, problem.upper, gan_rng)
         offspring = mutate_matrix(offspring, problem.lower, problem.upper, mut_rng)
         union_x = np.vstack([xs, offspring])
@@ -221,8 +221,10 @@ def run_experiment(configs: list[RunConfig], jobs: int = 1) -> list[ExperimentRo
         for run_index in range(cfg.runs):
             jobs_list.append((cfg, cfg.seed + run_index, run_index == 0))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork pool starts all its workers up front: no more than there are runs.
+    workers = min(jobs, len(jobs_list))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs_list))
     else:
         results = [_run_job(job) for job in jobs_list]

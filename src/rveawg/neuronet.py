@@ -298,6 +298,10 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
+    """Adam moments, step count and rate of one network. For long training
+    on a fixed corpus give the generator a rate well below the critic's (two
+    time scales); a shared rate orbits the target instead of settling."""
+
     m: np.ndarray  # first moment, laid out like the network's params
     v: np.ndarray  # second moment
     step: int = 0
@@ -308,9 +312,9 @@ class AdamState:
         return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), learning_rate=learning_rate)
 
 
-def adam_step(net: Mlp, g: np.ndarray, state: AdamState) -> tuple[Mlp, AdamState]:
+def adam_step(net: Mlp, g: np.ndarray, state: AdamState) -> None:
     """Standard Adam update with bias correction by the flat gradient g,
-    applied in place."""
+    applied in place to net's params and state's moments and step."""
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient passed to the optimizer")
     state.step += 1
@@ -332,4 +336,3 @@ def adam_step(net: Mlp, g: np.ndarray, state: AdamState) -> tuple[Mlp, AdamState
     u *= state.learning_rate
     u /= t
     net.params -= u
-    return net, state

@@ -4,7 +4,8 @@ Wasserstein training with gradient penalty, and offspring sampling.
 
 Decision vectors are trained in normalized [-1, 1] coordinates so the
 generator's tanh output always lands inside the box. Latent draws are
-standard normal.
+standard normal. A run sets only the epochs per generation
+(`GanConfig.epochs`); the rest of the trainer is the constants below.
 
 The networks are float32, and the dtype follows their parameters: survivor
 and eliminated rows are cast once to the critic's dtype. Each call makes its
@@ -33,39 +34,29 @@ from .neuronet import (
     init_mlp,
 )
 
-# Fixed trainer sizes: rows per batch (capped at the corpus size), the
-# gradient-penalty weight of WGAN-GP (Gulrajani et al.) and the latent width.
+# Fixed trainer settings: rows per batch (capped at the corpus size), the
+# gradient-penalty weight of WGAN-GP (Gulrajani et al.), layer widths, critic
+# steps per generator step, pre-training epochs and the one coarse Adam rate
+# both networks share, which keeps the offspring of the benchmark protocol
+# dispersed enough to explore.
 BATCH_SIZE = 32
 LAMBDA_GP = 10.0
 LATENT_DIM = 16
+HIDDEN = 64
+CRITIC_STEPS = 5
+PRETRAIN_EPOCHS = 10
+LEARNING_RATE = 7e-3
 
 
 @dataclass
 class GanConfig:
-    """Offspring-trainer settings.
-
-    The defaults are calibrated for the benchmark protocol (40 epochs per
-    generation over 15 generations): the run draws fresh networks every
-    generation and both sides share one coarse learning rate, which keeps the
-    generated offspring dispersed enough to explore. For long single-corpus
-    training give the generator's AdamState a rate well below learning_rate
-    (two time scales); a shared-rate adversarial game orbits its target
-    instead of settling.
-    """
+    """Offspring-trainer setting: adversarial epochs per generation."""
 
     epochs: int = 40
-    critic_steps: int = 5          # critic updates per generator update
-    pretrain_epochs: int = 10
-    hidden: int = 64
-    learning_rate: float = 7e-3
 
     def validate(self) -> None:
-        if min(self.epochs, self.critic_steps, self.pretrain_epochs) < 0:
-            raise ConfigurationError("GAN loop counts must be non-negative")
-        if self.hidden < 1:
-            raise ConfigurationError(f"GAN hidden must be >= 1, got {self.hidden}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError(f"GAN learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ConfigurationError(f"GAN epochs must be >= 0, got {self.epochs}")
 
 
 @dataclass
@@ -88,13 +79,12 @@ def denormalize_from_net(y: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
     return np.clip(x, lower, upper)
 
 
-def init_networks(n_var: int, cfg: GanConfig, rng: np.random.Generator) -> tuple[Mlp, AdamState, Mlp, AdamState]:
+def init_networks(n_var: int, rng: np.random.Generator) -> tuple[Mlp, AdamState, Mlp, AdamState]:
     """A freshly drawn (generator, generator Adam, critic, critic Adam), both
-    optimizers zeroed and at cfg.learning_rate."""
-    h = cfg.hidden
-    gen = init_mlp([LATENT_DIM, h, h, n_var], output_tanh=True, rng=rng, dtype=np.float32)
-    critic = init_mlp([n_var, h, h, 1], output_tanh=False, rng=rng, dtype=np.float32)
-    return gen, AdamState.for_net(gen, cfg.learning_rate), critic, AdamState.for_net(critic, cfg.learning_rate)
+    HIDDEN wide, both optimizers zeroed and at LEARNING_RATE."""
+    gen = init_mlp([LATENT_DIM, HIDDEN, HIDDEN, n_var], output_tanh=True, rng=rng, dtype=np.float32)
+    critic = init_mlp([n_var, HIDDEN, HIDDEN, 1], output_tanh=False, rng=rng, dtype=np.float32)
+    return gen, AdamState.for_net(gen, LEARNING_RATE), critic, AdamState.for_net(critic, LEARNING_RATE)
 
 
 def _critic_update(critic: Mlp, opt: AdamState, x: np.ndarray, top: np.ndarray) -> tuple[float, float, float]:
@@ -119,25 +109,26 @@ def pretrain_discriminator(
     opt: AdamState,
     real: np.ndarray,
     bad: np.ndarray,
-    cfg: GanConfig,
+    epochs: int,
     rng: np.random.Generator,
 ) -> Mlp:
     """Push the critic up on survivor rows `real` and down on eliminated rows
-    `bad`, both (rows, n) in normalized coordinates.
+    `bad`, both (rows, n) in normalized coordinates, one critic step per
+    epoch (a run passes PRETRAIN_EPOCHS).
 
     Without eliminated rows the critic is left untouched. Otherwise the
-    draws come first, in this stream order: the (pretrain_epochs, b) survivor
-    row indices, the (pretrain_epochs, b) eliminated row indices and the
-    (pretrain_epochs, b, 1) interpolation weights in the critic's dtype.
+    draws come first, in this stream order: the (epochs, b) survivor row
+    indices, the (epochs, b) eliminated row indices and the (epochs, b, 1)
+    interpolation weights in the critic's dtype.
     """
-    if bad.shape[0] == 0 or cfg.pretrain_epochs == 0:
+    if bad.shape[0] == 0 or epochs == 0:
         return critic
     real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
     n_good, n_bad = real.shape[0], bad.shape[0]
     b = min(BATCH_SIZE, n_good, n_bad)
-    good_idx = rng.integers(0, n_good, size=(cfg.pretrain_epochs, b))
-    bad_idx = rng.integers(0, n_bad, size=(cfg.pretrain_epochs, b))
-    eps_all = rng.random((cfg.pretrain_epochs, b, 1), dtype=real.dtype)
+    good_idx = rng.integers(0, n_good, size=(epochs, b))
+    bad_idx = rng.integers(0, n_bad, size=(epochs, b))
+    eps_all = rng.random((epochs, b, 1), dtype=real.dtype)
     # The [good; bad; mixed] rows of a step, refilled every epoch.
     x = np.empty((3 * b, real.shape[1]), dtype=real.dtype)
     good_batch, bad_batch, mixed = x[:b], x[b:2 * b], x[2 * b:]
@@ -157,12 +148,14 @@ def train(
     critic: Mlp,
     critic_opt: AdamState,
     real: np.ndarray,
-    cfg: GanConfig,
+    epochs: int,
+    critic_steps: int,
     rng: np.random.Generator,
 ) -> list[EpochStats]:
-    """Adversarial training on the (rows, n) survivor matrix `real`.
+    """Adversarial training on the (rows, n) survivor matrix `real` (a run
+    passes its GanConfig.epochs and CRITIC_STEPS).
 
-    Per epoch: cfg.critic_steps critic updates against generator samples
+    Per epoch: `critic_steps` critic updates against generator samples
     (with the gradient penalty taken at uniform interpolates of real and
     generated rows), then one generator update on -mean D(G(z)).
 
@@ -181,39 +174,30 @@ def train(
     if n_real == 0:
         raise TrainingError("cannot train on an empty survivor set")
     b = min(BATCH_SIZE, n_real)
-    steps = cfg.critic_steps
     real = np.asarray(real, dtype=critic.params.dtype)
-    idx_all = rng.integers(0, n_real, size=(cfg.epochs, steps, b))
-    z_all = rng.standard_normal((cfg.epochs, steps + 1, b, LATENT_DIM), dtype=gen.params.dtype)
-    eps_all = rng.random((cfg.epochs, steps, b, 1), dtype=real.dtype)
-    x = np.empty((steps, 3 * b, real.shape[1]), dtype=real.dtype)
+    idx_all = rng.integers(0, n_real, size=(epochs, critic_steps, b))
+    z_all = rng.standard_normal((epochs, critic_steps + 1, b, LATENT_DIM), dtype=gen.params.dtype)
+    eps_all = rng.random((epochs, critic_steps, b, 1), dtype=real.dtype)
+    x = np.empty((critic_steps, 3 * b, real.shape[1]), dtype=real.dtype)
     good, bad, mixed = x[:, :b], x[:, b:2 * b], x[:, 2 * b:]
     top = _critic_seed(b, x.dtype)
     trace = []
     for epoch, (idx, z, eps) in enumerate(zip(idx_all, z_all, eps_all)):
         gen_hs = _forward_sweep(gen, z)
-        fake = gen_hs[-1][:steps]
+        fake = gen_hs[-1][:critic_steps]
         np.take(real, idx, axis=0, out=good)
         bad[...] = fake
         np.multiply(eps, good, out=mixed)
         mixed += (1.0 - eps) * fake
         critic_loss = penalty = w_est = 0.0
-        for s in range(steps):
+        for s in range(critic_steps):
             critic_loss, penalty, w_est = _critic_update(critic, critic_opt, x[s], top)
-        scores, gen_grads = generator_gradient(gen, z[steps], [h[steps] for h in gen_hs], critic)
+        scores, gen_grads = generator_gradient(gen, z[critic_steps], [h[critic_steps] for h in gen_hs], critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")
         adam_step(gen, gen_grads, gen_opt)
-        trace.append(
-            EpochStats(
-                epoch=epoch,
-                critic_loss=critic_loss,
-                gen_loss=gen_loss,
-                wasserstein=w_est,
-                penalty=penalty,
-            )
-        )
+        trace.append(EpochStats(epoch, critic_loss, gen_loss, w_est, penalty))
     return trace
 
 

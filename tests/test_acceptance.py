@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from rveawg import (
-    GanConfig,
     dtlz,
     igd,
     lattice_for,
@@ -23,7 +22,7 @@ from rveawg.cli import main
 from rveawg.core import child
 from rveawg.neuronet import AdamState, critic_gradient, forward, generator_gradient, init_mlp
 from rveawg.selection import elitism_select
-from rveawg.wgan import LATENT_DIM, pretrain_discriminator, train
+from rveawg.wgan import CRITIC_STEPS, HIDDEN, LATENT_DIM, LEARNING_RATE, pretrain_discriminator, train
 
 from fingerprints import PATH, criterion_9_configs, environment, environment_difference
 from test_baselines import brute_force_fronts
@@ -94,16 +93,15 @@ def test_criterion_3_gradient_checks():
 def test_criterion_4_gan_single_point_collapse():
     started = time.perf_counter()
     # Stable two-time-scale training regime; the coarse benchmark default
-    # rate orbits the target instead of settling (see GanConfig docstring).
+    # rate orbits the target instead of settling (see AdamState docstring).
     point = np.array([0.5, -0.25, 0.1, 0.75])
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        cfg = GanConfig(epochs=300, learning_rate=1e-3)
-        gen = init_mlp([LATENT_DIM, cfg.hidden, cfg.hidden, 4], output_tanh=True, rng=child(rng, "g"))
-        critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=child(rng, "c"))
+        gen = init_mlp([LATENT_DIM, HIDDEN, HIDDEN, 4], output_tanh=True, rng=child(rng, "g"))
+        critic = init_mlp([4, HIDDEN, HIDDEN, 1], output_tanh=False, rng=child(rng, "c"))
         gopt = AdamState.for_net(gen, 2e-4)  # two time scales: the generator learns slower
-        copt = AdamState.for_net(critic, cfg.learning_rate)
-        train(gen, gopt, critic, copt, np.tile(point, (64, 1)), cfg, child(rng, "t"))
+        copt = AdamState.for_net(critic, 1e-3)
+        train(gen, gopt, critic, copt, np.tile(point, (64, 1)), 300, CRITIC_STEPS, child(rng, "t"))
         samples = forward(gen, child(rng, "s").standard_normal((256, LATENT_DIM)))
         deviation = np.max(np.abs(samples.mean(axis=0) - point))
         assert deviation < 0.15, f"seed {seed}: worst coordinate deviation {deviation:.3f}"
@@ -114,12 +112,11 @@ def test_criterion_5_pretrain_separation():
     started = time.perf_counter()
     for seed in range(5):
         rng = np.random.default_rng(500 + seed)
-        cfg = GanConfig(pretrain_epochs=200)
-        critic = init_mlp([4, cfg.hidden, cfg.hidden, 1], output_tanh=False, rng=child(rng, "c"))
-        copt = AdamState.for_net(critic, cfg.learning_rate)
+        critic = init_mlp([4, HIDDEN, HIDDEN, 1], output_tanh=False, rng=child(rng, "c"))
+        copt = AdamState.for_net(critic, LEARNING_RATE)
         good = 0.5 + 0.05 * child(rng, "good").standard_normal((40, 4))
         bad = -0.5 + 0.05 * child(rng, "bad").standard_normal((40, 4))
-        pretrain_discriminator(critic, copt, good, bad, cfg, child(rng, "t"))
+        pretrain_discriminator(critic, copt, good, bad, 200, child(rng, "t"))
         assert forward(critic, good).mean() > forward(critic, bad).mean(), f"seed {seed}"
     report(5, "critic pre-training separates clusters, 5/5 seeds", started, limit=30.0)
 

@@ -33,7 +33,6 @@ def small_cfg(algorithm="rvea-wg", **kw):
         seed=kw.pop("seed", 0),
     )
     cfg.gan.epochs = 4
-    cfg.gan.pretrain_epochs = 2
     for k, v in kw.items():
         setattr(cfg, k, v)
     return cfg
@@ -82,11 +81,10 @@ def test_generation_zero_trains_first_init_draw():
     # Without training, the final generator is the init stream's first draw.
     cfg = small_cfg(generations=1)
     cfg.gan.epochs = 0
-    cfg.gan.pretrain_epochs = 0
     record = run_single(cfg, 12)
     n_var = record.final_x.shape[1]
     init_rng = child(child(np.random.default_rng(12), "gan"), "init")
-    gen, _, critic, _ = init_networks(n_var, cfg.gan, init_rng)
+    gen, _, critic, _ = init_networks(n_var, init_rng)
     assert np.array_equal(record.networks["generator"].params, gen.params)
     assert np.array_equal(record.networks["critic"].params, critic.params)
 
@@ -299,6 +297,49 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1, line
         assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # A file that cannot be read or that sets a key twice is a configuration
+    # error too, named on stderr: a directory, bytes that are not UTF-8, and
+    # a repeated key, which must not silently keep its last value.
+    bad.write_bytes(b"problems = dtlz2\nalgorithms = nsga2\xff\n")
+    for path, message in (
+        (tmp_path, "config file not found or not a file"),
+        (bad, "cannot read config file"),
+    ):
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1, path
+        assert f"configuration error: {message}" in capsys.readouterr().err
+    bad.write_text("problems = dtlz2\nruns = 3\n\nruns = 1\n")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert f"{bad}:4: key 'runs' already set on line 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pool_capped_at_run_count(monkeypatch):
+    """A fork pool starts all its workers up front, so run_experiment asks
+    for no more workers than it has runs, and a single run needs no pool."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    rows = run_experiment([small_cfg("nsga2", runs=2)], jobs=64)
+    assert sizes == [2]
+    assert rows[0].per_run == run_experiment([small_cfg("nsga2", runs=2)])[0].per_run
+    run_experiment([small_cfg("nsga2", runs=2), small_cfg("nsga2", runs=1)], jobs=2)
+    run_experiment([small_cfg("nsga2", runs=1)], jobs=64)
+    assert sizes == [2, 2]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
