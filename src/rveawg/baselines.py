@@ -1,4 +1,11 @@
-"""NSGA-II comparison algorithm: dominance sorting, crowding, one full generation."""
+"""NSGA-II comparison algorithm: dominance matrix, front peeling, crowding, one
+full generation.
+
+Each population's (n, n) dominance matrix is built once. The union of parents
+and children gets a fresh one in `nsga2_generation`, which hands the survivors'
+block of it back with the survivors; `harness.nsga2_run` builds the initial
+population's and carries it from generation to generation.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -9,21 +16,51 @@ from .variation import mutate_matrix, sbx_crossover
 # Distribution index of SBX crossover.
 ETA_C = 20.0
 
+# _BIT[b] is bit b of a 64-bit word.
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
-def fast_nondominated_sort(objectives: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    """Deb's fast non-dominated sort; returns per-point rank and the front lists.
+
+def dominance(objs: np.ndarray) -> np.ndarray:
+    """The (n, n) dominance matrix of n finite objective rows: [p, q] is True
+    iff row p is no worse than row q in every objective and better in one.
+
+    Built from packed bitsets, one bit per row. For each objective, one argsort
+    gives a table whose entry c is the set of the c rows that sort first. The
+    rows below f_p are the first ``searchsorted(left)`` of them and the rows up
+    to f_p the first ``searchsorted(right)``; the table is read only at these
+    tie-group boundaries, so the order of ties within a group does not matter.
+    p dominates q iff q is below p in no objective and not up to p in all of
+    them, so the result is the complement of (OR of the below sets) | (AND of
+    the up-to sets), unpacked once.
+    """
+    f = np.asarray(objs, dtype=float)
+    n, m = f.shape
+    cols = np.ascontiguousarray(f.T)
+    order = np.argsort(cols, axis=1)
+    k = np.arange(m)[:, None]
+    table = np.zeros((m, n + 1, (n + 63) // 64), dtype="<u8")
+    table[k, np.arange(1, n + 1), order >> 6] = _BIT[order & 63]
+    np.bitwise_or.accumulate(table, axis=1, out=table)
+    below = np.empty((m, n), dtype=np.intp)
+    upto = np.empty((m, n), dtype=np.intp)
+    for j, (col, rows) in enumerate(zip(cols, order)):
+        ranked = col[rows]
+        below[j, rows] = np.searchsorted(ranked, ranked, "left")
+        upto[j, rows] = np.searchsorted(ranked, ranked, "right")
+    spared = np.bitwise_or.reduce(table[k, below], axis=0) | np.bitwise_and.reduce(table[k, upto], axis=0)
+    return ~np.unpackbits(spared.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def fast_nondominated_sort(dom: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Deb's fast non-dominated sort on a `dominance` matrix; returns per-point
+    rank and the front lists.
 
     The fronts come in the order Deb's loop builds them, which the NSGA-II
     survivor order depends on: the first front by row index; each later front
     by the position, in the front before it, of a member's last dominator
     there, then by row index.
     """
-    f = np.asarray(objectives, dtype=float)
-    n = f.shape[0]
-    le = np.ones((n, n), dtype=bool)  # le[p, q]: p is no worse than q everywhere
-    for col in np.ascontiguousarray(f.T):
-        le &= col[:, None] <= col
-    dom = le & ~le.T  # dom[p, q]: p dominates q (exact: ~le[q, p] is "p < q somewhere")
+    n = dom.shape[0]
     count = np.count_nonzero(dom, axis=0)
     rank = np.zeros(n, dtype=int)
     fronts = []
@@ -65,10 +102,11 @@ def _tournament(rank: np.ndarray, crowding: np.ndarray, i: np.ndarray, j: np.nda
     return np.where(i_wins, i, j)
 
 
-def environmental_select(objs: np.ndarray, n_pop: int) -> np.ndarray:
-    """Elitist truncation: fill whole fronts in rank order, split the boundary
-    front by descending crowding distance. Returns the survivors' row indices."""
-    rank, fronts = fast_nondominated_sort(objs)
+def environmental_select(objs: np.ndarray, dom: np.ndarray, n_pop: int) -> np.ndarray:
+    """Elitist truncation on the rows' `dominance` matrix: fill whole fronts in
+    rank order, split the boundary front by descending crowding distance.
+    Returns the survivors' row indices."""
+    _, fronts = fast_nondominated_sort(dom)
     survivors: list[int] = []
     for front in fronts:
         if len(survivors) + len(front) <= n_pop:
@@ -83,18 +121,20 @@ def environmental_select(objs: np.ndarray, n_pop: int) -> np.ndarray:
 
 
 def nsga2_generation(
-    xs: np.ndarray, fs: np.ndarray, problem, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+    xs: np.ndarray, fs: np.ndarray, dom: np.ndarray, problem, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One generation: tournament mating, SBX + mutation, elitist truncation to N.
 
-    Draw order: the tournament picks of all pairs of children
-    (``rng.integers(0, N, size=(pairs, 4))``), then their SBX draws u_cross
-    and u_beta (``rng.random((pairs, 2, n))``), then the mutation draws for
-    all children. The tournaments and SBX run on all pairs at once. Returns
-    the survivors' decision and objective matrices.
+    `dom` is the `dominance` matrix of `fs`. Draw order: the tournament picks
+    of all pairs of children (``rng.integers(0, N, size=(pairs, 4))``), then
+    their SBX draws u_cross and u_beta (``rng.random((pairs, 2, n))``), then
+    the mutation draws for all children. The tournaments and SBX run on all
+    pairs at once. Returns the survivors' decision and objective matrices and
+    their dominance matrix, the survivors' block of the union's, in survivor
+    order.
     """
     n_pop, n_var = xs.shape
-    rank, fronts = fast_nondominated_sort(fs)
+    rank, fronts = fast_nondominated_sort(dom)
     crowding = np.zeros(n_pop)
     for front in fronts:
         crowding[front] = crowding_distance(fs, front)
@@ -110,5 +150,6 @@ def nsga2_generation(
     child_x = mutate_matrix(children[:n_pop], problem.lower, problem.upper, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
-    survivors = environmental_select(union_f, n_pop)
-    return union_x[survivors], union_f[survivors]
+    union_dom = dominance(union_f)
+    survivors = environmental_select(union_f, union_dom, n_pop)
+    return union_x[survivors], union_f[survivors], union_dom[np.ix_(survivors, survivors)]

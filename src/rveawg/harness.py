@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import nsga2_generation
+from .baselines import dominance, nsga2_generation
 from .core import ConfigurationError, child, evaluate, init_population
 from .metrics import igd
 from .problems import ProblemDef, make_problem, sample_front
@@ -154,11 +154,12 @@ def nsga2_run(cfg: RunConfig, seed: int) -> RunRecord:
     rng = np.random.default_rng(seed)
     xs = init_population(problem, n_pop, child(rng, "init"))
     fs = evaluate(xs, problem)
+    dom = dominance(fs)
     evaluations = len(xs)
     loop_rng = child(rng, "nsga2")
     trace: list[float] = []
     for _ in range(cfg.generations):
-        xs, fs = nsga2_generation(xs, fs, problem, loop_rng)
+        xs, fs, dom = nsga2_generation(xs, fs, dom, problem, loop_rng)
         evaluations += len(xs)  # the generation evaluated one child per parent
         trace.append(igd(front, fs).value)
 

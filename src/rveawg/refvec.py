@@ -4,6 +4,7 @@ A set of N reference vectors in M objectives is a plain (N, M) array of unit row
 """
 from __future__ import annotations
 
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -27,25 +28,17 @@ def simplex_lattice(m: int, h: int) -> np.ndarray:
     """All weight vectors with components in {0, 1/h, ..., 1} summing to 1.
 
     Returned in lexicographic order of the integer compositions; the count is
-    C(h + m - 1, m - 1).
+    C(h + m - 1, m - 1). A composition is the gaps between m - 1 bars placed
+    among h + m - 1 slots, and the bar placements come from
+    `itertools.combinations` in the same lexicographic order.
     """
     if m < 2:
         raise ConfigurationError(f"lattice needs at least 2 objectives, got {m}")
     if h < 1:
         raise ConfigurationError(f"lattice resolution must be >= 1, got {h}")
-    rows = []
-
-    def build(prefix, remaining, slots):
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            build(prefix + [k], remaining - k, slots - 1)
-
-    build([], h, m)
-    weights = np.array(rows, dtype=float) / h
-    assert weights.shape[0] == comb(h + m - 1, m - 1)
-    return weights
+    count = comb(h + m - 1, m - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(h + m - 1), m - 1)), dtype=np.intp, count=count * (m - 1))
+    return (np.diff(bars.reshape(count, m - 1), axis=1, prepend=-1, append=h + m - 1) - 1) / h
 
 
 def two_layer_lattice(m: int, h_outer: int, h_inner: int) -> np.ndarray:
@@ -61,14 +54,8 @@ def two_layer_lattice(m: int, h_outer: int, h_inner: int) -> np.ndarray:
         return outer
     inner = simplex_lattice(m, h_inner) / 2.0 + 1.0 / (2 * m)
     combined = np.vstack([outer, inner])
-    seen = set()
-    keep = []
-    for i, row in enumerate(combined):
-        key = tuple(np.round(row, 12))
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return combined[keep]
+    _, first = np.unique(np.round(combined, 12), axis=0, return_index=True)
+    return combined[np.sort(first)]
 
 
 def lattice_for(m: int, pop_size: int | None = None) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from rveawg import evaluate, init_population, make_problem, sbx_crossover
 from rveawg.baselines import (
     crowding_distance,
+    dominance,
     environmental_select,
     fast_nondominated_sort,
     nsga2_generation,
@@ -21,14 +22,19 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def reference_dominance(objs):
+    """dom[p, q] by broadcasting: p is no worse everywhere and better somewhere."""
+    f = np.asarray(objs, dtype=float)
+    le = np.all(f[:, None, :] <= f[None, :, :], axis=2)
+    lt = np.any(f[:, None, :] < f[None, :, :], axis=2)
+    return le & lt
+
+
 def deb_reference_sort(objs):
     """Deb's loop one row at a time (NSGA-II, IEEE TEVC 2002): each front in the
     order the loop appends its members, which fixes the NSGA-II survivor order."""
-    f = np.asarray(objs, dtype=float)
-    n = f.shape[0]
-    le = np.all(f[:, None, :] <= f[None, :, :], axis=2)
-    lt = np.any(f[:, None, :] < f[None, :, :], axis=2)
-    dom = le & lt
+    n = len(objs)
+    dom = reference_dominance(objs)
     dominated_by = [np.flatnonzero(dom[p]).tolist() for p in range(n)]
     domination_count = dom.sum(axis=0).tolist()
     rank = np.zeros(n, dtype=int)
@@ -49,9 +55,10 @@ def deb_reference_sort(objs):
 def reference_generation(xs, fs, problem, rng):
     """One NSGA-II generation mating one pair at a time, on the same
     up-front draws: two binary tournaments, then SBX (eta_c = 20) with its
-    own two rows of draws, per pair of children."""
+    own two rows of draws, per pair of children. It sorts its parents afresh
+    every generation and builds no bitsets, so it checks the carried matrix."""
     n_pop = len(xs)
-    rank, fronts = fast_nondominated_sort(fs)
+    rank, fronts = deb_reference_sort(fs)
     crowding = np.zeros(n_pop)
     for front in fronts:
         crowding[front] = crowding_distance(fs, front)
@@ -76,7 +83,7 @@ def reference_generation(xs, fs, problem, rng):
     child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
-    survivors = environmental_select(union_f, n_pop)
+    survivors = environmental_select(union_f, reference_dominance(union_f), n_pop)
     return union_x[survivors], union_f[survivors]
 
 
@@ -110,14 +117,14 @@ def test_dominates_rejects_length_mismatch():
 
 def test_sort_all_nondominated():
     objs = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
-    rank, fronts = fast_nondominated_sort(objs)
+    rank, fronts = fast_nondominated_sort(dominance(objs))
     assert np.array_equal(rank, [0, 0, 0])
     assert sorted(fronts[0]) == [0, 1, 2]
 
 
 def test_sort_chain():
     objs = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    rank, fronts = fast_nondominated_sort(objs)
+    rank, fronts = fast_nondominated_sort(dominance(objs))
     assert np.array_equal(rank, [0, 1, 2])
     assert [sorted(f) for f in fronts] == [[0], [1], [2]]
 
@@ -128,7 +135,7 @@ def test_sort_matches_brute_force_on_random_populations():
         n = int(rng.integers(2, 51))
         m = int(rng.integers(2, 6))
         objs = np.round(rng.uniform(0, 1, size=(n, m)), 2)  # rounding forces ties
-        _, fronts = fast_nondominated_sort(objs)
+        _, fronts = fast_nondominated_sort(dominance(objs))
         assert [sorted(f) for f in fronts] == brute_force_fronts(objs), f"case {case}"
 
 
@@ -149,7 +156,7 @@ def test_sort_matches_deb_loop_front_order():
             if case % 2 == 0:
                 dup = rng.integers(0, n, size=n // 3)
                 objs[rng.integers(0, n, size=dup.size)] = objs[dup]
-        rank, fronts = fast_nondominated_sort(objs)
+        rank, fronts = fast_nondominated_sort(dominance(objs))
         ref_rank, ref_fronts = deb_reference_sort(objs)
         assert case >= 20 or len(fronts) > 5
         assert np.array_equal(rank, ref_rank), f"case {case}"
@@ -157,10 +164,28 @@ def test_sort_matches_deb_loop_front_order():
 
 
 def test_sort_empty_and_all_equal():
-    rank, fronts = fast_nondominated_sort(np.zeros((0, 3)))
+    rank, fronts = fast_nondominated_sort(dominance(np.zeros((0, 3))))
     assert rank.shape == (0,) and fronts == []
-    rank, fronts = fast_nondominated_sort(np.ones((5, 3)))
+    rank, fronts = fast_nondominated_sort(dominance(np.ones((5, 3))))
     assert np.array_equal(rank, np.zeros(5)) and fronts == [[0, 1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 550])
+def test_dominance_matches_broadcast_reference(n, m):
+    # n around the 8-bit and 64-bit packing edges; rounding forces ties, and
+    # copied rows and mixed -0.0 / 0.0 make equal rows and equal values.
+    rng = np.random.default_rng(1000 * n + m)
+    for decimals in (1, 2, None):
+        objs = rng.uniform(-1, 1, size=(n, m))
+        if decimals is not None:
+            objs = np.round(objs, decimals)
+        if n >= 4:
+            objs[rng.integers(0, n, size=n // 4)] = objs[rng.integers(0, n, size=n // 4)]
+            objs[: n // 2, 0] = np.where(rng.random(n // 2) < 0.5, -0.0, 0.0)
+        got = dominance(objs)
+        assert got.dtype == bool and got.shape == (n, n)
+        assert np.array_equal(got, reference_dominance(objs))
 
 
 def test_crowding_boundaries_infinite_interior_hand_value():
@@ -182,8 +207,9 @@ def test_generation_preserves_size():
     xs = init_population(problem, 24, child(rng, "init"))
     fs = evaluate(xs, problem)
     loop = child(rng, "loop")
+    dom = dominance(fs)
     for _ in range(10):
-        xs, fs = nsga2_generation(xs, fs, problem, loop)
+        xs, fs, dom = nsga2_generation(xs, fs, dom, problem, loop)
         assert xs.shape == (24, problem.n) and fs.shape == (24, 3)
         assert np.array_equal(fs, evaluate(xs, problem))
 
@@ -191,19 +217,22 @@ def test_generation_preserves_size():
 @pytest.mark.parametrize("name, m, n_pop", [("dtlz2", 3, 24), ("dtlz2", 3, 25), ("dtlz1", 10, 51), ("lsmop1", 3, 1)])
 def test_generation_matches_per_pair_reference(name, m, n_pop):
     # Same survivors bit for bit and the same stream position afterwards, for
-    # even and odd population sizes. A population of copies makes every
-    # tournament a crowding tie.
+    # even and odd population sizes, and a carried dominance matrix equal to
+    # the survivors' own. A population of copies makes every tournament a
+    # crowding tie.
     problem = make_problem(name, m)
     rng = np.random.default_rng(7 + n_pop)
     start = init_population(problem, n_pop, child(rng, "init"))
     for xs in (start, np.repeat(start[:1], n_pop, axis=0)):
         fs = evaluate(xs, problem)
+        dom = dominance(fs)
         ref_x, ref_f = xs, fs
         fast, slow = child(rng, "loop"), child(rng, "loop")
         for _ in range(4):
-            xs, fs = nsga2_generation(xs, fs, problem, fast)
+            xs, fs, dom = nsga2_generation(xs, fs, dom, problem, fast)
             ref_x, ref_f = reference_generation(ref_x, ref_f, problem, slow)
             assert np.array_equal(xs, ref_x) and np.array_equal(fs, ref_f)
+            assert np.array_equal(dom, dominance(fs))
             assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -214,9 +243,9 @@ def test_environmental_selection_is_rank_prefix():
         size = int(rng.integers(10, 40))
         objs = rng.uniform(0, 1, size=(size, 3))
         keep = int(rng.integers(1, size))
-        selected = environmental_select(objs, keep)
+        selected = environmental_select(objs, dominance(objs), keep)
         assert len(selected) == keep == len(set(selected.tolist()))
-        rank, _ = fast_nondominated_sort(objs)
+        rank, _ = fast_nondominated_sort(dominance(objs))
         dropped = np.setdiff1d(np.arange(size), selected)
         assert rank[selected].max() <= rank[dropped].min()
 
@@ -226,8 +255,32 @@ def test_generation_handles_identical_population():
     rng = np.random.default_rng(6)
     xs = np.repeat(init_population(problem, 1, rng), 12, axis=0)
     fs = evaluate(xs, problem)
-    out_x, out_f = nsga2_generation(xs, fs, problem, rng)
+    out_x, out_f, _ = nsga2_generation(xs, fs, dominance(fs), problem, rng)
     assert out_x.shape == (12, problem.n) and out_f.shape == (12, 3)
+
+
+def test_nsga2_run_builds_one_dominance_matrix_per_population(monkeypatch):
+    # The initial population's matrix and one union matrix per generation; the
+    # survivors' matrices are carried, never rebuilt. nsga2_generation stays
+    # the per-generation call the benchmark's set-up probe waits for.
+    from rveawg import RunConfig, baselines, harness, run_single
+
+    calls = {"dominance": 0, "nsga2_generation": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    spy = counted(baselines.dominance)
+    monkeypatch.setattr(baselines, "dominance", spy)
+    monkeypatch.setattr(harness, "dominance", spy)
+    monkeypatch.setattr(harness, "nsga2_generation", counted(baselines.nsga2_generation))
+    cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, pop_size=20, generations=15, runs=1)
+    run_single(cfg, 0)
+    assert calls == {"dominance": 16, "nsga2_generation": 15}
 
 
 def test_nsga2_improves_dtlz2_quickly():

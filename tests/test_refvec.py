@@ -4,7 +4,49 @@ import numpy as np
 import pytest
 
 from rveawg import ConfigurationError, adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
-from rveawg.refvec import _min_angles
+from rveawg.refvec import DEFAULT_LATTICES, _min_angles
+
+
+def reference_simplex_lattice(m, h):
+    """The compositions of h into m parts by recursion, in lexicographic order."""
+    rows = []
+
+    def build(prefix, remaining, slots):
+        if slots == 1:
+            rows.append(prefix + [remaining])
+            return
+        for k in range(remaining + 1):
+            build(prefix + [k], remaining - k, slots - 1)
+
+    build([], h, m)
+    return np.array(rows, dtype=float) / h
+
+
+def reference_two_layer_lattice(m, h_outer, h_inner):
+    """Both layers, keeping the first of rows equal after rounding, one row at a time."""
+    combined = np.vstack([reference_simplex_lattice(m, h_outer), reference_simplex_lattice(m, h_inner) / 2.0 + 1.0 / (2 * m)])
+    seen = set()
+    keep = []
+    for i, row in enumerate(combined):
+        key = tuple(np.round(row, 12))
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return combined[keep]
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_lattice_matches_recursive_reference(m):
+    for h in range(1, 7):
+        assert np.array_equal(simplex_lattice(m, h), reference_simplex_lattice(m, h)), h
+
+
+@pytest.mark.parametrize("m, layers", sorted(DEFAULT_LATTICES.items()) + [(2, (4, 2)), (3, (6, 1))])
+def test_two_layer_lattice_matches_reference(m, layers):
+    # (2, (4, 2)) and (3, (6, 1)) have inner rows that repeat outer ones.
+    h_outer, h_inner = layers
+    expected = simplex_lattice(m, h_outer) if h_inner == 0 else reference_two_layer_lattice(m, h_outer, h_inner)
+    assert np.array_equal(two_layer_lattice(m, h_outer, h_inner), expected)
 
 
 def test_lattice_m2_h2_exact_set():
