@@ -9,7 +9,7 @@ from .core import (
     evaluate,
     init_population,
 )
-from .harness import RunConfig, RunRecord, nsga2_run, run_experiment, run_single, rvea_wg_run
+from .harness import RunConfig, RunRecord, run_experiment, run_single
 from .metrics import IgdResult, igd
 from .problems import PROBLEM_NAMES, ProblemDef, dtlz, lsmop, make_problem, sample_front
 from .refvec import adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
@@ -38,11 +38,9 @@ __all__ = [
     "lattice_for",
     "lsmop",
     "make_problem",
-    "nsga2_run",
     "partition",
     "run_experiment",
     "run_single",
-    "rvea_wg_run",
     "sample_front",
     "sbx_crossover",
     "simplex_lattice",

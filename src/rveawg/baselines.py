@@ -3,8 +3,8 @@ full generation.
 
 Each population's (n, n) dominance matrix is built once. The union of parents
 and children gets a fresh one in `nsga2_generation`, which hands the survivors'
-block of it back with the survivors; `harness.nsga2_run` builds the initial
-population's and carries it from generation to generation.
+block of it back with the survivors; the harness's NSGA-II generations build
+the initial population's and carry it from generation to generation.
 """
 from __future__ import annotations
 

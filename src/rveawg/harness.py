@@ -1,5 +1,6 @@
-"""Run orchestration: the reference-vector + GAN main loop, the NSGA-II
-counterpart, repeated-run experiments, and CSV/plot-data persistence."""
+"""Run orchestration: one run frame (set-up, initial population, evaluation
+count, IGD trace, record) around the generation steps of rvea-wg and NSGA-II,
+repeated-run experiments, and CSV/plot-data persistence."""
 from __future__ import annotations
 
 import csv
@@ -80,104 +81,78 @@ def reference_front_size(m: int) -> int:
     return 500 if m <= 5 else 1000
 
 
-def config_snapshot(cfg: RunConfig, pop_size: int) -> dict:
-    snap = asdict(cfg)
-    snap["resolved_pop_size"] = pop_size
-    return snap
-
-
-def rvea_wg_run(cfg: RunConfig, seed: int) -> RunRecord:
-    """One optimization run of the adversarial-offspring algorithm.
-
-    Per generation: draw a fresh generator/critic pair, train it on the
-    current survivors (critic pre-trained against the previously eliminated
-    individuals), sample N offspring, mutate them, merge with the parents,
-    apply reference-vector selection, and adapt the vectors to the merged
-    objective ranges.
-    """
+def run_single(cfg: RunConfig, seed: int) -> RunRecord:
+    """One optimization run under the protocol both algorithms share: the
+    seed's initial population, N evaluations per generation and IGD against
+    the reference front after each generation."""
     problem, weights = resolve_setup(cfg)
     n_pop = weights.shape[0]
-    initial = to_unit_vectors(weights)
-    vectors = initial
     front = sample_front(problem, reference_front_size(problem.m))
     started = time.perf_counter()
 
     rng = np.random.default_rng(seed)
     xs = init_population(problem, n_pop, child(rng, "init"))
     fs = evaluate(xs, problem)
-    evaluations = len(xs)
+    record = RunRecord(
+        config={**asdict(cfg), "resolved_pop_size": n_pop},
+        seed=seed,
+        igd_trace=[],
+        final_x=xs,
+        final_f=fs,
+        evaluations=n_pop,
+        duration=0.0,
+    )
+    generations = _rvea_wg_generations if cfg.algorithm == "rvea-wg" else _nsga2_generations
+    for xs, fs in generations(cfg, problem, weights, xs, fs, rng, record):
+        record.evaluations += n_pop  # one offspring per vector or parent
+        record.igd_trace.append(igd(front, fs).value)
+    record.final_x, record.final_f = xs, fs
+    record.duration = time.perf_counter() - started
+    return record
+
+
+def _rvea_wg_generations(cfg, problem, weights, xs, fs, rng, record):
+    """Survivors of each generation of the adversarial-offspring algorithm.
+
+    Per generation: draw a fresh generator/critic pair, train it on the
+    current survivors (critic pre-trained against the previously eliminated
+    individuals), sample N offspring, mutate them, merge with the parents,
+    apply reference-vector selection, and adapt the vectors to the merged
+    objective ranges. The epoch statistics and the last pair go on `record`.
+    """
+    initial = to_unit_vectors(weights)
+    vectors = initial
     gan_rng = child(rng, "gan")
     init_rng = child(gan_rng, "init")
     mut_rng = child(rng, "mutation")
     eliminated_x = np.zeros((0, problem.n))
-    trace: list[float] = []
-    gan_trace: list[EpochStats] = []
 
     for t in range(cfg.generations):
         gen, gen_opt, critic, critic_opt = init_networks(problem.n, init_rng)
         real = normalize_to_net(xs, problem.lower, problem.upper)
         bad = normalize_to_net(eliminated_x, problem.lower, problem.upper)
         pretrain_discriminator(critic, critic_opt, real, bad, PRETRAIN_EPOCHS, gan_rng)
-        gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan.epochs, CRITIC_STEPS, gan_rng))
-        offspring = sample_offspring(gen, n_pop, problem.lower, problem.upper, gan_rng)
+        record.gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan.epochs, CRITIC_STEPS, gan_rng))
+        offspring = sample_offspring(gen, len(weights), problem.lower, problem.upper, gan_rng)
         offspring = mutate_matrix(offspring, problem.lower, problem.upper, mut_rng)
         union_x = np.vstack([xs, offspring])
         union_f = np.vstack([fs, evaluate(offspring, problem)])
-        evaluations += len(offspring)
 
         result = elitism_select(union_f, vectors, t, cfg.generations, cfg.alpha)
         vectors = adapt(initial, result.z_max, result.z_min)
         eliminated_x = np.delete(union_x, result.selected_indices, axis=0)
         xs, fs = union_x[result.selected_indices], union_f[result.selected_indices]
-        trace.append(igd(front, fs).value)
-
-    return RunRecord(
-        config=config_snapshot(cfg, n_pop),
-        seed=seed,
-        igd_trace=trace,
-        final_x=xs,
-        final_f=fs,
-        evaluations=evaluations,
-        duration=time.perf_counter() - started,
-        gan_trace=gan_trace,
-        networks={"generator": gen, "critic": critic},
-    )
+        yield xs, fs
+    record.networks = {"generator": gen, "critic": critic}
 
 
-def nsga2_run(cfg: RunConfig, seed: int) -> RunRecord:
-    """NSGA-II under the same evaluation protocol (N offspring per generation)."""
-    problem, weights = resolve_setup(cfg)
-    n_pop = weights.shape[0]
-    front = sample_front(problem, reference_front_size(problem.m))
-    started = time.perf_counter()
-
-    rng = np.random.default_rng(seed)
-    xs = init_population(problem, n_pop, child(rng, "init"))
-    fs = evaluate(xs, problem)
+def _nsga2_generations(cfg, problem, weights, xs, fs, rng, record):
+    """Survivors of each NSGA-II generation, which evaluates one child per parent."""
     dom = dominance(fs)
-    evaluations = len(xs)
     loop_rng = child(rng, "nsga2")
-    trace: list[float] = []
     for _ in range(cfg.generations):
         xs, fs, dom = nsga2_generation(xs, fs, dom, problem, loop_rng)
-        evaluations += len(xs)  # the generation evaluated one child per parent
-        trace.append(igd(front, fs).value)
-
-    return RunRecord(
-        config=config_snapshot(cfg, n_pop),
-        seed=seed,
-        igd_trace=trace,
-        final_x=xs,
-        final_f=fs,
-        evaluations=evaluations,
-        duration=time.perf_counter() - started,
-    )
-
-
-def run_single(cfg: RunConfig, seed: int) -> RunRecord:
-    if cfg.algorithm == "rvea-wg":
-        return rvea_wg_run(cfg, seed)
-    return nsga2_run(cfg, seed)
+        yield xs, fs
 
 
 @dataclass
@@ -284,7 +259,7 @@ def write_experiment_csv(rows: list[ExperimentRow], path: Path) -> None:
 
 
 def emit_plot_data(record: RunRecord, out_dir: Path) -> list[Path]:
-    """Write igd_trace.csv and objectives.csv (full precision, round-trippable)."""
+    """Write igd_trace.csv, objectives.csv and, for rvea-wg, gan_trace.csv (full precision, round-trippable)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "igd_trace.csv"
@@ -300,7 +275,7 @@ def emit_plot_data(record: RunRecord, out_dir: Path) -> list[Path]:
         for row in record.final_f:
             writer.writerow([repr(float(v)) for v in row])
     written = [trace_path, obj_path]
-    if record.gan_trace:
+    if record.networks is not None:  # an rvea-wg record; only the header at 0 epochs
         gan_path = out_dir / "gan_trace.csv"
         with gan_path.open("w", newline="") as fh:
             writer = csv.writer(fh)

@@ -73,23 +73,28 @@ def test_evaluate_is_pure():
 
 
 def test_evaluate_reports_nonfinite_individual():
-    def broken(xs):
+    def nonfinite(xs):
         out = np.ones((xs.shape[0], 2))
         out[1, 0] = np.inf
         return out
 
-    problem = ProblemDef(
-        name="broken",
-        m=2,
-        n=3,
-        lower=np.zeros(3),
-        upper=np.ones(3),
-        evaluate=broken,
-        front_sampler=lambda count: np.zeros((count, 2)),
-    )
-    xs = init_population(problem, 3, np.random.default_rng(0))
-    with pytest.raises(EvaluationError, match="individual 1"):
-        evaluate(xs, problem)
+    def wrong_shape(xs):
+        return np.ones((xs.shape[0], 3))
+
+    cases = ((nonfinite, "individual 1"), (wrong_shape, r"returned shape \(3, 3\), expected \(3, 2\)"))
+    for broken, message in cases:
+        problem = ProblemDef(
+            name="broken",
+            m=2,
+            n=3,
+            lower=np.zeros(3),
+            upper=np.ones(3),
+            evaluate=broken,
+            front_sampler=lambda count: np.zeros((count, 2)),
+        )
+        xs = init_population(problem, 3, np.random.default_rng(0))
+        with pytest.raises(EvaluationError, match=message):
+            evaluate(xs, problem)
 
 
 def test_random_source_children_independent_and_reproducible():

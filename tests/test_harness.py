@@ -11,7 +11,7 @@ import pytest
 from rveawg import ConfigurationError, RunConfig, harness, run_experiment, run_single
 from rveawg.cli import SWEEP_KEYS, build_parser, main, parse_config_file
 from rveawg.core import child
-from rveawg.harness import emit_plot_data, resolve_setup, rvea_wg_run, write_experiment_csv
+from rveawg.harness import emit_plot_data, resolve_setup, write_experiment_csv
 from rveawg.wgan import GanConfig, init_networks
 
 
@@ -40,7 +40,7 @@ def small_cfg(algorithm="rvea-wg", **kw):
 
 def test_single_generation_run():
     cfg = small_cfg(generations=1)
-    record = rvea_wg_run(cfg, 3)
+    record = run_single(cfg, 3)
     assert len(record.igd_trace) == 1
     assert record.final_f.shape[1] == 3
     assert record.evaluations == 15 + 15  # init + one offspring batch
@@ -64,8 +64,25 @@ def test_evaluations_count_rows_evaluated():
 
 def test_population_never_exceeds_lattice_size():
     cfg = small_cfg(generations=5)
-    record = rvea_wg_run(cfg, 9)
+    record = run_single(cfg, 9)
     assert record.final_f.shape[0] <= 15
+
+
+def test_algorithms_start_from_the_same_population(monkeypatch):
+    # The paired comparison rests on this: at one seed both algorithms
+    # evaluate the same initial population.
+    starts = []
+    original = harness.init_population
+
+    def spy(*args):
+        starts.append(original(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(harness, "init_population", spy)
+    for alg in ("rvea-wg", "nsga2"):
+        run_single(small_cfg(alg, generations=1), 4)
+    assert len(starts) == 2
+    assert starts[0].shape == (15, 12) and np.array_equal(starts[0], starts[1])
 
 
 def test_run_determinism_replay():
@@ -254,6 +271,11 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
         vecs = np.array([[float(v) for v in row] for row in csv.reader(fh)])
     assert vecs.shape == (15, 3)
     assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-12)
+    # Without epochs the trace has only its header, but it is still written.
+    epochs0 = ["--epochs", "0", "--out", str(tmp_path / "epochs0")]
+    assert main(args + epochs0) == 0
+    assert {p.name for p in (tmp_path / "epochs0").iterdir()} == RUN_FILES | GAN_FILES
+    assert (tmp_path / "epochs0" / "gan_trace.csv").read_text().count("\n") == 1
 
 
 def test_cli_exit_codes(tmp_path, capsys):

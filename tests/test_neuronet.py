@@ -438,6 +438,13 @@ def test_fused_critic_step_zero_input_gradient():
         assert grads.tobytes() == grads_off.tobytes()
 
 
+def test_critic_gradient_rejects_unequal_blocks():
+    net = random_net(np.random.default_rng(3))
+    for rows in (1, 2, 4, 8):
+        with pytest.raises(ValueError, match=f"blocks of equal size, got {rows} rows"):
+            critic_gradient(net, np.zeros((rows, net.in_dim)), 10.0)
+
+
 def test_fused_critic_gradient_matches_finite_differences():
     rng = np.random.default_rng(61)
     net = random_net(rng)
