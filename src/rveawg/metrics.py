@@ -2,28 +2,30 @@
 
 The IGD here is defined as the literal double loop: for every reference point
 take the minimum Euclidean distance to any solution, then average over the
-reference points. The implementation matches that loop bit for bit on float64
-in two steps per block of reference rows:
+reference points. The implementation matches that loop bit for bit on float64:
 
-- Screen: one matrix product gives p[i, j] = |c_j|^2 - 2 r_i.c_j, the squared
-  distance less |r_i|^2, which is the same across a row. Every solution with
-  p[i, j] <= min_j p[i, j] + slack_i stays a candidate. Rounding moves p and
-  the loop's own sums by at most about 10 (M + 2) 2^-53 (|r_i|^2 + |c_j|^2)
-  in all; the slack, 1e-9 (|r_i|^2 + max_j |c_j|^2), is over 10^4 times that
-  for M up to 100, so the loop's minimiser is always a candidate, whatever
-  order or thread count the BLAS sums in. The slack also adds the smallest
-  normal double, which covers products that underflow, and an inf or NaN
-  from overflow keeps every pair of its row.
-- Recompute: for the candidates only, squared coordinate differences are
-  added in index order from 0.0, exactly as the loop does. The row minimum of
-  those sums is taken before the square root (sqrt is correctly rounded and
-  monotone, so the minimum of the roots is the root of the minimum).
+- Screen, in float32: both sets are translated by half the sum of the
+  solutions' bounding-box corners and scaled by the power of two that puts
+  the largest magnitude in [1/2, 1), exactly in float64 bar subnormal bits.
+  Per block of reference rows one product gives p[j, i] = |c_j|^2 - 2 r_i.c_j,
+  the squared distance less |r_i|^2. Every solution with p <= min_j p + slack_i
+  stays a candidate. Float32 rounding moves p by at most about
+  3 (M + 2) 2^-24 (|r_i|^2 + max_j |c_j|^2); the slack, SCREEN_SLACK = 1e-4
+  times the same, is over 2.5 times the gap two such errors open for M up to
+  100, so the loop's minimiser is always a candidate, whatever order, kernel
+  or thread count the BLAS sums in. Two floors are added: float32's smallest
+  normal number for products in float32's subnormal range, and the smallest
+  normal double, in scaled units, for the loop's own squares that underflow.
+- Recompute, once per call: for the candidates of all blocks, squared
+  differences of the float64 values are added in objective order from 0.0,
+  as the loop does; the row minimum is taken before the square root (sqrt is
+  correctly rounded and monotone), and the mean is a left-to-right sum.
 
-The mean is a sequential left-to-right sum. A slack that is too wide only
-costs time: at worst every pair is a candidate.
+A slack that is too wide only costs time: at worst every pair is a candidate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +36,11 @@ class IgdResult:
     value: float
 
 
-# Reference rows per block: a block's (rows, N) screen product stays in cache.
-IGD_BLOCK = 96
-# Screen slack relative to |r_i|^2 + max_j |c_j|^2; see the module docstring.
-SCREEN_SLACK = 1e-9
+# Reference rows per block; bounds the (N, rows) float32 screen product. The
+# fronts of up to 10 objectives (2002 rows at most) take one block.
+IGD_BLOCK = 2048
+# Screen slack relative to |r_i|^2 + max_j |c_j|^2 in scaled units; see above.
+SCREEN_SLACK = 1e-4
 
 
 def igd(reference, solutions) -> IgdResult:
@@ -49,29 +52,32 @@ def igd(reference, solutions) -> IgdResult:
         raise ValueError(f"objective counts differ: {ref.shape[1]} vs {sol.shape[1]}")
     if not (np.isfinite(ref).all() and np.isfinite(sol).all()):
         raise ValueError("reference and solution objectives must be finite")
-    k, n = ref.shape[0], sol.shape[0]
-    ref_t = np.ascontiguousarray(ref.T)
-    sol_t = np.ascontiguousarray(sol.T)
-    sol_sq = np.einsum("ij,ij->i", sol, sol)
-    slack = SCREEN_SLACK * (np.einsum("ij,ij->i", ref, ref) + sol_sq.max()) + np.finfo(float).tiny
-    # p = [r, 1] @ [-2 c; |c|^2], so the screen is a single product per block.
-    ref_1 = np.hstack([ref, np.ones((k, 1))])
-    sol_2 = np.vstack([-2.0 * sol_t, sol_sq])
-    mins = np.empty(k)
+    k = ref.shape[0]
+    # Halves first, so that the translation cannot overflow.
+    centre = 0.25 * sol.min(axis=0) + 0.25 * sol.max(axis=0)
+    ref_h, sol_h = 0.5 * ref - centre, 0.5 * sol - centre
+    exp = int(np.frexp(max(np.abs(ref_h).max(), np.abs(sol_h).max()))[1])
+    ref_32, sol_32 = (np.ldexp(a, -exp).astype(np.float32) for a in (ref_h, sol_h))
+    sol_sq = np.einsum("ij,ij->i", sol_32, sol_32)
+    # Squares scale by 2^(-2 exp - 2); past 2^8 the loop's floor admits every pair.
+    floor = np.finfo(np.float32).tiny + math.ldexp(np.finfo(float).tiny, min(-2 * exp - 2, 1030))
+    slack = SCREEN_SLACK * (np.einsum("ij,ij->i", ref_32, ref_32) + sol_sq.max()) + floor
+    # p = [-2 c, |c|^2] @ [r, 1]^T, one column per reference row of the block.
+    sol_2 = np.hstack([-2.0 * sol_32, sol_sq[:, None]])
+    ref_1 = np.vstack([ref_32.T, np.ones((1, k), dtype=np.float32)])
+    hits = []
     for start in range(0, k, IGD_BLOCK):
-        stop = min(start + IGD_BLOCK, k)
-        p = ref_1[start:stop] @ sol_2
-        limit = p.min(axis=1)
-        limit += slack[start:stop]
-        rows, cols = np.divmod(np.flatnonzero(~(p > limit[:, None])), n)
-        diff = ref_t[:, start:stop][:, rows] - sol_t[:, cols]
-        diff *= diff
-        acc = np.zeros(rows.size)
-        for sq in diff:
-            acc += sq
-        # Every row has a candidate, and rows come sorted.
-        np.minimum.reduceat(acc, np.searchsorted(rows, np.arange(stop - start)), out=mins[start:stop])
-    total = 0.0
-    for v in np.sqrt(mins).tolist():
-        total += v
-    return IgdResult(value=total / k)
+        p = sol_2 @ ref_1[:, start:start + IGD_BLOCK]
+        limit = p.min(axis=0)
+        limit += slack[start:start + IGD_BLOCK]
+        col, row = np.divmod(np.flatnonzero(p <= limit), p.shape[1])
+        hits.append((row + start, col))
+    rows, cols = (np.concatenate(h) for h in zip(*hits))
+    diff = ref[rows] - sol[cols]
+    diff *= diff
+    acc = np.zeros(rows.size)
+    for sq in diff.T:
+        acc += sq
+    mins = np.full(k, np.inf)  # every row has a candidate
+    np.minimum.at(mins, rows, acc)
+    return IgdResult(value=float(np.add.accumulate(np.sqrt(mins))[-1] / k))

@@ -214,7 +214,7 @@ def critic_gradient(
     _require_scalar_critic(net)
     x = _as_batch(net, x)
     b, extra = divmod(x.shape[0], 3)
-    if extra:
+    if extra or b == 0:
         raise ValueError(f"expected [good; bad; mixed] blocks of equal size, got {x.shape[0]} rows")
     if top is None:
         top = _critic_seed(b, x.dtype)

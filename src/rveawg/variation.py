@@ -24,15 +24,17 @@ def mutate_matrix(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, rng: np.
     """Polynomial mutation at rate 1/n and index ETA_M, applied independently
     to every entry of an (N, n) matrix."""
     xs = np.asarray(xs, dtype=float)
-    span = upper - lower
     # Draw both grids up front so the stream consumption is shape-determined.
     mask = rng.random(xs.shape) < 1.0 / xs.shape[-1]
     u = rng.random(xs.shape)
-    delta1 = (xs - lower) / span
-    delta2 = (upper - xs) / span
-    moved = xs + mutation_delta(u, delta1, delta2, ETA_M) * span
-    out = np.where(mask, moved, xs)
-    return np.clip(out, lower, upper)
+    # About one entry per row moves: perturb only those, by flat C-order index.
+    at = np.flatnonzero(mask)
+    col = at % xs.shape[-1]
+    x, low, high = xs.take(at), lower[col], upper[col]
+    span = high - low
+    out = xs.copy()
+    out.flat[at] = x + mutation_delta(u.take(at), (x - low) / span, (high - x) / span, ETA_M) * span
+    return np.clip(out, lower, upper, out=out)
 
 
 def sbx_crossover(

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rveawg import ConfigurationError, RunConfig, harness, igd, run_experiment
+from rveawg import ConfigurationError, RunConfig, harness, igd, metrics, run_experiment
 from rveawg.metrics import IGD_BLOCK
 
 
@@ -87,15 +88,28 @@ def test_igd_matches_naive_loop_bit_exactly():
         assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
 
 
-@pytest.mark.parametrize("n_ref", [1, IGD_BLOCK - 1, IGD_BLOCK, IGD_BLOCK + 1, 3 * IGD_BLOCK + 17])
-def test_igd_matches_naive_loop_across_blocks(n_ref):
+# Block boundaries are checked at a block this small, where the loop oracle
+# stays cheap; nothing in the screen depends on the block's size.
+BLOCK = 96
+
+
+@pytest.mark.parametrize("n_ref", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+def test_igd_matches_naive_loop_across_blocks(n_ref, monkeypatch):
     # Reference sets that end inside, at and one past a block boundary, and
     # M from 2 to 15 with a single solution and with many.
+    monkeypatch.setattr(metrics, "IGD_BLOCK", BLOCK)
     rng = np.random.default_rng(26 + n_ref)
     for m, n_sol in [(2, 1), (3, 300), (7, 45), (10, 128)] + [(m, n) for m in range(2, 16) for n in (1, 50)]:
         ref = rng.uniform(-5, 5, size=(n_ref, m))
         sols = rng.uniform(-5, 5, size=(n_sol, m))
         assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), (m, n_sol)
+
+
+def test_igd_matches_naive_loop_past_the_block():
+    rng = np.random.default_rng(30)
+    ref = rng.uniform(-5, 5, size=(IGD_BLOCK + 1, 3))
+    sols = rng.uniform(-5, 5, size=(20, 3))
+    assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist())
 
 
 def test_igd_screen_exact_on_ties_and_duplicates():
@@ -148,6 +162,59 @@ def test_igd_screen_exact_when_squares_underflow():
         sols = rng.uniform(0, 1, size=(6, 3)) * 3e-161
         assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
 
+
+def test_igd_screen_exact_below_float32_resolution():
+    # Solutions whose squared distances to a reference row differ by a
+    # relative 1e-12 to 1e-9: float32 cannot order them, float64 can, and
+    # the loop's pick must win the recompute.
+    rng = np.random.default_rng(32)
+    for case in range(40):
+        m = int(rng.integers(2, 12))
+        ref = rng.uniform(0, 1, size=(int(rng.integers(1, 30)), m))
+        dirs = rng.standard_normal((int(rng.integers(2, 40)), m))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radius = 0.3 * (1.0 + rng.uniform(1e-12, 1e-9, size=(len(dirs), 1)))
+        sols = ref[int(rng.integers(len(ref)))] + radius * dirs
+        assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
+
+
+def test_igd_screen_keeps_the_loops_pick_when_its_squares_underflow():
+    # The loop rounds each square to a multiple of the smallest subnormal q:
+    # 99.6 q becomes 100 q, and three squares of 33.45 q become 33 q each.
+    # So it picks the second solution, which is the farther one by 0.75%.
+    q = math.ldexp(1.0, -1074)
+    x, y = math.sqrt(99.6) * 2.0**-537, math.sqrt(33.45) * 2.0**-537
+    ref, sols = [[0.0, 0.0, 0.0]], [[x, 0.0, 0.0], [y, y, y]]
+    assert igd(ref, sols).value == naive_igd(ref, sols) == math.sqrt(99 * q)
+
+
+@pytest.mark.parametrize("m", [50, 100])
+def test_igd_matches_naive_loop_at_many_objectives(m):
+    # The top of the range the screen's slack is sized for, on spread sets
+    # and on solutions nearly equidistant from a reference row.
+    rng = np.random.default_rng(33 + m)
+    for case in range(6):
+        ref = rng.uniform(0, 1, size=(int(rng.integers(1, 60)), m))
+        sols = rng.uniform(0, 1, size=(int(rng.integers(1, 40)), m))
+        if case % 2:
+            dirs = rng.standard_normal((len(sols), m))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            sols = ref[0] + 0.5 * (1.0 + rng.uniform(0, 1e-6, size=(len(sols), 1))) * dirs
+        assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
+
+
+@pytest.mark.parametrize("scale", [1e30, 1e-30])
+def test_igd_screen_exact_outside_float32_range(scale):
+    # Finite in float64, but squares overflow or underflow in float32 unless
+    # the screen scales first; it must raise no floating-point warning.
+    rng = np.random.default_rng(34)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in range(30):
+            m = int(rng.integers(2, 12))
+            ref = rng.uniform(0, 1, size=(int(rng.integers(1, 100)), m)) * scale
+            sols = (rng.uniform(0, 1, size=(int(rng.integers(1, 40)), m)) + case % 3) * scale
+            assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
 
 
 def row_of(values, monkeypatch):

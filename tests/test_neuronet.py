@@ -440,7 +440,7 @@ def test_fused_critic_step_zero_input_gradient():
 
 def test_critic_gradient_rejects_unequal_blocks():
     net = random_net(np.random.default_rng(3))
-    for rows in (1, 2, 4, 8):
+    for rows in (0, 1, 2, 4, 8):
         with pytest.raises(ValueError, match=f"blocks of equal size, got {rows} rows"):
             critic_gradient(net, np.zeros((rows, net.in_dim)), 10.0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from rveawg import sbx_crossover
-from rveawg.variation import mutate_matrix, mutation_delta
+from rveawg.variation import ETA_M, mutate_matrix, mutation_delta
 
 LOWER = np.zeros(6)
 UPPER = np.ones(6)
@@ -46,6 +46,32 @@ def test_mutation_seed_replay():
     a = mutate_matrix(x[None], LOWER, UPPER, np.random.default_rng(9))
     b = mutate_matrix(x[None], LOWER, UPPER, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+def full_grid_mutation(xs, lower, upper, rng):
+    """The defining form: the perturbation at every entry, kept where the mask draws."""
+    span = upper - lower
+    mask = rng.random(xs.shape) < 1.0 / xs.shape[-1]
+    u = rng.random(xs.shape)
+    moved = xs + mutation_delta(u, (xs - lower) / span, (upper - xs) / span, ETA_M) * span
+    return np.clip(np.where(mask, moved, xs), lower, upper)
+
+
+def test_mutation_matches_full_grid_formula():
+    # Random shapes, bounds and seeds, bit for bit; every third case in
+    # Fortran order, so the flat indices must follow C order.
+    rng = np.random.default_rng(71)
+    for case in range(200):
+        rows, n = int(rng.integers(1, 120)), int(rng.integers(1, 320))
+        lower = rng.uniform(-5.0, 1.0, n)
+        upper = lower + rng.uniform(0.1, 10.0, n)
+        xs = rng.uniform(lower, upper, (rows, n))
+        if case % 3 == 0:
+            xs = np.asfortranarray(xs)
+        seed = int(rng.integers(2**32))
+        got = mutate_matrix(xs, lower, upper, np.random.default_rng(seed))
+        want = full_grid_mutation(xs, lower, upper, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes(), f"case {case}"
 
 
 def test_sbx_identical_parents_unchanged():
