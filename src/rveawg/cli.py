@@ -1,10 +1,16 @@
-"""Command-line entry points for single runs and table-style sweeps."""
+"""Command-line entry points: `run` for one configuration and `sweep` for
+the (problem, M, algorithm) product a config file lists. `run` is the
+product's one-row case: both build their configs with `build_configs`, keep
+the library default (`RunConfig`, `GanConfig`, `run_experiment`) of each
+setting not given, and share one tail that runs, writes results.csv and
+maps failed runs to exit status 2."""
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .core import ConfigurationError
@@ -15,20 +21,35 @@ from .harness import (
     emit_plot_data,
     resolve_setup,
     run_experiment,
+    write_csv,
     write_experiment_csv,
 )
 from .neuronet import save_params
 from .problems import PROBLEM_NAMES
 from .refvec import to_unit_vectors
+from .wgan import GanConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
-
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", type=str, default="results", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+# The run settings that `run` takes as flags and `sweep` as keys: name ->
+# (type, help).
+SETTINGS = {
+    "generations": (int, "generations per run"),
+    "epochs": (int, "GAN epochs per generation"),
+    "runs": (int, "repeated runs per configuration"),
+    "seed": (int, "base seed; run i uses seed+i"),
+    "alpha": (float, "angle-penalty rate exponent"),
+}
+# The sweep's axes, each a comma-separated list: key -> (RunConfig field,
+# item type, the list a file without the key runs).
+SWEEP_AXES = {
+    "problems": ("problem", str, "dtlz1,dtlz2,dtlz3,dtlz4"),
+    "objectives": ("objectives", int, "3,6,8,10"),
+    "algorithms": ("algorithm", str, "rvea-wg,nsga2"),
+}
+SWEEP_KEYS = (*SWEEP_AXES, *SETTINGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,26 +60,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one (problem, M, algorithm) configuration")
-    run_p.add_argument("--algorithm", choices=ALGORITHMS, default="rvea-wg")
-    run_p.add_argument("--problem", choices=PROBLEM_NAMES, default="dtlz2")
-    run_p.add_argument("--objectives", type=int, default=3)
+    unset = argparse.SUPPRESS  # a flag not given stays out of the namespace and keeps the library default
+    run_p = sub.add_parser("run", help="run one (problem, M, algorithm) configuration", argument_default=unset)
+    run_p.add_argument("--algorithm", choices=ALGORITHMS)
+    run_p.add_argument("--problem", choices=PROBLEM_NAMES)
+    run_p.add_argument("--objectives", type=int)
     run_p.add_argument(
-        "--pop-size",
-        type=int,
-        default=None,
-        help="requested population size; snapped up to the nearest lattice count",
+        "--pop-size", type=int, help="requested population size; snapped up to the nearest lattice count"
     )
-    run_p.add_argument("--generations", type=int, default=15, help="generations per run")
-    run_p.add_argument("--epochs", type=int, default=40, help="GAN epochs per generation")
-    run_p.add_argument("--runs", type=int, default=10, help="repeated runs per configuration")
-    run_p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
-    run_p.add_argument("--alpha", type=float, default=2.0, help="angle-penalty rate exponent")
-    _add_output(run_p)
+    for name, (kind, text) in SETTINGS.items():
+        run_p.add_argument(f"--{name}", type=kind, help=text)
 
-    sweep_p = sub.add_parser("sweep", help="run a multi-row experiment from a config file")
+    sweep_p = sub.add_parser("sweep", help="run a multi-row experiment from a config file", argument_default=unset)
     sweep_p.add_argument("--config", type=str, required=True, help="flat key = value file")
-    _add_output(sweep_p)
+    for command in (run_p, sweep_p):
+        command.add_argument("--out", type=str, default="results", help="output directory")
+        command.add_argument("--jobs", type=int, help="parallel worker processes")
     return parser
 
 
@@ -88,57 +105,55 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _csv_list(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
+def _parse(key: str, raw: str, kind: type):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigurationError(f"{key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
-SWEEP_KEYS = ("problems", "objectives", "algorithms", "runs", "seed", "generations", "epochs", "alpha")
-
-
-def sweep_configs(values: dict[str, str]) -> list[RunConfig]:
+def sweep_settings(values: dict[str, str]) -> tuple[dict[str, list], dict]:
+    """The axes (RunConfig field -> values) and the settings of a parsed sweep
+    file. A key that is not set keeps its default: an axis its default list,
+    a setting the library's default."""
     unknown = [key for key in values if key not in SWEEP_KEYS]
     if unknown:
         raise ConfigurationError(
             f"unknown key {', '.join(map(repr, unknown))}; known keys: {', '.join(sorted(SWEEP_KEYS))}"
         )
-
-    def number(key, raw, kind=int):
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ConfigurationError(f"{key} = {raw!r} is not a valid {kind.__name__}") from None
-
-    def axis(key, default):
-        items = _csv_list(values.get(key, default))
+    axes = {}
+    for key, (name, kind, default) in SWEEP_AXES.items():
+        items = [_parse(key, item.strip(), kind) for item in values.get(key, default).split(",") if item.strip()]
         if not items:
             raise ConfigurationError(f"{key} lists nothing to run")
-        return items
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ConfigurationError(f"{key} lists {item} more than once")
+        axes[name] = items
+    settings = {key: _parse(key, values[key], kind) for key, (kind, _) in SETTINGS.items() if key in values}
+    return axes, settings
 
-    problems = axis("problems", "dtlz1,dtlz2,dtlz3,dtlz4")
-    objectives = [number("objectives", v) for v in axis("objectives", "3,6,8,10")]
-    algorithms = axis("algorithms", "rvea-wg,nsga2")
-    runs = number("runs", values.get("runs", 10))
-    seed = number("seed", values.get("seed", 0))
-    generations = number("generations", values.get("generations", 15))
-    epochs = number("epochs", values.get("epochs", 40))
-    alpha = number("alpha", values.get("alpha", 2.0), float)
 
-    configs = []
-    for problem in problems:
-        for m in objectives:
-            for algorithm in algorithms:
-                cfg = RunConfig(
-                    algorithm=algorithm,
-                    problem=problem,
-                    objectives=m,
-                    generations=generations,
-                    alpha=alpha,
-                    runs=runs,
-                    seed=seed,
-                )
-                cfg.gan.epochs = epochs
-                configs.append(cfg)
-    return configs
+def build_configs(axes: dict[str, list], settings: dict) -> tuple[list[RunConfig], dict]:
+    """One RunConfig per combination of the `axes` values (RunConfig field ->
+    values, the first axis outermost) under the RunConfig and GanConfig
+    fields among `settings`, and the rest of `settings`: run_experiment's."""
+    gan = {k: settings[k] for k in settings.keys() & {f.name for f in fields(GanConfig)}}
+    own = {k: settings[k] for k in settings.keys() & {f.name for f in fields(RunConfig)}}
+    experiment = {k: v for k, v in settings.items() if k not in own and k not in gan}
+    combos = itertools.product(*axes.values())
+    return [RunConfig(**dict(zip(axes, c)), **own, gan=GanConfig(**gan)) for c in combos], experiment
+
+
+def _run_table(args, axes: dict[str, list], settings: dict) -> tuple[list[RunConfig], list[ExperimentRow], Path]:
+    """The steps `run` and `sweep` share: the configs of `axes` under
+    `settings` and the flags given, their runs, and results.csv in --out."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
+    configs, experiment = build_configs(axes, {**settings, **flags})
+    rows = run_experiment(configs, **experiment)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return configs, rows, write_experiment_csv(rows, out / "results.csv")
 
 
 def _exit_status(rows: list[ExperimentRow]) -> int:
@@ -151,54 +166,30 @@ def _exit_status(rows: list[ExperimentRow]) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    cfg = RunConfig(
-        algorithm=args.algorithm,
-        problem=args.problem,
-        objectives=args.objectives,
-        pop_size=args.pop_size,
-        generations=args.generations,
-        alpha=args.alpha,
-        runs=args.runs,
-        seed=args.seed,
-    )
-    cfg.gan.epochs = args.epochs
-    problem, weights = resolve_setup(cfg)
-    rows = run_experiment([cfg], jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    with (out / "refvecs.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in to_unit_vectors(weights):
-            writer.writerow([repr(float(v)) for v in row])
-
-    rows_path = out / "results.csv"
-    write_experiment_csv(rows, rows_path)
-    print(f"wrote {rows_path}")
+def cmd_run(args) -> list[ExperimentRow]:
+    (cfg,), rows, path = _run_table(args, {}, {})
+    print(f"wrote {path}")
+    out = path.parent
+    write_csv(out / "refvecs.csv", [], to_unit_vectors(resolve_setup(cfg)[1]).tolist())
 
     # None when the base-seed run failed; that failure is on stderr and exits 2.
     record = rows[0].base_record
     if record is not None:
-        for path in emit_plot_data(record, out):
-            print(f"wrote {path}")
+        for written in emit_plot_data(record, out):
+            print(f"wrote {written}")
         for name, net in (record.networks or {}).items():  # rvea-wg runs only
             target = out / f"{name}_params.bin"
             save_params(net, target)
             print(f"wrote {target}")
-    mean = rows[0].mean_igd
-    print(f"{cfg.problem} M={cfg.objectives} {cfg.algorithm}: mean IGD {mean:.5e} over {cfg.runs} runs")
-    return _exit_status(rows)
+    mean, runs = rows[0].mean_igd, len(rows[0].per_run)
+    print(f"{cfg.problem} M={cfg.objectives} {cfg.algorithm}: mean IGD {mean:.5e} over {runs} runs")
+    return rows
 
 
-def cmd_sweep(args) -> int:
-    configs = sweep_configs(parse_config_file(Path(args.config)))
-    rows = run_experiment(configs, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_experiment_csv(rows, out / "results.csv")
-    print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
-    return _exit_status(rows)
+def cmd_sweep(args) -> list[ExperimentRow]:
+    _, rows, path = _run_table(args, *sweep_settings(parse_config_file(Path(args.config))))
+    print(f"wrote {path} ({len(rows)} rows)")
+    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -209,9 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors; those are config errors here.
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_sweep(args)
+        return _exit_status(cmd_run(args) if args.command == "run" else cmd_sweep(args))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

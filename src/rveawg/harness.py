@@ -1,13 +1,15 @@
 """Run orchestration: one run frame (set-up, initial population, evaluation
 count, IGD trace, record) around the generation steps of rvea-wg and NSGA-II,
-repeated-run experiments, and CSV/plot-data persistence."""
+and experiments that repeat every config over the same paired seeds.
+`RunConfig` describes one run; the run count and base seed belong to the
+experiment (`run_experiment`). One CSV writer writes every table."""
 from __future__ import annotations
 
 import csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +35,6 @@ class RunConfig:
     pop_size: int | None = None      # None: lattice default for the objective count
     generations: int = 15
     alpha: float = 2.0
-    runs: int = 10
-    seed: int = 0
     gan: GanConfig = field(default_factory=GanConfig)
 
     def validate(self) -> None:
@@ -42,10 +42,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown algorithm '{self.algorithm}'")
         if self.generations < 1:
             raise ConfigurationError("need at least one generation")
-        if self.runs < 1:
-            raise ConfigurationError("need at least one run")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigurationError(f"angle-penalty exponent alpha must be finite and >= 0, got {self.alpha}")
         self.gan.validate()
@@ -160,7 +156,6 @@ class ExperimentRow:
     problem: str
     objectives: int
     algorithm: str
-    runs: int
     mean_igd: float
     std_igd: float
     per_run: list[float]
@@ -180,8 +175,9 @@ def _run_job(args: tuple[RunConfig, int, bool]) -> tuple[float, RunRecord | None
     return record.final_igd, record if keep else None
 
 
-def run_experiment(configs: list[RunConfig], jobs: int = 1) -> list[ExperimentRow]:
-    """Execute runs x configs with paired per-run seeds (base seed + run index).
+def run_experiment(configs: list[RunConfig], runs: int = 10, seed: int = 0, jobs: int = 1) -> list[ExperimentRow]:
+    """Execute `runs` runs of every config with paired seeds: run i of every
+    config uses seed + i.
 
     Configs are validated up front; a run that fails afterwards contributes
     NaN to its row and the remaining rows are still produced. Each row keeps
@@ -189,13 +185,15 @@ def run_experiment(configs: list[RunConfig], jobs: int = 1) -> list[ExperimentRo
     minimum mean is flagged, mirroring the bold-minimum convention of
     benchmark tables.
     """
+    if runs < 1:
+        raise ConfigurationError("need at least one run")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if jobs < 1:
         raise ConfigurationError(f"need at least one worker process, got jobs={jobs}")
-    jobs_list: list[tuple[RunConfig, int, bool]] = []
     for cfg in configs:
         resolve_setup(cfg)
-        for run_index in range(cfg.runs):
-            jobs_list.append((cfg, cfg.seed + run_index, run_index == 0))
+    jobs_list = [(cfg, seed + run_index, run_index == 0) for cfg in configs for run_index in range(runs)]
 
     # A fork pool starts all its workers up front: no more than there are runs.
     workers = min(jobs, len(jobs_list))
@@ -206,22 +204,18 @@ def run_experiment(configs: list[RunConfig], jobs: int = 1) -> list[ExperimentRo
         results = [_run_job(job) for job in jobs_list]
 
     rows: list[ExperimentRow] = []
-    offset = 0
-    for cfg in configs:
-        per_run = [value for value, _ in results[offset : offset + cfg.runs]]
-        base_record = results[offset][1]
-        offset += cfg.runs
+    for index, cfg in enumerate(configs):
+        per_run = [value for value, _ in results[index * runs : (index + 1) * runs]]
         finite = [v for v in per_run if np.isfinite(v)]
         rows.append(
             ExperimentRow(
                 problem=cfg.problem,
                 objectives=cfg.objectives,
                 algorithm=cfg.algorithm,
-                runs=cfg.runs,
                 mean_igd=float(np.mean(finite)) if finite else float("nan"),
                 std_igd=float(np.std(finite)) if finite else float("nan"),
                 per_run=per_run,
-                base_record=base_record,
+                base_record=results[index * runs][1],
             )
         )
 
@@ -239,50 +233,37 @@ def _sci(v: float) -> str:
     return f"{v:.5e}"
 
 
-def write_experiment_csv(rows: list[ExperimentRow], path: Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    max_runs = max((row.runs for row in rows), default=0)
-    header = ["problem", "M", "algorithm", "runs", "mean_igd", "std_igd"]
-    header += [f"run_{i}" for i in range(max_runs)]
-    header.append("best")
+def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write `rows` under `header` (no header row when it is empty). Python
+    floats are written as their repr, which round-trips exactly."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            cells = [row.problem, row.objectives, row.algorithm, row.runs]
-            cells += [_sci(row.mean_igd), _sci(row.std_igd)]
-            cells += [_sci(v) for v in row.per_run]
-            cells += [""] * (max_runs - row.runs)
-            cells.append(int(row.best))
-            writer.writerow(cells)
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_experiment_csv(rows: list[ExperimentRow], path: Path) -> Path:
+    runs = len(rows[0].per_run) if rows else 0
+    header = ["problem", "M", "algorithm", "runs", "mean_igd", "std_igd", *(f"run_{i}" for i in range(runs)), "best"]
+    cells = (
+        [row.problem, row.objectives, row.algorithm, runs, _sci(row.mean_igd), _sci(row.std_igd),
+         *map(_sci, row.per_run), int(row.best)]
+        for row in rows
+    )
+    return write_csv(path, header, cells)
 
 
 def emit_plot_data(record: RunRecord, out_dir: Path) -> list[Path]:
     """Write igd_trace.csv, objectives.csv and, for rvea-wg, gan_trace.csv (full precision, round-trippable)."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "igd_trace.csv"
-    with trace_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "igd"])
-        for gen, value in enumerate(record.igd_trace):
-            writer.writerow([gen, repr(float(value))])
-    obj_path = out_dir / "objectives.csv"
-    with obj_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i + 1}" for i in range(record.final_f.shape[1])])
-        for row in record.final_f:
-            writer.writerow([repr(float(v)) for v in row])
-    written = [trace_path, obj_path]
+    objectives = [f"f{i + 1}" for i in range(record.final_f.shape[1])]
+    written = [
+        write_csv(out_dir / "igd_trace.csv", ["generation", "igd"], enumerate(record.igd_trace)),
+        write_csv(out_dir / "objectives.csv", objectives, record.final_f.tolist()),
+    ]
     if record.networks is not None:  # an rvea-wg record; only the header at 0 epochs
-        gan_path = out_dir / "gan_trace.csv"
-        with gan_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "critic_loss", "gen_loss", "wasserstein_estimate", "penalty"])
-            for s in record.gan_trace:
-                writer.writerow(
-                    [s.epoch, repr(s.critic_loss), repr(s.gen_loss), repr(s.wasserstein), repr(s.penalty)]
-                )
-        written.append(gan_path)
+        header = ["epoch", "critic_loss", "gen_loss", "wasserstein_estimate", "penalty"]
+        written.append(write_csv(out_dir / "gan_trace.csv", header, map(astuple, record.gan_trace)))
     return written

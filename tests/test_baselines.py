@@ -278,7 +278,7 @@ def test_nsga2_run_builds_one_dominance_matrix_per_population(monkeypatch):
     monkeypatch.setattr(baselines, "dominance", spy)
     monkeypatch.setattr(harness, "dominance", spy)
     monkeypatch.setattr(harness, "nsga2_generation", counted(baselines.nsga2_generation))
-    cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, pop_size=20, generations=15, runs=1)
+    cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, pop_size=20, generations=15)
     run_single(cfg, 0)
     assert calls == {"dominance": 16, "nsga2_generation": 15}
 
@@ -286,7 +286,7 @@ def test_nsga2_run_builds_one_dominance_matrix_per_population(monkeypatch):
 def test_nsga2_improves_dtlz2_quickly():
     from rveawg import RunConfig, run_single
 
-    cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, pop_size=50, generations=15, runs=1)
+    cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, pop_size=50, generations=15)
     record = run_single(cfg, 0)
     assert record.igd_trace[-1] < min(1.0, record.igd_trace[0])
 
@@ -297,6 +297,6 @@ def test_nsga2_dtlz2_matches_published_magnitude():
     # implementations.
     from rveawg import RunConfig, run_experiment
 
-    cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, generations=15, runs=10, seed=0)
-    row = run_experiment([cfg])[0]
+    cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, generations=15)
+    row = run_experiment([cfg], runs=10, seed=0)[0]
     assert 9.2858e-3 < row.mean_igd < 9.2858e-1

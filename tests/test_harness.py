@@ -3,15 +3,17 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rveawg import ConfigurationError, RunConfig, harness, run_experiment, run_single
-from rveawg.cli import SWEEP_KEYS, build_parser, main, parse_config_file
+from rveawg import ConfigurationError, RunConfig, cli, harness, run_experiment, run_single
+from rveawg.cli import SWEEP_KEYS, build_configs, build_parser, main, parse_config_file, sweep_settings
 from rveawg.core import child
-from rveawg.harness import emit_plot_data, resolve_setup, write_experiment_csv
+from rveawg.harness import resolve_setup, write_experiment_csv
+from rveawg.refvec import lattice_for, to_unit_vectors
 from rveawg.wgan import GanConfig, init_networks
 
 
@@ -29,8 +31,6 @@ def small_cfg(algorithm="rvea-wg", **kw):
         objectives=3,
         pop_size=15,
         generations=kw.pop("generations", 3),
-        runs=kw.pop("runs", 1),
-        seed=kw.pop("seed", 0),
     )
     cfg.gan.epochs = 4
     for k, v in kw.items():
@@ -140,7 +140,7 @@ def test_failed_run_reported_on_stderr(monkeypatch, capsys):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(harness, "run_single", broken)
-    row = run_experiment([small_cfg("nsga2", runs=2)])[0]
+    row = run_experiment([small_cfg("nsga2")], runs=2)[0]
     assert all(np.isnan(v) for v in row.per_run)
     out, err = capsys.readouterr()
     assert "run failed" not in out
@@ -149,13 +149,13 @@ def test_failed_run_reported_on_stderr(monkeypatch, capsys):
 
 
 def test_experiment_rows_paired_seeds_and_best_flag(tmp_path):
-    cfgs = [small_cfg("rvea-wg", runs=2), small_cfg("nsga2", runs=2)]
-    rows = run_experiment(cfgs)
+    cfgs = [small_cfg("rvea-wg"), small_cfg("nsga2")]
+    rows = run_experiment(cfgs, runs=2)
     assert len(rows) == 2
     assert {row.algorithm for row in rows} == {"rvea-wg", "nsga2"}
     assert sum(row.best for row in rows) == 1
     # Paired seeds: rerunning either algorithm alone reproduces its row values.
-    again = run_experiment([small_cfg("nsga2", runs=2)])[0]
+    again = run_experiment([small_cfg("nsga2")], runs=2)[0]
     nsga_row = next(r for r in rows if r.algorithm == "nsga2")
     assert again.per_run == nsga_row.per_run
 
@@ -170,28 +170,43 @@ def test_experiment_rows_paired_seeds_and_best_flag(tmp_path):
 
 def test_experiment_cardinality_for_sweep_shape():
     # A table-shaped sweep is problems x objectives x algorithms rows.
-    from rveawg.cli import sweep_configs
-
     values = {"problems": "dtlz1,dtlz2,dtlz3,dtlz4", "objectives": "3,6,8,10"}
-    configs = sweep_configs(values)
+    configs, _ = build_configs(*sweep_settings(values))
     assert len(configs) == 4 * 4 * 2
 
 
-def test_emit_plot_data_round_trip(tmp_path):
-    cfg = small_cfg(generations=3)
-    record = run_single(cfg, 2)
-    paths = emit_plot_data(record, tmp_path)
-    trace_file = tmp_path / "igd_trace.csv"
-    assert trace_file in paths
-    with trace_file.open() as fh:
-        rows = list(csv.reader(fh))[1:]
+def test_emit_plot_data_round_trip(tmp_path, monkeypatch, capsys):
+    """Every CSV file `rveawg run` writes for its base-seed run reads back as
+    the record's values and the unit reference vectors, exactly."""
+    records = []
+    real_run_single = harness.run_single
+
+    def keeping(cfg, seed):
+        records.append(real_run_single(cfg, seed))
+        return records[-1]
+
+    monkeypatch.setattr(harness, "run_single", keeping)
+    args = ["run", "--pop-size", "15", "--generations", "3", "--epochs", "4", "--runs", "1", "--seed", "2"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    (record,) = records
+    printed = capsys.readouterr().out.splitlines()
+    for name in ("results.csv", "igd_trace.csv", "objectives.csv", "gan_trace.csv"):
+        assert f"wrote {tmp_path / name}" in printed
+
+    def table(name):
+        with (tmp_path / name).open() as fh:
+            return list(csv.reader(fh))
+
+    rows = table("igd_trace.csv")[1:]
     assert len(rows) == 3
     assert [float(v) for _, v in rows] == record.igd_trace
-
-    with (tmp_path / "objectives.csv").open() as fh:
-        obj_rows = list(csv.reader(fh))[1:]
-    parsed = np.array([[float(v) for v in row] for row in obj_rows])
+    parsed = np.array([[float(v) for v in row] for row in table("objectives.csv")[1:]])
     assert np.array_equal(parsed, record.final_f)
+    gan_rows = table("gan_trace.csv")[1:]
+    assert len(gan_rows) == 3 * 4
+    assert [[int(row[0]), *map(float, row[1:])] for row in gan_rows] == [list(astuple(s)) for s in record.gan_trace]
+    vectors = np.array([[float(v) for v in row] for row in table("refvecs.csv")])
+    assert np.array_equal(vectors, to_unit_vectors(lattice_for(3, 15)))
 
 
 def test_record_rerunnable_from_snapshot():
@@ -292,6 +307,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("problems = ,", "problems lists nothing to run"),
         ("objectives =", "objectives lists nothing to run"),
         ("algorithms = , ,", "algorithms lists nothing to run"),
+        ("objectives = 3, 3", "objectives lists 3 more than once"),
+        ("objectives = 3, 4, 03", "objectives lists 3 more than once"),
+        ("algorithms = nsga2, nsga2", "algorithms lists nsga2 more than once"),
+        ("problems = dtlz2, lsmop1, dtlz2", "problems lists dtlz2 more than once"),
     ):
         bad.write_text(line + "\n")
         capsys.readouterr()
@@ -356,11 +375,11 @@ def test_pool_capped_at_run_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-    rows = run_experiment([small_cfg("nsga2", runs=2)], jobs=64)
+    rows = run_experiment([small_cfg("nsga2")], runs=2, jobs=64)
     assert sizes == [2]
-    assert rows[0].per_run == run_experiment([small_cfg("nsga2", runs=2)])[0].per_run
-    run_experiment([small_cfg("nsga2", runs=2), small_cfg("nsga2", runs=1)], jobs=2)
-    run_experiment([small_cfg("nsga2", runs=1)], jobs=64)
+    assert rows[0].per_run == run_experiment([small_cfg("nsga2")], runs=2)[0].per_run
+    run_experiment([small_cfg("nsga2"), small_cfg("nsga2")], runs=1, jobs=2)
+    run_experiment([small_cfg("nsga2")], runs=1, jobs=64)
     assert sizes == [2, 2]
 
 
@@ -411,7 +430,7 @@ def test_row_mean_and_std_of_finite_runs(monkeypatch):
         return real(cfg, seed)
 
     monkeypatch.setattr(harness, "run_single", flaky)
-    row, dead = run_experiment([small_cfg("nsga2", runs=4), small_cfg("nsga2", problem="dtlz1", runs=2)])
+    row, dead = run_experiment([small_cfg("nsga2"), small_cfg("nsga2", problem="dtlz1")], runs=4)
     assert np.isnan(row.per_run[1])
     finite = [row.per_run[i] for i in (0, 2, 3)]
     assert np.isfinite(finite).all()
@@ -448,6 +467,52 @@ def test_cli_run_byte_identical_repeat(tmp_path):
     a = (tmp_path / "a" / "results.csv").read_bytes()
     b = (tmp_path / "b" / "results.csv").read_bytes()
     assert a == b
+
+
+def test_cli_run_is_the_one_row_sweep(tmp_path, capsys):
+    """`rveawg run` and a one-row `rveawg sweep` with the same settings write
+    the same results.csv, byte for byte."""
+    settings = {"generations": "2", "epochs": "2", "runs": "2", "seed": "3", "alpha": "1.5"}
+    flags = [f"--{key}={value}" for key, value in settings.items()]
+    assert main(["run", "--problem", "lsmop1", "--objectives", "3", "--algorithm", "rvea-wg", *flags,
+                 "--out", str(tmp_path / "run")]) == 0
+    cfgfile = tmp_path / "sweep.cfg"
+    lines = ["problems = lsmop1", "objectives = 3", "algorithms = rvea-wg"]
+    cfgfile.write_text("\n".join(lines + [f"{key} = {value}" for key, value in settings.items()]) + "\n")
+    assert main(["sweep", "--config", str(cfgfile), "--jobs", "2", "--out", str(tmp_path / "sweep")]) == 0
+    assert (tmp_path / "run" / "results.csv").read_bytes() == (tmp_path / "sweep" / "results.csv").read_bytes()
+
+
+def test_omitted_settings_keep_library_defaults(tmp_path, monkeypatch):
+    """A flag or key that is not given reaches run_experiment as the default
+    of RunConfig, GanConfig or run_experiment: the CLI holds none of its own."""
+    calls = []
+
+    def spy(configs, **kwargs):
+        calls.append((configs, kwargs))
+        raise RuntimeError("stop before running")
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run"]) == 2
+    assert calls.pop() == ([RunConfig()], {})
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("problems = dtlz2\nobjectives = 3\nalgorithms = rvea-wg\n")
+    assert main(["sweep", "--config", str(cfgfile)]) == 2
+    assert calls.pop() == ([RunConfig()], {})
+    # Given ones reach the field they name, and only they do.
+    assert main(["run", "--epochs", "7", "--seed", "4", "--jobs", "2", "--pop-size", "9"]) == 2
+    assert calls.pop() == ([RunConfig(pop_size=9, gan=GanConfig(epochs=7))], {"seed": 4, "jobs": 2})
+    cfgfile.write_text("objectives = 4\nruns = 3\nalpha = 1.5\n")
+    assert main(["sweep", "--config", str(cfgfile)]) == 2
+    configs, kwargs = calls.pop()
+    assert kwargs == {"runs": 3}
+    assert configs == [
+        RunConfig(problem=p, objectives=4, algorithm=a, alpha=1.5)
+        for p in ("dtlz1", "dtlz2", "dtlz3", "dtlz4")
+        for a in ("rvea-wg", "nsga2")
+    ]
+    assert not (tmp_path / "results").exists()
 
 
 def test_results_independent_of_blas_threads_and_jobs(tmp_path):

@@ -222,7 +222,7 @@ def row_of(values, monkeypatch):
     are `values` (NaN for a run that fails)."""
 
     def stub(cfg, seed):
-        value = values[seed - cfg.seed]
+        value = values[seed]
         if np.isnan(value):
             raise RuntimeError("boom")
         return harness.RunRecord(
@@ -231,7 +231,7 @@ def row_of(values, monkeypatch):
         )
 
     monkeypatch.setattr(harness, "run_single", stub)
-    (row,) = run_experiment([RunConfig(algorithm="nsga2", runs=len(values))])
+    (row,) = run_experiment([RunConfig(algorithm="nsga2")], runs=len(values))
     return row
 
 
@@ -259,6 +259,6 @@ def test_aggregate_rejects_empty(monkeypatch):
     # A row of no runs is refused before anything runs; a row whose runs all
     # failed has no finite value to aggregate and reads NaN.
     with pytest.raises(ConfigurationError):
-        run_experiment([RunConfig(algorithm="nsga2", runs=0)])
+        run_experiment([RunConfig(algorithm="nsga2")], runs=0)
     row = row_of([float("nan")] * 2, monkeypatch)
     assert np.isnan(row.mean_igd) and np.isnan(row.std_igd) and not row.best
