@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--problem", choices=PROBLEM_NAMES)
     run_p.add_argument("--objectives", type=int)
     run_p.add_argument(
-        "--pop-size", type=int, help="requested population size; snapped up to the nearest lattice count"
+        "--pop-size",
+        type=int,
+        help="requested population size; snapped up to the nearest lattice count",
     )
     for name, (kind, text) in SETTINGS.items():
         run_p.add_argument(f"--{name}", type=kind, help=text)
@@ -126,8 +128,9 @@ def sweep_settings(values: dict[str, str]) -> tuple[dict[str, list], dict]:
         items = [_parse(key, item.strip(), kind) for item in values.get(key, default).split(",") if item.strip()]
         if not items:
             raise ConfigurationError(f"{key} lists nothing to run")
+        same = [item.lower() for item in items] if key == "problems" else items  # make_problem ignores case
         for i, item in enumerate(items):
-            if item in items[:i]:
+            if same[i] in same[:i]:
                 raise ConfigurationError(f"{key} lists {item} more than once")
         axes[name] = items
     settings = {key: _parse(key, values[key], kind) for key, (kind, _) in SETTINGS.items() if key in values}

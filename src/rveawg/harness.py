@@ -73,17 +73,13 @@ def resolve_setup(cfg: RunConfig) -> tuple[ProblemDef, np.ndarray]:
     return problem, weights
 
 
-def reference_front_size(m: int) -> int:
-    return 500 if m <= 5 else 1000
-
-
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     """One optimization run under the protocol both algorithms share: the
     seed's initial population, N evaluations per generation and IGD against
     the reference front after each generation."""
     problem, weights = resolve_setup(cfg)
     n_pop = weights.shape[0]
-    front = sample_front(problem, reference_front_size(problem.m))
+    front = sample_front(problem, 500 if problem.m <= 5 else 1000)  # reference-front size
     started = time.perf_counter()
 
     rng = np.random.default_rng(seed)
@@ -191,9 +187,11 @@ def run_experiment(configs: list[RunConfig], runs: int = 10, seed: int = 0, jobs
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if jobs < 1:
         raise ConfigurationError(f"need at least one worker process, got jobs={jobs}")
+    jobs_list: list[tuple[RunConfig, int, bool]] = []
     for cfg in configs:
         resolve_setup(cfg)
-    jobs_list = [(cfg, seed + run_index, run_index == 0) for cfg in configs for run_index in range(runs)]
+        for run_index in range(runs):
+            jobs_list.append((cfg, seed + run_index, run_index == 0))
 
     # A fork pool starts all its workers up front: no more than there are runs.
     workers = min(jobs, len(jobs_list))
@@ -206,6 +204,7 @@ def run_experiment(configs: list[RunConfig], runs: int = 10, seed: int = 0, jobs
     rows: list[ExperimentRow] = []
     for index, cfg in enumerate(configs):
         per_run = [value for value, _ in results[index * runs : (index + 1) * runs]]
+        base_record = results[index * runs][1]
         finite = [v for v in per_run if np.isfinite(v)]
         rows.append(
             ExperimentRow(
@@ -215,7 +214,7 @@ def run_experiment(configs: list[RunConfig], runs: int = 10, seed: int = 0, jobs
                 mean_igd=float(np.mean(finite)) if finite else float("nan"),
                 std_igd=float(np.std(finite)) if finite else float("nan"),
                 per_run=per_run,
-                base_record=results[index * runs][1],
+                base_record=base_record,
             )
         )
 
@@ -227,10 +226,6 @@ def run_experiment(configs: list[RunConfig], runs: int = 10, seed: int = 0, jobs
         if finite_rows:
             min(finite_rows, key=lambda r: r.mean_igd).best = True
     return rows
-
-
-def _sci(v: float) -> str:
-    return f"{v:.5e}"
 
 
 def write_csv(path: Path, header: list[str], rows) -> Path:
@@ -246,13 +241,17 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
 
 def write_experiment_csv(rows: list[ExperimentRow], path: Path) -> Path:
     runs = len(rows[0].per_run) if rows else 0
-    header = ["problem", "M", "algorithm", "runs", "mean_igd", "std_igd", *(f"run_{i}" for i in range(runs)), "best"]
-    cells = (
-        [row.problem, row.objectives, row.algorithm, runs, _sci(row.mean_igd), _sci(row.std_igd),
-         *map(_sci, row.per_run), int(row.best)]
-        for row in rows
-    )
-    return write_csv(path, header, cells)
+    header = ["problem", "M", "algorithm", "runs", "mean_igd", "std_igd"]
+    header += [f"run_{i}" for i in range(runs)]
+    header.append("best")
+    table = []
+    for row in rows:
+        cells = [row.problem, row.objectives, row.algorithm, runs]
+        cells += [f"{row.mean_igd:.5e}", f"{row.std_igd:.5e}"]
+        cells += [f"{v:.5e}" for v in row.per_run]
+        cells.append(int(row.best))
+        table.append(cells)
+    return write_csv(path, header, table)
 
 
 def emit_plot_data(record: RunRecord, out_dir: Path) -> list[Path]:

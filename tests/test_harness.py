@@ -311,6 +311,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("objectives = 3, 4, 03", "objectives lists 3 more than once"),
         ("algorithms = nsga2, nsga2", "algorithms lists nsga2 more than once"),
         ("problems = dtlz2, lsmop1, dtlz2", "problems lists dtlz2 more than once"),
+        ("problems = dtlz2, DTLZ2", "problems lists DTLZ2 more than once"),
     ):
         bad.write_text(line + "\n")
         capsys.readouterr()
@@ -378,7 +379,7 @@ def test_pool_capped_at_run_count(monkeypatch):
     rows = run_experiment([small_cfg("nsga2")], runs=2, jobs=64)
     assert sizes == [2]
     assert rows[0].per_run == run_experiment([small_cfg("nsga2")], runs=2)[0].per_run
-    run_experiment([small_cfg("nsga2"), small_cfg("nsga2")], runs=1, jobs=2)
+    run_experiment([small_cfg("nsga2"), small_cfg("nsga2")], runs=2, jobs=2)
     run_experiment([small_cfg("nsga2")], runs=1, jobs=64)
     assert sizes == [2, 2]
 
