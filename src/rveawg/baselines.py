@@ -1,10 +1,10 @@
 """NSGA-II comparison algorithm: dominance matrix, front peeling, crowding, one
 full generation.
 
-Each population's (n, n) dominance matrix is built once. The union of parents
-and children gets a fresh one in `nsga2_generation`, which hands the survivors'
-block of it back with the survivors; the harness's NSGA-II generations build
-the initial population's and carry it from generation to generation.
+As in Deb et al. (IEEE TEVC 6(2), 2002), each survivor's rank and crowding
+distance are assigned "while forming the population P_{t+1}" and carried into
+the next generation's tournaments. So each generation builds one dominance
+matrix and runs one non-dominated sort, both on the union of parents and children.
 """
 from __future__ import annotations
 
@@ -61,14 +61,14 @@ def fast_nondominated_sort(dom: np.ndarray) -> tuple[np.ndarray, list[list[int]]
     there, then by row index.
     """
     n = dom.shape[0]
-    count = np.count_nonzero(dom, axis=0)
+    count = np.add.reduce(dom.view(np.uint8), axis=0, dtype=np.int32)
     rank = np.zeros(n, dtype=int)
     fronts = []
     front = np.flatnonzero(count == 0)
     while front.size:
         fronts.append(front.tolist())
         sub = dom[front]
-        count -= np.count_nonzero(sub, axis=0)
+        count -= np.add.reduce(sub.view(np.uint8), axis=0, dtype=np.int32)
         nxt = np.flatnonzero((count == 0) & sub.any(axis=0))
         # Position in front of each member's last dominator there.
         last = len(front) - 1 - np.argmax(sub[::-1, nxt], axis=0)
@@ -102,42 +102,42 @@ def _tournament(rank: np.ndarray, crowding: np.ndarray, i: np.ndarray, j: np.nda
     return np.where(i_wins, i, j)
 
 
-def environmental_select(objs: np.ndarray, dom: np.ndarray, n_pop: int) -> np.ndarray:
-    """Elitist truncation on the rows' `dominance` matrix: fill whole fronts in
-    rank order, split the boundary front by descending crowding distance.
-    Returns the survivors' row indices."""
-    _, fronts = fast_nondominated_sort(dom)
+def environmental_select(objs: np.ndarray, dom: np.ndarray, n_pop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deb's loop forming P_{t+1} on the rows' `dominance` matrix: fill whole
+    fronts in rank order, split the boundary front by descending crowding
+    distance. Returns the survivors' row indices and every row's rank and
+    crowding, the latter taken over each front the loop reaches (the boundary
+    front whole) and 0 on the fronts after it. A survivor's dominators all lie
+    in whole fronts, so its rank is also its rank among the survivors alone."""
+    rank, fronts = fast_nondominated_sort(dom)
+    crowding = np.zeros(len(rank))
     survivors: list[int] = []
     for front in fronts:
+        crowding[front] = crowding_distance(objs, front)
         if len(survivors) + len(front) <= n_pop:
             survivors.extend(front)
             continue
-        crowd = crowding_distance(objs, front)
-        order = np.argsort(-crowd, kind="stable")
+        order = np.argsort(-crowding[front], kind="stable")
         remaining = n_pop - len(survivors)
         survivors.extend(front[k] for k in order[:remaining])
         break
-    return np.array(survivors, dtype=int)
+    return np.array(survivors, dtype=int), rank, crowding
 
 
 def nsga2_generation(
-    xs: np.ndarray, fs: np.ndarray, dom: np.ndarray, problem, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    xs: np.ndarray, fs: np.ndarray, rank: np.ndarray, crowding: np.ndarray, problem, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One generation: tournament mating, SBX + mutation, elitist truncation to N.
 
-    `dom` is the `dominance` matrix of `fs`. Draw order: the tournament picks
-    of all pairs of children (``rng.integers(0, N, size=(pairs, 4))``), then
-    their SBX draws u_cross and u_beta (``rng.random((pairs, 2, n))``), then
-    the mutation draws for all children. The tournaments and SBX run on all
-    pairs at once. Returns the survivors' decision and objective matrices and
-    their dominance matrix, the survivors' block of the union's, in survivor
-    order.
+    `rank` and `crowding` are the parents' values from the selection that
+    chose them. Draw order: the tournament picks of all pairs of children
+    (``rng.integers(0, N, size=(pairs, 4))``), then their SBX draws u_cross
+    and u_beta (``rng.random((pairs, 2, n))``), then the mutation draws for
+    all children. The tournaments and SBX run on all pairs at once. Returns
+    the survivors' decision and objective matrices, ranks and crowding
+    distances, in survivor order.
     """
     n_pop, n_var = xs.shape
-    rank, fronts = fast_nondominated_sort(dom)
-    crowding = np.zeros(n_pop)
-    for front in fronts:
-        crowding[front] = crowding_distance(fs, front)
     pairs = (n_pop + 1) // 2
     picks = rng.integers(0, n_pop, size=(pairs, 4))
     u = rng.random((pairs, 2, n_var))
@@ -150,6 +150,5 @@ def nsga2_generation(
     child_x = mutate_matrix(children[:n_pop], problem.lower, problem.upper, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
-    union_dom = dominance(union_f)
-    survivors = environmental_select(union_f, union_dom, n_pop)
-    return union_x[survivors], union_f[survivors], union_dom[np.ix_(survivors, survivors)]
+    survivors, rank, crowding = environmental_select(union_f, dominance(union_f), n_pop)
+    return union_x[survivors], union_f[survivors], rank[survivors], crowding[survivors]

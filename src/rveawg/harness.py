@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import dominance, nsga2_generation
+from .baselines import dominance, environmental_select, nsga2_generation
 from .core import ConfigurationError, child, evaluate, init_population
 from .metrics import igd
 from .problems import ProblemDef, make_problem, sample_front
@@ -139,11 +139,11 @@ def _rvea_wg_generations(cfg, problem, weights, xs, fs, rng, record):
 
 
 def _nsga2_generations(cfg, problem, weights, xs, fs, rng, record):
-    """Survivors of each NSGA-II generation, which evaluates one child per parent."""
-    dom = dominance(fs)
+    """Survivors of each NSGA-II generation (one child per parent), carrying each selection's rank and crowding."""
+    _, rank, crowding = environmental_select(fs, dominance(fs), len(fs))  # every row kept, in its order
     loop_rng = child(rng, "nsga2")
     for _ in range(cfg.generations):
-        xs, fs, dom = nsga2_generation(xs, fs, dom, problem, loop_rng)
+        xs, fs, rank, crowding = nsga2_generation(xs, fs, rank, crowding, problem, loop_rng)
         yield xs, fs
 
 

@@ -52,16 +52,24 @@ def deb_reference_sort(objs):
     return rank, fronts
 
 
-def reference_generation(xs, fs, problem, rng):
-    """One NSGA-II generation mating one pair at a time, on the same
-    up-front draws: two binary tournaments, then SBX (eta_c = 20) with its
-    own two rows of draws, per pair of children. It sorts its parents afresh
-    every generation and builds no bitsets, so it checks the carried matrix."""
-    n_pop = len(xs)
-    rank, fronts = deb_reference_sort(fs)
-    crowding = np.zeros(n_pop)
+def deb_rank_crowding(objs):
+    """Rank and crowding distance of every row, the crowding taken over each
+    of `deb_reference_sort`'s fronts."""
+    rank, fronts = deb_reference_sort(objs)
+    crowding = np.zeros(len(objs))
     for front in fronts:
-        crowding[front] = crowding_distance(fs, front)
+        crowding[front] = crowding_distance(objs, front)
+    return rank, crowding
+
+
+def reference_generation(xs, fs, rank, crowding, problem, rng):
+    """One NSGA-II generation mating one pair at a time, on the same
+    up-front draws: two binary tournaments on the parents' carried rank and
+    crowding, then SBX (eta_c = 20) with its own two rows of draws, per pair
+    of children. Deb's loop then forms the survivors one union front at a
+    time from `deb_reference_sort`, assigning each front's crowding as it
+    admits it; it builds no bitsets and sorts no survivor set."""
+    n_pop = len(xs)
 
     def tournament(i, j):
         if rank[i] != rank[j]:
@@ -83,8 +91,18 @@ def reference_generation(xs, fs, problem, rng):
     child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
-    survivors = environmental_select(union_f, reference_dominance(union_f), n_pop)
-    return union_x[survivors], union_f[survivors]
+    union_rank, fronts = deb_reference_sort(union_f)
+    union_crowding = np.zeros(len(union_f))
+    survivors = []
+    for front in fronts:
+        union_crowding[front] = crowding_distance(union_f, front)
+        if len(survivors) + len(front) <= n_pop:
+            survivors += front
+            continue
+        by_crowding = sorted(front, key=lambda p: -union_crowding[p])  # stable: ties keep the loop's order
+        survivors += by_crowding[: n_pop - len(survivors)]
+        break
+    return union_x[survivors], union_f[survivors], union_rank[survivors], union_crowding[survivors]
 
 
 def brute_force_fronts(objs):
@@ -202,37 +220,45 @@ def test_crowding_small_front_all_infinite():
 
 
 def test_generation_preserves_size():
+    # The carried ranks stay those of a fresh sort of the survivors.
     problem = make_problem("dtlz2", 3)
     rng = np.random.default_rng(5)
     xs = init_population(problem, 24, child(rng, "init"))
     fs = evaluate(xs, problem)
     loop = child(rng, "loop")
-    dom = dominance(fs)
+    _, rank, crowding = environmental_select(fs, dominance(fs), 24)
     for _ in range(10):
-        xs, fs, dom = nsga2_generation(xs, fs, dom, problem, loop)
+        xs, fs, rank, crowding = nsga2_generation(xs, fs, rank, crowding, problem, loop)
         assert xs.shape == (24, problem.n) and fs.shape == (24, 3)
+        assert rank.shape == crowding.shape == (24,)
         assert np.array_equal(fs, evaluate(xs, problem))
+        assert np.array_equal(rank, fast_nondominated_sort(dominance(fs))[0])
 
 
 @pytest.mark.parametrize("name, m, n_pop", [("dtlz2", 3, 24), ("dtlz2", 3, 25), ("dtlz1", 10, 51), ("lsmop1", 3, 1)])
 def test_generation_matches_per_pair_reference(name, m, n_pop):
-    # Same survivors bit for bit and the same stream position afterwards, for
-    # even and odd population sizes, and a carried dominance matrix equal to
-    # the survivors' own. A population of copies makes every tournament a
-    # crowding tie.
+    # Same survivors, ranks and crowding distances bit for bit and the same
+    # stream position afterwards, for even and odd population sizes, starting
+    # from the initial population's values in its own order. A population of
+    # copies makes every tournament a crowding tie.
     problem = make_problem(name, m)
     rng = np.random.default_rng(7 + n_pop)
     start = init_population(problem, n_pop, child(rng, "init"))
     for xs in (start, np.repeat(start[:1], n_pop, axis=0)):
         fs = evaluate(xs, problem)
-        dom = dominance(fs)
+        kept, rank, crowding = environmental_select(fs, dominance(fs), n_pop)
+        ref_rank, ref_crowding = deb_rank_crowding(fs)
+        assert sorted(kept.tolist()) == list(range(n_pop))  # every row kept
+        assert np.array_equal(rank, ref_rank) and np.array_equal(crowding, ref_crowding)
         ref_x, ref_f = xs, fs
         fast, slow = child(rng, "loop"), child(rng, "loop")
         for _ in range(4):
-            xs, fs, dom = nsga2_generation(xs, fs, dom, problem, fast)
-            ref_x, ref_f = reference_generation(ref_x, ref_f, problem, slow)
+            xs, fs, rank, crowding = nsga2_generation(xs, fs, rank, crowding, problem, fast)
+            ref_x, ref_f, ref_rank, ref_crowding = reference_generation(
+                ref_x, ref_f, ref_rank, ref_crowding, problem, slow
+            )
             assert np.array_equal(xs, ref_x) and np.array_equal(fs, ref_f)
-            assert np.array_equal(dom, dominance(fs))
+            assert np.array_equal(rank, ref_rank) and np.array_equal(crowding, ref_crowding)
             assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -243,11 +269,27 @@ def test_environmental_selection_is_rank_prefix():
         size = int(rng.integers(10, 40))
         objs = rng.uniform(0, 1, size=(size, 3))
         keep = int(rng.integers(1, size))
-        selected = environmental_select(objs, dominance(objs), keep)
+        selected, rank, _ = environmental_select(objs, dominance(objs), keep)
         assert len(selected) == keep == len(set(selected.tolist()))
-        rank, _ = fast_nondominated_sort(dominance(objs))
         dropped = np.setdiff1d(np.arange(size), selected)
         assert rank[selected].max() <= rank[dropped].min()
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_selected_ranks_equal_a_fresh_sort_of_the_survivors(m):
+    # The invariant that makes carried ranks exact: every dominator of a
+    # survivor lies in a front kept whole, so the union's ranks of the
+    # survivors are their ranks among themselves. Rounding to 2 decimals makes
+    # ties and duplicate rows common; n_pop runs from one row to the whole union.
+    rng = np.random.default_rng(2300 + m)
+    for case in range(40):
+        size = int(rng.integers(2, 120))
+        objs = np.round(rng.uniform(0, 1, size=(size, m)), 2)
+        objs[rng.integers(0, size, size=size // 4)] = objs[rng.integers(0, size, size=size // 4)]
+        for n_pop in sorted({1, size // 3, size // 2, size - 1, size} - {0}):
+            survivors, rank, _ = environmental_select(objs, dominance(objs), n_pop)
+            own_rank, _ = fast_nondominated_sort(dominance(objs[survivors]))
+            assert np.array_equal(rank[survivors], own_rank), f"case {case}, n_pop {n_pop}"
 
 
 def test_generation_handles_identical_population():
@@ -255,17 +297,20 @@ def test_generation_handles_identical_population():
     rng = np.random.default_rng(6)
     xs = np.repeat(init_population(problem, 1, rng), 12, axis=0)
     fs = evaluate(xs, problem)
-    out_x, out_f, _ = nsga2_generation(xs, fs, dominance(fs), problem, rng)
+    _, rank, crowding = environmental_select(fs, dominance(fs), 12)
+    out_x, out_f, out_rank, _ = nsga2_generation(xs, fs, rank, crowding, problem, rng)
     assert out_x.shape == (12, problem.n) and out_f.shape == (12, 3)
+    assert np.array_equal(out_rank, fast_nondominated_sort(dominance(out_f))[0])
 
 
 def test_nsga2_run_builds_one_dominance_matrix_per_population(monkeypatch):
-    # The initial population's matrix and one union matrix per generation; the
-    # survivors' matrices are carried, never rebuilt. nsga2_generation stays
-    # the per-generation call the benchmark's set-up probe waits for.
+    # The initial population's matrix and sort, and one union matrix and sort
+    # per generation: the survivors' ranks and crowding distances are carried
+    # from the selection, never recomputed. nsga2_generation stays the
+    # per-generation call the benchmark's set-up probe waits for.
     from rveawg import RunConfig, baselines, harness, run_single
 
-    calls = {"dominance": 0, "nsga2_generation": 0}
+    calls = {"dominance": 0, "fast_nondominated_sort": 0, "nsga2_generation": 0}
 
     def counted(fn):
         def wrapper(*args):
@@ -277,10 +322,29 @@ def test_nsga2_run_builds_one_dominance_matrix_per_population(monkeypatch):
     spy = counted(baselines.dominance)
     monkeypatch.setattr(baselines, "dominance", spy)
     monkeypatch.setattr(harness, "dominance", spy)
+    monkeypatch.setattr(baselines, "fast_nondominated_sort", counted(baselines.fast_nondominated_sort))
     monkeypatch.setattr(harness, "nsga2_generation", counted(baselines.nsga2_generation))
     cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, pop_size=20, generations=15)
     run_single(cfg, 0)
-    assert calls == {"dominance": 16, "nsga2_generation": 15}
+    assert calls == {"dominance": 16, "fast_nondominated_sort": 16, "nsga2_generation": 15}
+
+
+def test_nsga2_run_follows_the_reference_loop():
+    # A run's generations are the per-pair reference's, started from the
+    # initial population's ranks and crowding distances in its own order.
+    from rveawg import RunConfig, run_single
+
+    cfg = RunConfig(algorithm="nsga2", problem="dtlz2", objectives=3, pop_size=20, generations=5)
+    record = run_single(cfg, 3)
+    problem = make_problem("dtlz2", 3)
+    rng = np.random.default_rng(3)
+    xs = init_population(problem, record.config["resolved_pop_size"], child(rng, "init"))
+    fs = evaluate(xs, problem)
+    rank, crowding = deb_rank_crowding(fs)
+    loop = child(rng, "nsga2")
+    for _ in range(cfg.generations):
+        xs, fs, rank, crowding = reference_generation(xs, fs, rank, crowding, problem, loop)
+    assert np.array_equal(record.final_x, xs) and np.array_equal(record.final_f, fs)
 
 
 def test_nsga2_improves_dtlz2_quickly():
