@@ -26,7 +26,6 @@ from .harness import (
 )
 from .neuronet import save_params
 from .problems import PROBLEM_NAMES
-from .refvec import to_unit_vectors
 from .wgan import GanConfig
 
 EXIT_OK = 0
@@ -173,7 +172,8 @@ def cmd_run(args) -> list[ExperimentRow]:
     (cfg,), rows, path = _run_table(args, {}, {})
     print(f"wrote {path}")
     out = path.parent
-    write_csv(out / "refvecs.csv", [], to_unit_vectors(resolve_setup(cfg)[1]).tolist())
+    refvecs = write_csv(out / "refvecs.csv", [], resolve_setup(cfg)[1].tolist())
+    print(f"wrote {refvecs}")
 
     # None when the base-seed run failed; that failure is on stderr and exits 2.
     record = rows[0].base_record

@@ -21,7 +21,7 @@ from .problems import ProblemDef, make_problem, sample_front
 from .refvec import adapt, lattice_for, to_unit_vectors
 from .selection import elitism_select
 from .variation import mutate_matrix
-from .wgan import CRITIC_STEPS, PRETRAIN_EPOCHS, EpochStats, GanConfig, init_networks, normalize_to_net
+from .wgan import EpochStats, GanConfig, init_networks, normalize_to_net
 from .wgan import pretrain_discriminator, sample_offspring, train
 
 ALGORITHMS = ("rvea-wg", "nsga2")
@@ -65,20 +65,19 @@ class RunRecord:
 
 
 def resolve_setup(cfg: RunConfig) -> tuple[ProblemDef, np.ndarray]:
-    """Problem instance plus the weight lattice; the lattice size is the
-    population size actually used."""
+    """Problem instance plus the (N, M) unit reference vectors of the weight
+    lattice; N is the population size actually used."""
     cfg.validate()
     problem = make_problem(cfg.problem, cfg.objectives)
-    weights = lattice_for(cfg.objectives, cfg.pop_size)
-    return problem, weights
+    return problem, to_unit_vectors(lattice_for(cfg.objectives, cfg.pop_size))
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     """One optimization run under the protocol both algorithms share: the
     seed's initial population, N evaluations per generation and IGD against
     the reference front after each generation."""
-    problem, weights = resolve_setup(cfg)
-    n_pop = weights.shape[0]
+    problem, vectors = resolve_setup(cfg)
+    n_pop = vectors.shape[0]
     front = sample_front(problem, 500 if problem.m <= 5 else 1000)  # reference-front size
     started = time.perf_counter()
 
@@ -95,7 +94,7 @@ def run_single(cfg: RunConfig, seed: int) -> RunRecord:
         duration=0.0,
     )
     generations = _rvea_wg_generations if cfg.algorithm == "rvea-wg" else _nsga2_generations
-    for xs, fs in generations(cfg, problem, weights, xs, fs, rng, record):
+    for xs, fs in generations(cfg, problem, vectors, xs, fs, rng, record):
         record.evaluations += n_pop  # one offspring per vector or parent
         record.igd_trace.append(igd(front, fs).value)
     record.final_x, record.final_f = xs, fs
@@ -103,16 +102,19 @@ def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     return record
 
 
-def _rvea_wg_generations(cfg, problem, weights, xs, fs, rng, record):
+def _rvea_wg_generations(cfg, problem, initial, xs, fs, rng, record):
     """Survivors of each generation of the adversarial-offspring algorithm.
 
     Per generation: draw a fresh generator/critic pair, train it on the
     current survivors (critic pre-trained against the previously eliminated
-    individuals), sample N offspring, mutate them, merge with the parents,
-    apply reference-vector selection, and adapt the vectors to the merged
-    objective ranges. The epoch statistics and the last pair go on `record`.
+    individuals), sample N offspring, mutate them, merge with the parents
+    and apply reference-vector selection. Then the `initial` unit vectors
+    are adapted to the column ranges of the union that selection saw, after
+    every generation. RVEA (Cheng et al. 2016, Algorithm 3) adapts to the
+    ranges of the survivors P_{t+1} instead, and only every f_r * t_max
+    generations (f_r = 0.1); this reproduction keeps its rule, see the
+    README. The epoch statistics and the last pair go on `record`.
     """
-    initial = to_unit_vectors(weights)
     vectors = initial
     gan_rng = child(rng, "gan")
     init_rng = child(gan_rng, "init")
@@ -123,22 +125,22 @@ def _rvea_wg_generations(cfg, problem, weights, xs, fs, rng, record):
         gen, gen_opt, critic, critic_opt = init_networks(problem.n, init_rng)
         real = normalize_to_net(xs, problem.lower, problem.upper)
         bad = normalize_to_net(eliminated_x, problem.lower, problem.upper)
-        pretrain_discriminator(critic, critic_opt, real, bad, PRETRAIN_EPOCHS, gan_rng)
-        record.gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan.epochs, CRITIC_STEPS, gan_rng))
-        offspring = sample_offspring(gen, len(weights), problem.lower, problem.upper, gan_rng)
+        pretrain_discriminator(critic, critic_opt, real, bad, gan_rng)
+        record.gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan.epochs, gan_rng))
+        offspring = sample_offspring(gen, len(initial), problem.lower, problem.upper, gan_rng)
         offspring = mutate_matrix(offspring, problem.lower, problem.upper, mut_rng)
         union_x = np.vstack([xs, offspring])
         union_f = np.vstack([fs, evaluate(offspring, problem)])
 
-        result = elitism_select(union_f, vectors, t, cfg.generations, cfg.alpha)
-        vectors = adapt(initial, result.z_max, result.z_min)
-        eliminated_x = np.delete(union_x, result.selected_indices, axis=0)
-        xs, fs = union_x[result.selected_indices], union_f[result.selected_indices]
+        kept = elitism_select(union_f, vectors, t, cfg.generations, cfg.alpha).selected_indices
+        vectors = adapt(initial, union_f.max(axis=0), union_f.min(axis=0))
+        eliminated_x = np.delete(union_x, kept, axis=0)
+        xs, fs = union_x[kept], union_f[kept]
         yield xs, fs
     record.networks = {"generator": gen, "critic": critic}
 
 
-def _nsga2_generations(cfg, problem, weights, xs, fs, rng, record):
+def _nsga2_generations(cfg, problem, vectors, xs, fs, rng, record):
     """Survivors of each NSGA-II generation (one child per parent), carrying each selection's rank and crowding."""
     _, rank, crowding = environmental_select(fs, dominance(fs), len(fs))  # every row kept, in its order
     loop_rng = child(rng, "nsga2")

@@ -12,22 +12,15 @@ from .refvec import _min_angles
 @dataclass
 class SelectionResult:
     selected_indices: np.ndarray  # row indices into the input objectives, by partition order
-    z_min: np.ndarray             # column minima of the combined population
-    z_max: np.ndarray             # column maxima of the combined population
 
 
-def translate(objectives) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Subtract the column-wise minimum from every objective vector.
-
-    Returns (rows, z_min, z_max): the (P, M) translated rows, all components
-    >= 0, and the (M,) column minima and maxima of the input.
-    """
+def translate(objectives) -> np.ndarray:
+    """The (P, M) objective rows minus their column-wise minimum, all
+    components >= 0."""
     rows = np.asarray(objectives, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise EvaluationError("translation needs a non-empty (P, M) objective array")
-    z_min = rows.min(axis=0)
-    z_max = rows.max(axis=0)
-    return rows - z_min, z_min, z_max
+    return rows - rows.min(axis=0)
 
 
 def partition(rows: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -61,10 +54,9 @@ def elitism_select(
     partition of the (N, M) unit reference vectors.
 
     APD ties resolve to the lowest row index. Empty partitions are skipped,
-    so the output may be smaller than the vector count. The combined
-    population's objective extrema are returned for vector adaptation.
+    so the output may be smaller than the vector count.
     """
-    rows, z_min, z_max = translate(objectives)
+    rows = translate(objectives)
     assignment, cosines, norms = partition(rows, vectors)
     angles = np.arccos(np.clip(cosines, -1.0, 1.0))
     scale = vectors.shape[1] * (t / t_max) ** alpha
@@ -74,4 +66,4 @@ def elitism_select(
     # order, and the first row of each partition is its survivor.
     order = np.lexsort((distances, assignment))
     _, first = np.unique(assignment[order], return_index=True)
-    return SelectionResult(selected_indices=order[first], z_min=z_min, z_max=z_max)
+    return SelectionResult(selected_indices=order[first])

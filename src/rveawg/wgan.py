@@ -6,6 +6,9 @@ Decision vectors are trained in normalized [-1, 1] coordinates so the
 generator's tanh output always lands inside the box. Latent draws are
 standard normal. A run sets only the epochs per generation
 (`GanConfig.epochs`); the rest of the trainer is the constants below.
+`pretrain_discriminator` and `train` read the schedule, PRETRAIN_EPOCHS and
+CRITIC_STEPS, themselves, and both take their critic steps through
+`_critic_steps`.
 
 The networks are float32, and the dtype follows their parameters: survivor
 and eliminated rows are cast once to the critic's dtype. Each call makes its
@@ -87,58 +90,58 @@ def init_networks(n_var: int, rng: np.random.Generator) -> tuple[Mlp, AdamState,
     return gen, AdamState.for_net(gen, LEARNING_RATE), critic, AdamState.for_net(critic, LEARNING_RATE)
 
 
-def _critic_update(critic: Mlp, opt: AdamState, x: np.ndarray, top: np.ndarray) -> tuple[float, float, float]:
-    """One critic step on loss mean D(bad) - mean D(good) + LAMBDA_GP * penalty,
-    on the stacked [good; bad; mixed] rows x with the penalty taken at the
-    interpolates `mixed`; top is their `_critic_seed`.
+def _critic_steps(
+    critic: Mlp, opt: AdamState, good: np.ndarray, bad: np.ndarray, eps: np.ndarray
+) -> tuple[float, float, float]:
+    """One critic step per (b, n) block of the (steps, b, n) rows `good` and
+    `bad`, each on loss mean D(bad) - mean D(good) + LAMBDA_GP * penalty with
+    the penalty taken at the interpolates eps * good + (1 - eps) * bad, eps
+    the (steps, b, 1) weights.
 
-    Returns (loss, penalty, mean D(good) - mean D(bad)).
+    The steps' [good; bad; mixed] rows are filled up front into one
+    (steps, 3b, n) array in the critic's dtype. Returns the last step's
+    (loss, penalty, mean D(good) - mean D(bad)), zeros without steps.
     """
-    y_good, y_bad, penalty, grads = critic_gradient(critic, x, LAMBDA_GP, top)
-    b = len(y_good)
-    mean_good, mean_bad = (np.add.reduce(y, axis=None) / b for y in (y_good, y_bad))
-    loss = float(mean_bad - mean_good + LAMBDA_GP * penalty)
-    if not np.isfinite(loss):
-        raise TrainingError(f"critic loss diverged: {loss}")
-    adam_step(critic, grads, opt)
-    return loss, penalty, float(mean_good - mean_bad)
+    steps, b, n = good.shape
+    x = np.empty((steps, 3 * b, n), dtype=critic.params.dtype)
+    x[:, :b], x[:, b:2 * b] = good, bad
+    mixed = x[:, 2 * b:]
+    np.multiply(eps, x[:, :b], out=mixed)
+    mixed += (1.0 - eps) * x[:, b:2 * b]
+    top = _critic_seed(b, x.dtype)
+    stats = (0.0, 0.0, 0.0)
+    for rows in x:
+        y_good, y_bad, penalty, grads = critic_gradient(critic, rows, LAMBDA_GP, top)
+        mean_good, mean_bad = (np.add.reduce(y, axis=None) / b for y in (y_good, y_bad))
+        loss = float(mean_bad - mean_good + LAMBDA_GP * penalty)
+        if not np.isfinite(loss):
+            raise TrainingError(f"critic loss diverged: {loss}")
+        adam_step(critic, grads, opt)
+        stats = (loss, penalty, float(mean_good - mean_bad))
+    return stats
 
 
 def pretrain_discriminator(
-    critic: Mlp,
-    opt: AdamState,
-    real: np.ndarray,
-    bad: np.ndarray,
-    epochs: int,
-    rng: np.random.Generator,
+    critic: Mlp, opt: AdamState, real: np.ndarray, bad: np.ndarray, rng: np.random.Generator
 ) -> Mlp:
     """Push the critic up on survivor rows `real` and down on eliminated rows
-    `bad`, both (rows, n) in normalized coordinates, one critic step per
-    epoch (a run passes PRETRAIN_EPOCHS).
+    `bad`, both (rows, n) in normalized coordinates, in PRETRAIN_EPOCHS
+    critic steps.
 
     Without eliminated rows the critic is left untouched. Otherwise the
-    draws come first, in this stream order: the (epochs, b) survivor row
-    indices, the (epochs, b) eliminated row indices and the (epochs, b, 1)
-    interpolation weights in the critic's dtype.
+    draws come first, in this stream order: the (PRETRAIN_EPOCHS, b)
+    survivor row indices, the (PRETRAIN_EPOCHS, b) eliminated row indices
+    and the (PRETRAIN_EPOCHS, b, 1) interpolation weights in the critic's
+    dtype.
     """
-    if bad.shape[0] == 0 or epochs == 0:
+    if bad.shape[0] == 0:
         return critic
     real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
-    n_good, n_bad = real.shape[0], bad.shape[0]
-    b = min(BATCH_SIZE, n_good, n_bad)
-    good_idx = rng.integers(0, n_good, size=(epochs, b))
-    bad_idx = rng.integers(0, n_bad, size=(epochs, b))
-    eps_all = rng.random((epochs, b, 1), dtype=real.dtype)
-    # The [good; bad; mixed] rows of a step, refilled every epoch.
-    x = np.empty((3 * b, real.shape[1]), dtype=real.dtype)
-    good_batch, bad_batch, mixed = x[:b], x[b:2 * b], x[2 * b:]
-    top = _critic_seed(b, x.dtype)
-    for good_rows, bad_rows, eps in zip(good_idx, bad_idx, eps_all):
-        np.take(real, good_rows, axis=0, out=good_batch)
-        np.take(bad, bad_rows, axis=0, out=bad_batch)
-        np.multiply(eps, good_batch, out=mixed)
-        mixed += (1.0 - eps) * bad_batch
-        _critic_update(critic, opt, x, top)
+    b = min(BATCH_SIZE, real.shape[0], bad.shape[0])
+    good_idx = rng.integers(0, real.shape[0], size=(PRETRAIN_EPOCHS, b))
+    bad_idx = rng.integers(0, bad.shape[0], size=(PRETRAIN_EPOCHS, b))
+    eps = rng.random((PRETRAIN_EPOCHS, b, 1), dtype=real.dtype)
+    _critic_steps(critic, opt, real[good_idx], bad[bad_idx], eps)
     return critic
 
 
@@ -149,50 +152,38 @@ def train(
     critic_opt: AdamState,
     real: np.ndarray,
     epochs: int,
-    critic_steps: int,
     rng: np.random.Generator,
 ) -> list[EpochStats]:
-    """Adversarial training on the (rows, n) survivor matrix `real` (a run
-    passes its GanConfig.epochs and CRITIC_STEPS).
+    """Adversarial training on the (rows, n) survivor matrix `real` for
+    `epochs` epochs (a run passes its GanConfig.epochs).
 
-    Per epoch: `critic_steps` critic updates against generator samples
-    (with the gradient penalty taken at uniform interpolates of real and
-    generated rows), then one generator update on -mean D(G(z)).
+    Per epoch: CRITIC_STEPS critic steps against generator samples (with
+    the gradient penalty taken at uniform interpolates of real and generated
+    rows), then one generator update on -mean D(G(z)).
 
-    All draws come first, in this stream order: the (epochs, critic_steps, b)
-    real row indices, the (epochs, critic_steps + 1, b, latent) latents in the
+    All draws come first, in this stream order: the (epochs, CRITIC_STEPS, b)
+    real row indices, the (epochs, CRITIC_STEPS + 1, b, latent) latents in the
     generator's dtype, the last of each epoch's for its generator step, and
-    the (epochs, critic_steps, b, 1) interpolation weights in the critic's
+    the (epochs, CRITIC_STEPS, b, 1) interpolation weights in the critic's
     dtype. The generator stays fixed for the whole epoch, so one forward pass
     of the generator over the epoch's stacked latents serves every critic
     step and the generator step; a 3-D product multiplies each b-row slice on
     its own, so each slice gets the bits a forward pass on it alone would.
-    The critic steps' [good; bad; mixed] rows are stacked in one
-    (critic_steps, 3b, n) array, refilled every epoch.
     """
     n_real = real.shape[0]
     if n_real == 0:
         raise TrainingError("cannot train on an empty survivor set")
+    steps = CRITIC_STEPS
     b = min(BATCH_SIZE, n_real)
     real = np.asarray(real, dtype=critic.params.dtype)
-    idx_all = rng.integers(0, n_real, size=(epochs, critic_steps, b))
-    z_all = rng.standard_normal((epochs, critic_steps + 1, b, LATENT_DIM), dtype=gen.params.dtype)
-    eps_all = rng.random((epochs, critic_steps, b, 1), dtype=real.dtype)
-    x = np.empty((critic_steps, 3 * b, real.shape[1]), dtype=real.dtype)
-    good, bad, mixed = x[:, :b], x[:, b:2 * b], x[:, 2 * b:]
-    top = _critic_seed(b, x.dtype)
+    idx_all = rng.integers(0, n_real, size=(epochs, steps, b))
+    z_all = rng.standard_normal((epochs, steps + 1, b, LATENT_DIM), dtype=gen.params.dtype)
+    eps_all = rng.random((epochs, steps, b, 1), dtype=real.dtype)
     trace = []
     for epoch, (idx, z, eps) in enumerate(zip(idx_all, z_all, eps_all)):
         gen_hs = _forward_sweep(gen, z)
-        fake = gen_hs[-1][:critic_steps]
-        np.take(real, idx, axis=0, out=good)
-        bad[...] = fake
-        np.multiply(eps, good, out=mixed)
-        mixed += (1.0 - eps) * fake
-        critic_loss = penalty = w_est = 0.0
-        for s in range(critic_steps):
-            critic_loss, penalty, w_est = _critic_update(critic, critic_opt, x[s], top)
-        scores, gen_grads = generator_gradient(gen, z[critic_steps], [h[critic_steps] for h in gen_hs], critic)
+        critic_loss, penalty, w_est = _critic_steps(critic, critic_opt, real[idx], gen_hs[-1][:steps], eps)
+        scores, gen_grads = generator_gradient(gen, z[steps], [h[steps] for h in gen_hs], critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")

@@ -16,13 +16,14 @@ from rveawg import (
     run_experiment,
     sample_front,
     to_unit_vectors,
+    wgan,
 )
 from rveawg.baselines import dominance, fast_nondominated_sort
 from rveawg.cli import main
 from rveawg.core import child
 from rveawg.neuronet import AdamState, critic_gradient, forward, generator_gradient, init_mlp
 from rveawg.selection import elitism_select
-from rveawg.wgan import CRITIC_STEPS, HIDDEN, LATENT_DIM, LEARNING_RATE, pretrain_discriminator, train
+from rveawg.wgan import HIDDEN, LATENT_DIM, LEARNING_RATE, pretrain_discriminator, train
 
 from fingerprints import PATH, criterion_9_configs, environment, environment_difference
 from test_baselines import brute_force_fronts
@@ -101,14 +102,15 @@ def test_criterion_4_gan_single_point_collapse():
         critic = init_mlp([4, HIDDEN, HIDDEN, 1], output_tanh=False, rng=child(rng, "c"))
         gopt = AdamState.for_net(gen, 2e-4)  # two time scales: the generator learns slower
         copt = AdamState.for_net(critic, 1e-3)
-        train(gen, gopt, critic, copt, np.tile(point, (64, 1)), 300, CRITIC_STEPS, child(rng, "t"))
+        train(gen, gopt, critic, copt, np.tile(point, (64, 1)), 300, child(rng, "t"))
         samples = forward(gen, child(rng, "s").standard_normal((256, LATENT_DIM)))
         deviation = np.max(np.abs(samples.mean(axis=0) - point))
         assert deviation < 0.15, f"seed {seed}: worst coordinate deviation {deviation:.3f}"
     report(4, "single-point GAN collapse within 0.15, 5/5 seeds", started, limit=60.0)
 
 
-def test_criterion_5_pretrain_separation():
+def test_criterion_5_pretrain_separation(monkeypatch):
+    monkeypatch.setattr(wgan, "PRETRAIN_EPOCHS", 200)
     started = time.perf_counter()
     for seed in range(5):
         rng = np.random.default_rng(500 + seed)
@@ -116,7 +118,7 @@ def test_criterion_5_pretrain_separation():
         copt = AdamState.for_net(critic, LEARNING_RATE)
         good = 0.5 + 0.05 * child(rng, "good").standard_normal((40, 4))
         bad = -0.5 + 0.05 * child(rng, "bad").standard_normal((40, 4))
-        pretrain_discriminator(critic, copt, good, bad, 200, child(rng, "t"))
+        pretrain_discriminator(critic, copt, good, bad, child(rng, "t"))
         assert forward(critic, good).mean() > forward(critic, bad).mean(), f"seed {seed}"
     report(5, "critic pre-training separates clusters, 5/5 seeds", started, limit=30.0)
 

@@ -14,7 +14,7 @@ from rveawg.cli import SWEEP_KEYS, build_configs, build_parser, main, parse_conf
 from rveawg.core import child
 from rveawg.harness import resolve_setup, write_experiment_csv
 from rveawg.refvec import lattice_for, to_unit_vectors
-from rveawg.wgan import GanConfig, init_networks
+from rveawg.wgan import CRITIC_STEPS, PRETRAIN_EPOCHS, GanConfig, init_networks
 
 
 def config_from_snapshot(snapshot: dict) -> RunConfig:
@@ -106,6 +106,55 @@ def test_generation_zero_trains_first_init_draw():
     assert np.array_equal(record.networks["critic"].params, critic.params)
 
 
+def test_adam_steps_follow_the_trainer_schedule(monkeypatch):
+    """The trainer reads its schedule itself: each generation's generator
+    takes one step per epoch, and its critic CRITIC_STEPS per epoch plus
+    PRETRAIN_EPOCHS of pre-training once an earlier selection has eliminated
+    rows, that is, from generation 1 on."""
+    pairs = []
+    original = harness.init_networks
+
+    def spy(*args):
+        pairs.append(original(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(harness, "init_networks", spy)
+    cfg = small_cfg(generations=3)
+    run_single(cfg, 6)
+    epochs = cfg.gan.epochs
+    assert [gen_opt.step for _, gen_opt, _, _ in pairs] == [epochs] * 3
+    pretrain = [0, PRETRAIN_EPOCHS, PRETRAIN_EPOCHS]
+    assert [critic_opt.step for _, _, _, critic_opt in pairs] == [p + epochs * CRITIC_STEPS for p in pretrain]
+
+
+def test_vectors_adapt_to_the_union_range_every_generation(monkeypatch):
+    """After each selection the initial unit vectors are adapted to the
+    column max and min of the union that selection saw, and the next
+    selection uses them."""
+    selections, adaptations = [], []
+    real_select, real_adapt = harness.elitism_select, harness.adapt
+
+    def select(objectives, vectors, *args):
+        selections.append((objectives.copy(), vectors))
+        return real_select(objectives, vectors, *args)
+
+    def adapting(initial, z_max, z_min):
+        adaptations.append((initial, z_max, z_min, real_adapt(initial, z_max, z_min)))
+        return adaptations[-1][-1]
+
+    monkeypatch.setattr(harness, "elitism_select", select)
+    monkeypatch.setattr(harness, "adapt", adapting)
+    cfg = small_cfg(generations=3)
+    run_single(cfg, 8)
+    initial = resolve_setup(cfg)[1]
+    assert len(selections) == len(adaptations) == 3
+    used = initial
+    for (union, vectors), (start, z_max, z_min, adapted) in zip(selections, adaptations):
+        assert np.array_equal(vectors, used) and np.array_equal(start, initial)
+        assert np.array_equal(z_max, union.max(axis=0)) and np.array_equal(z_min, union.min(axis=0))
+        used = adapted
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         RunConfig(algorithm="spea2").validate()
@@ -124,8 +173,8 @@ def test_config_validation():
 
 
 def test_resolved_pop_size_snaps_to_lattice():
-    problem, weights = resolve_setup(RunConfig(problem="dtlz2", objectives=3, pop_size=16))
-    assert weights.shape[0] == 21  # smallest 3-objective lattice count >= 16
+    problem, vectors = resolve_setup(RunConfig(problem="dtlz2", objectives=3, pop_size=16))
+    assert vectors.shape[0] == 21  # smallest 3-objective lattice count >= 16
 
 
 def test_both_algorithms_snap_pop_size_alike():
@@ -190,7 +239,7 @@ def test_emit_plot_data_round_trip(tmp_path, monkeypatch, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 0
     (record,) = records
     printed = capsys.readouterr().out.splitlines()
-    for name in ("results.csv", "igd_trace.csv", "objectives.csv", "gan_trace.csv"):
+    for name in ("results.csv", "refvecs.csv", "igd_trace.csv", "objectives.csv", "gan_trace.csv"):
         assert f"wrote {tmp_path / name}" in printed
 
     def table(name):

@@ -57,20 +57,18 @@ def oracle_select(objs, vectors, t, t_max, alpha):
 
 
 def test_translate_column_minima():
-    rows, z_min, z_max = translate([[1.0, 2.0], [3.0, 1.0]])
-    assert np.array_equal(z_min, [1.0, 1.0])
-    assert np.array_equal(z_max, [3.0, 2.0])
-    assert np.array_equal(rows, [[0.0, 1.0], [2.0, 0.0]])
+    rows = translate([[1.0, 2.0], [3.0, 1.0], [2.0, 4.0]])
+    assert np.array_equal(rows, [[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]])
 
 
 def test_translate_single_point_goes_to_origin():
-    rows, _, _ = translate([[4.0, 5.0, 6.0]])
+    rows = translate([[4.0, 5.0, 6.0]])
     assert np.array_equal(rows, [[0.0, 0.0, 0.0]])
 
 
 def test_translate_noop_when_minima_zero():
     rows = [[0.0, 2.0], [3.0, 0.0]]
-    out, _, _ = translate(rows)
+    out = translate(rows)
     assert np.array_equal(out, rows)
 
 
@@ -81,7 +79,7 @@ def test_translate_rejects_empty():
 
 def test_partition_prefers_nearest_vector():
     vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assignment, cosines, _ = partition(translate([[2.0, 0.1], [0.0, 0.0]])[0], vectors)
+    assignment, cosines, _ = partition(translate([[2.0, 0.1], [0.0, 0.0]]), vectors)
     # Only the first row is meaningful; cos to (1,0) = 2/sqrt(4.01) = 0.9988.
     assert assignment[0] == 0
     assert abs(cosines[0] - 2.0 / math.sqrt(4.01)) < 1e-12
@@ -89,7 +87,7 @@ def test_partition_prefers_nearest_vector():
 
 def test_partition_exact_alignment_and_tie_break():
     vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assignment, cosines, _ = partition(translate([[0.0, 3.0], [2.0, 2.0], [0.0, 0.0]])[0], vectors)
+    assignment, cosines, _ = partition(translate([[0.0, 3.0], [2.0, 2.0], [0.0, 0.0]]), vectors)
     assert assignment[0] == 1 and abs(cosines[0] - 1.0) < 1e-12
     assert assignment[1] == 0  # equal cosines, lowest index wins
     assert assignment[2] == 0 and cosines[2] == 1.0  # ideal point
@@ -98,7 +96,7 @@ def test_partition_exact_alignment_and_tie_break():
 def test_partition_norms_are_row_norms():
     rng = np.random.default_rng(17)
     vectors = to_unit_vectors(np.abs(rng.standard_normal((9, 4))) + 1e-3)
-    rows = translate(rng.uniform(0.0, 10.0, size=(50, 4)))[0]
+    rows = translate(rng.uniform(0.0, 10.0, size=(50, 4)))
     _, _, norms = partition(rows, vectors)
     assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
 
@@ -140,7 +138,7 @@ def test_elitism_never_doubles_a_partition():
     vectors = to_unit_vectors(np.abs(rng.standard_normal((8, 3))) + 1e-3)
     objs = rng.uniform(0, 5, size=(40, 3))
     result = elitism_select(objs, vectors, t=3, t_max=10)
-    assignment = partition(translate(objs)[0], vectors)[0]
+    assignment = partition(translate(objs), vectors)[0]
     chosen = assignment[result.selected_indices]
     assert len(set(chosen.tolist())) == len(chosen)
 
@@ -152,7 +150,7 @@ def test_elitism_skips_empty_partitions():
     objs = np.array([[2.0, 0.0], [3.0, 0.01], [4.0, 0.0]])
     result = elitism_select(objs, vectors, t=0, t_max=10)
     assert list(result.selected_indices) == [0]
-    assignment = partition(translate(objs)[0], vectors)[0]
+    assignment = partition(translate(objs), vectors)[0]
     assert len(result.selected_indices) == len(np.unique(assignment))
 
 
@@ -209,11 +207,3 @@ def test_selection_matches_bruteforce_oracle_on_random_instances():
         result = elitism_select(objs, vectors, t=t, t_max=t_max, alpha=2.0)
         expected = oracle_select(objs.tolist(), vectors.tolist(), t, t_max, 2.0)
         assert list(result.selected_indices) == expected, f"case {case}"
-
-
-def test_selection_returns_extrema_for_adaptation():
-    objs = np.array([[1.0, 5.0], [4.0, 2.0]])
-    vectors = to_unit_vectors(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    result = elitism_select(objs, vectors, 0, 10)
-    assert np.array_equal(result.z_min, [1.0, 2.0])
-    assert np.array_equal(result.z_max, [4.0, 5.0])

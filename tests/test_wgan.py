@@ -61,23 +61,25 @@ def test_normalize_round_trip():
 def test_pretrain_skips_without_bad_data():
     _, _, critic, copt, rng = fresh_pair(4, 1)
     before = params_of(critic)
-    pretrain_discriminator(critic, copt, np.zeros((10, 4)), np.zeros((0, 4)), PRETRAIN_EPOCHS, rng)
+    pretrain_discriminator(critic, copt, np.zeros((10, 4)), np.zeros((0, 4)), rng)
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(critic)))
 
 
-def test_pretrain_zero_epochs_is_noop():
+def test_pretrain_zero_epochs_is_noop(monkeypatch):
+    monkeypatch.setattr(wgan, "PRETRAIN_EPOCHS", 0)
     _, _, critic, copt, rng = fresh_pair(4, 2)
     before = params_of(critic)
-    pretrain_discriminator(critic, copt, np.zeros((10, 4)), np.ones((10, 4)), 0, rng)
+    pretrain_discriminator(critic, copt, np.zeros((10, 4)), np.ones((10, 4)), rng)
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(critic)))
 
 
-def test_pretrain_separates_clusters():
+def test_pretrain_separates_clusters(monkeypatch):
+    monkeypatch.setattr(wgan, "PRETRAIN_EPOCHS", 200)
     _, _, critic, copt, rng = fresh_pair(4, 3)
     data_rng = np.random.default_rng(30)
     good = 0.5 + 0.05 * child(data_rng, "g").standard_normal((40, 4))
     bad = -0.5 + 0.05 * child(data_rng, "b").standard_normal((40, 4))
-    pretrain_discriminator(critic, copt, good, bad, 200, rng)
+    pretrain_discriminator(critic, copt, good, bad, rng)
     assert forward(critic, good).mean() > forward(critic, bad).mean()
 
 
@@ -88,20 +90,21 @@ def test_critic_divergence_leaves_critic_untouched():
         bad = np.ones((10, 4))
         bad[:, 1] = np.nan  # every batch, so the first step diverges
         with pytest.raises(TrainingError, match="critic loss diverged"):
-            pretrain_discriminator(critic, copt, np.zeros((10, 4)), bad, PRETRAIN_EPOCHS, rng)
+            pretrain_discriminator(critic, copt, np.zeros((10, 4)), bad, rng)
         assert [p.tobytes() for p in params_of(critic)] == before
         assert copt.step == 0
 
 
-def test_generator_divergence_leaves_generator_untouched():
+def test_generator_divergence_leaves_generator_untouched(monkeypatch):
     # No critic steps, and a NaN critic scores every generated row NaN, so
     # the first generator step diverges before its Adam update.
+    monkeypatch.setattr(wgan, "CRITIC_STEPS", 0)
     for dtype in (np.float64, np.float32):
         gen, gopt, critic, copt, rng = fresh_pair(4, 6, dtype=dtype)
         critic.params[:] = np.nan
         before = gen.params.tobytes()
         with pytest.raises(TrainingError, match="^generator loss diverged at epoch 0$"):
-            train(gen, gopt, critic, copt, np.zeros((8, 4)), 2, 0, rng)
+            train(gen, gopt, critic, copt, np.zeros((8, 4)), 2, rng)
         assert gen.params.tobytes() == before
         assert gopt.step == 0
 
@@ -110,7 +113,7 @@ def test_train_zero_epochs_is_noop():
     gen, gopt, critic, copt, rng = fresh_pair(4, 4)
     before = params_of(gen) + params_of(critic)
     state = rng.bit_generator.state
-    trace = train(gen, gopt, critic, copt, np.zeros((8, 4)), 0, CRITIC_STEPS, rng)
+    trace = train(gen, gopt, critic, copt, np.zeros((8, 4)), 0, rng)
     assert trace == []
     assert rng.bit_generator.state == state
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(gen) + params_of(critic)))
@@ -119,7 +122,7 @@ def test_train_zero_epochs_is_noop():
 def test_train_rejects_empty_corpus():
     gen, gopt, critic, copt, rng = fresh_pair(4, 5)
     with pytest.raises(TrainingError):
-        train(gen, gopt, critic, copt, np.zeros((0, 4)), 1, CRITIC_STEPS, rng)
+        train(gen, gopt, critic, copt, np.zeros((0, 4)), 1, rng)
 
 
 def test_train_collapses_to_repeated_point():
@@ -127,7 +130,7 @@ def test_train_collapses_to_repeated_point():
     # default rates are deliberately coarser and would orbit the target.
     point = np.array([0.5, -0.25, 0.1, 0.75])
     gen, gopt, critic, copt, rng = fresh_pair(4, 100, rate=1e-3, gen_rate=2e-4)
-    trace = train(gen, gopt, critic, copt, np.tile(point, (64, 1)), 300, CRITIC_STEPS, rng)
+    trace = train(gen, gopt, critic, copt, np.tile(point, (64, 1)), 300, rng)
     assert len(trace) == 300
     assert all(np.isfinite([s.critic_loss, s.gen_loss, s.wasserstein, s.penalty]).all() for s in trace)
     samples = forward(gen, np.random.default_rng(1000).standard_normal((256, LATENT_DIM)))
@@ -141,7 +144,7 @@ def test_train_covers_two_clusters():
         [c + 0.03 * child(data_rng, i).standard_normal((32, 4)) for i, c in enumerate(centers)]
     )
     gen, gopt, critic, copt, rng = fresh_pair(4, 200, rate=1e-3, gen_rate=2e-4)
-    train(gen, gopt, critic, copt, real, 300, CRITIC_STEPS, rng)
+    train(gen, gopt, critic, copt, real, 300, rng)
     samples = forward(gen, np.random.default_rng(2000).standard_normal((256, LATENT_DIM)))
     inter = np.linalg.norm(centers[0] - centers[1])
     nearest = np.minimum(
@@ -176,17 +179,18 @@ def reference_pretrain(critic, opt, real, bad, epochs, rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_bad", [40, 7])
-def test_pretrain_equals_per_epoch_loop(n_bad, dtype):
-    """The refilled [good; bad; mixed] buffer gives the per-epoch loop's
+def test_pretrain_equals_per_epoch_loop(n_bad, dtype, monkeypatch):
+    """The [good; bad; mixed] rows filled up front give the per-epoch loop's
     critic, Adam moments and random stream state bit for bit."""
     epochs = 6
+    monkeypatch.setattr(wgan, "PRETRAIN_EPOCHS", epochs)
     data_rng = np.random.default_rng(92)
     real = data_rng.uniform(-0.8, 0.8, size=(40, 12))
     bad = data_rng.uniform(-1.0, 1.0, size=(n_bad, 12))
     _, _, want, want_opt, want_rng = fresh_pair(12, 93, dtype=dtype)
     _, _, got, got_opt, got_rng = fresh_pair(12, 93, dtype=dtype)
     reference_pretrain(want, want_opt, real, bad, epochs, want_rng)
-    pretrain_discriminator(got, got_opt, real, bad, epochs, got_rng)
+    pretrain_discriminator(got, got_opt, real, bad, got_rng)
     assert got.params.dtype == dtype
     assert got.params.tobytes() == want.params.tobytes()
     assert got_opt.step == want_opt.step == epochs
@@ -225,15 +229,16 @@ def reference_train(gen, gen_opt, critic, critic_opt, real, epochs, steps, rng):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("critic_steps", [0, 1, 5])
 @pytest.mark.parametrize("n_rows", [40, 7])
-def test_train_equals_per_step_loop(n_rows, critic_steps, dtype):
+def test_train_equals_per_step_loop(n_rows, critic_steps, dtype, monkeypatch):
     """One generator pass per epoch over the stacked latents gives the
     per-step loop's results bit for bit: the same trace, networks, Adam moments and
     random stream state, at the full batch of 32 rows and at a 7-row corpus."""
+    monkeypatch.setattr(wgan, "CRITIC_STEPS", critic_steps)
     real = np.random.default_rng(90).uniform(-0.8, 0.8, size=(n_rows, 12))
     want = fresh_pair(12, 91, dtype=dtype)
     got = fresh_pair(12, 91, dtype=dtype)
     want_trace = reference_train(*want[:4], real, 4, critic_steps, want[4])
-    got_trace = train(*got[:4], real, 4, critic_steps, got[4])
+    got_trace = train(*got[:4], real, 4, got[4])
     assert got_trace == want_trace and len(got_trace) == 4
     for net_w, net_g in ((want[0], got[0]), (want[2], got[2])):
         assert net_g.params.dtype == dtype
@@ -281,8 +286,8 @@ def test_generation_step_is_reproducible():
     def one(seed):
         rng = np.random.default_rng(seed)
         gen, gopt, critic, copt = init_networks(4, child(rng, "init"))
-        pretrain_discriminator(critic, copt, real, bad, 2, rng)
-        train(gen, gopt, critic, copt, real, 3, CRITIC_STEPS, rng)
+        pretrain_discriminator(critic, copt, real, bad, rng)
+        train(gen, gopt, critic, copt, real, 3, rng)
         return sample_offspring(gen, 8, LOWER4, UPPER4, rng)
 
     assert np.array_equal(one(3), one(3))
@@ -332,9 +337,9 @@ def test_run_networks_stay_float32(monkeypatch):
     bad = data_rng.uniform(-1.0, 1.0, size=(20, 4))
     rng = np.random.default_rng(7)
     gen, gopt, critic, copt = init_networks(4, child(rng, "init"))
-    pretrain_discriminator(critic, copt, real, bad, 2, rng)
-    train(gen, gopt, critic, copt, real, 3, CRITIC_STEPS, rng)
-    assert copt.step == 2 + 3 * CRITIC_STEPS and gopt.step == 3
+    pretrain_discriminator(critic, copt, real, bad, rng)
+    train(gen, gopt, critic, copt, real, 3, rng)
+    assert copt.step == PRETRAIN_EPOCHS + 3 * CRITIC_STEPS and gopt.step == 3
     for array in (gen.params, critic.params, gopt.m, gopt.v, copt.m, copt.v):
         assert array.dtype == np.float32
 
