@@ -4,7 +4,10 @@ full generation.
 As in Deb et al. (IEEE TEVC 6(2), 2002), each survivor's rank and crowding
 distance are assigned "while forming the population P_{t+1}" and carried into
 the next generation's tournaments. So each generation builds one dominance
-matrix and runs one non-dominated sort, both on the union of parents and children.
+matrix and runs one non-dominated sort, both on the union of parents and
+children. Like Deb's loop, the sort stops at the boundary front, the first
+that brings the fronts reached to N rows; the rows past it get the rank after
+the boundary front's, a lower bound, and no survivor's rank changes.
 """
 from __future__ import annotations
 
@@ -26,9 +29,11 @@ def dominance(objs: np.ndarray) -> np.ndarray:
 
     Built from packed bitsets, one bit per row. For each objective, one argsort
     gives a table whose entry c is the set of the c rows that sort first. The
-    rows below f_p are the first ``searchsorted(left)`` of them and the rows up
-    to f_p the first ``searchsorted(right)``; the table is read only at these
-    tie-group boundaries, so the order of ties within a group does not matter.
+    rows below f_p are the rows before f_p's tie group in the sorted column
+    and the rows up to f_p those up to its end; the group starts and ends of
+    all columns come from running maxima and minima over the sorted columns.
+    The table is read only at these tie-group boundaries, so the order of ties
+    within a group does not matter.
     p dominates q iff q is below p in no objective and not up to p in all of
     them, so the result is the complement of (OR of the below sets) | (AND of
     the up-to sets), unpacked once.
@@ -41,58 +46,78 @@ def dominance(objs: np.ndarray) -> np.ndarray:
     table = np.zeros((m, n + 1, (n + 63) // 64), dtype="<u8")
     table[k, np.arange(1, n + 1), order >> 6] = _BIT[order & 63]
     np.bitwise_or.accumulate(table, axis=1, out=table)
+    ranked = cols[k, order]
+    # starts[:, c]: sorted position c opens a tie group (c = n: past the end).
+    starts = np.ones((m, n + 1), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:n])
+    pos = np.arange(n + 1)
+    group_start = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)[:, :n]
+    next_start = np.minimum.accumulate(np.where(starts, pos, n)[:, ::-1], axis=1)[:, ::-1][:, 1:]
     below = np.empty((m, n), dtype=np.intp)
     upto = np.empty((m, n), dtype=np.intp)
-    for j, (col, rows) in enumerate(zip(cols, order)):
-        ranked = col[rows]
-        below[j, rows] = np.searchsorted(ranked, ranked, "left")
-        upto[j, rows] = np.searchsorted(ranked, ranked, "right")
+    below[k, order] = group_start
+    upto[k, order] = next_start
     spared = np.bitwise_or.reduce(table[k, below], axis=0) | np.bitwise_and.reduce(table[k, upto], axis=0)
     return ~np.unpackbits(spared.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
-def fast_nondominated_sort(dom: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+def fast_nondominated_sort(dom: np.ndarray, target: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """Deb's fast non-dominated sort on a `dominance` matrix; returns per-point
-    rank and the front lists.
+    rank and the fronts as row-index arrays.
 
     The fronts come in the order Deb's loop builds them, which the NSGA-II
     survivor order depends on: the first front by row index; each later front
     by the position, in the front before it, of a member's last dominator
-    there, then by row index.
+    there, then by row index. With a `target`, peeling stops at the first
+    front that brings the rows reached to `target`; the rows past it get rank
+    len(fronts), a lower bound on their true rank. Without one, every front
+    is peeled.
     """
     n = dom.shape[0]
     count = np.add.reduce(dom.view(np.uint8), axis=0, dtype=np.int32)
-    rank = np.zeros(n, dtype=int)
     fronts = []
+    reached = 0
     front = np.flatnonzero(count == 0)
     while front.size:
-        fronts.append(front.tolist())
+        fronts.append(front)
+        reached += front.size
+        if target is not None and reached >= target:
+            break
         sub = dom[front]
         count -= np.add.reduce(sub.view(np.uint8), axis=0, dtype=np.int32)
         nxt = np.flatnonzero((count == 0) & sub.any(axis=0))
         # Position in front of each member's last dominator there.
         last = len(front) - 1 - np.argmax(sub[::-1, nxt], axis=0)
         front = nxt[np.lexsort((nxt, last))]
-        rank[front] = len(fronts)
+    rank = np.full(n, len(fronts))
+    for i, front in enumerate(fronts):
+        rank[front] = i
     return rank, fronts
 
 
-def crowding_distance(objectives: np.ndarray, front: list[int]) -> np.ndarray:
-    """Crowding distances for one front; boundary points get +inf."""
+def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
+    """Crowding distances for one front; boundary points get +inf.
+
+    All columns are sorted and their normalized gaps taken at once; a column
+    with no spread adds nothing. Each member's gaps are then summed in column
+    order, so the distances have the bits of a loop over the columns.
+    """
     f = np.asarray(objectives, dtype=float)[front]
-    size = len(front)
-    dist = np.zeros(size)
+    size = len(f)
     if size <= 2:
-        dist[:] = np.inf
-        return dist
-    for col in range(f.shape[1]):
-        order = np.argsort(f[:, col], kind="stable")
-        spread = f[order[-1], col] - f[order[0], col]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if spread == 0.0:
-            continue
-        gaps = (f[order[2:], col] - f[order[:-2], col]) / spread
-        dist[order[1:-1]] += gaps
+        return np.full(size, np.inf)
+    order = np.argsort(f, axis=0, kind="stable")
+    col = np.arange(f.shape[1])
+    ranked = f[order, col]
+    spread = ranked[-1] - ranked[0]
+    gaps = np.zeros(f.shape)
+    gaps[[0, -1]] = np.inf
+    np.divide(ranked[2:] - ranked[:-2], spread, out=gaps[1:-1], where=spread != 0.0)
+    by_row = np.empty_like(gaps)
+    by_row[order, col] = gaps
+    dist = np.zeros(size)
+    for column in by_row.T:
+        dist += column
     return dist
 
 
@@ -105,23 +130,24 @@ def _tournament(rank: np.ndarray, crowding: np.ndarray, i: np.ndarray, j: np.nda
 def environmental_select(objs: np.ndarray, dom: np.ndarray, n_pop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deb's loop forming P_{t+1} on the rows' `dominance` matrix: fill whole
     fronts in rank order, split the boundary front by descending crowding
-    distance. Returns the survivors' row indices and every row's rank and
-    crowding, the latter taken over each front the loop reaches (the boundary
-    front whole) and 0 on the fronts after it. A survivor's dominators all lie
-    in whole fronts, so its rank is also its rank among the survivors alone."""
-    rank, fronts = fast_nondominated_sort(dom)
+    distance. The sort stops at the boundary front, the first that brings the
+    rows reached to `n_pop`.
+
+    Returns the survivors' row indices and every row's rank and crowding.
+    Ranks are exact up to the boundary front; the rows past it get one more
+    than the boundary front's rank, a lower bound. Crowding is taken over each
+    front reached (the boundary front whole) and is 0 past it. A survivor's
+    dominators all lie in whole fronts, so its rank is also its rank among
+    the survivors alone."""
+    rank, fronts = fast_nondominated_sort(dom, n_pop)
     crowding = np.zeros(len(rank))
-    survivors: list[int] = []
     for front in fronts:
         crowding[front] = crowding_distance(objs, front)
-        if len(survivors) + len(front) <= n_pop:
-            survivors.extend(front)
-            continue
-        order = np.argsort(-crowding[front], kind="stable")
-        remaining = n_pop - len(survivors)
-        survivors.extend(front[k] for k in order[:remaining])
-        break
-    return np.array(survivors, dtype=int), rank, crowding
+    survivors = np.concatenate([np.zeros(0, dtype=np.intp), *fronts])
+    if survivors.size > n_pop:
+        boundary = fronts[-1]
+        survivors[-boundary.size:] = boundary[np.argsort(-crowding[boundary], kind="stable")]
+    return survivors[:n_pop], rank, crowding
 
 
 def nsga2_generation(

@@ -64,21 +64,38 @@ class RunRecord:
         return self.igd_trace[-1]
 
 
-def resolve_setup(cfg: RunConfig) -> tuple[ProblemDef, np.ndarray]:
-    """Problem instance plus the (N, M) unit reference vectors of the weight
-    lattice; N is the population size actually used."""
+# Unit vectors and reference front of each (problem, M, requested size)
+# resolved so far; forked pool workers inherit them.
+_SETUPS: dict[tuple[str, int, int | None], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def resolve_setup(cfg: RunConfig) -> tuple[ProblemDef, np.ndarray, np.ndarray]:
+    """Problem instance, the (N, M) unit reference vectors of the weight
+    lattice (N is the population size actually used) and the IGD reference
+    front, all arrays read-only.
+
+    The vectors and the front are built once per (problem, M, pop_size) in a
+    process and reused; the problem name is compared as `make_problem` reads
+    it, without case. The problem itself is made on every call.
+    """
     cfg.validate()
     problem = make_problem(cfg.problem, cfg.objectives)
-    return problem, to_unit_vectors(lattice_for(cfg.objectives, cfg.pop_size))
+    key = (problem.name, problem.m, cfg.pop_size)
+    if key not in _SETUPS:
+        vectors = to_unit_vectors(lattice_for(cfg.objectives, cfg.pop_size))
+        front = sample_front(problem, 500 if problem.m <= 5 else 1000)  # reference-front size
+        _SETUPS[key] = vectors, front
+    for array in (problem.lower, problem.upper, *_SETUPS[key]):
+        array.flags.writeable = False
+    return (problem, *_SETUPS[key])
 
 
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     """One optimization run under the protocol both algorithms share: the
     seed's initial population, N evaluations per generation and IGD against
     the reference front after each generation."""
-    problem, vectors = resolve_setup(cfg)
+    problem, vectors, front = resolve_setup(cfg)
     n_pop = vectors.shape[0]
-    front = sample_front(problem, 500 if problem.m <= 5 else 1000)  # reference-front size
     started = time.perf_counter()
 
     rng = np.random.default_rng(seed)

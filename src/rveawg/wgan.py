@@ -132,7 +132,8 @@ def pretrain_discriminator(
     draws come first, in this stream order: the (PRETRAIN_EPOCHS, b)
     survivor row indices, the (PRETRAIN_EPOCHS, b) eliminated row indices
     and the (PRETRAIN_EPOCHS, b, 1) interpolation weights in the critic's
-    dtype.
+    dtype. The steps then go through `_critic_steps` one at a time, so only
+    one step's rows are gathered at once.
     """
     if bad.shape[0] == 0:
         return critic
@@ -141,7 +142,9 @@ def pretrain_discriminator(
     good_idx = rng.integers(0, real.shape[0], size=(PRETRAIN_EPOCHS, b))
     bad_idx = rng.integers(0, bad.shape[0], size=(PRETRAIN_EPOCHS, b))
     eps = rng.random((PRETRAIN_EPOCHS, b, 1), dtype=real.dtype)
-    _critic_steps(critic, opt, real[good_idx], bad[bad_idx], eps)
+    for step in range(PRETRAIN_EPOCHS):
+        one = slice(step, step + 1)
+        _critic_steps(critic, opt, real[good_idx[one]], bad[bad_idx[one]], eps[one])
     return critic
 
 

@@ -52,13 +52,51 @@ def deb_reference_sort(objs):
     return rank, fronts
 
 
+def reference_crowding(objectives, front):
+    """Crowding distances of one front by a loop over the columns: one stable
+    sort per column, boundary rows set to +inf, interior gaps normalized by
+    the column's spread and added in column order; a column without spread
+    adds nothing."""
+    f = np.asarray(objectives, dtype=float)[front]
+    size = len(front)
+    dist = np.zeros(size)
+    if size <= 2:
+        dist[:] = np.inf
+        return dist
+    for col in range(f.shape[1]):
+        order = np.argsort(f[:, col], kind="stable")
+        spread = f[order[-1], col] - f[order[0], col]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        if spread == 0.0:
+            continue
+        gaps = (f[order[2:], col] - f[order[:-2], col]) / spread
+        dist[order[1:-1]] += gaps
+    return dist
+
+
+def reference_select(objs, n_pop):
+    """Deb's loop forming P_{t+1} from a full sort: every front's rank, each
+    front's crowding as the loop admits it, whole fronts while they fit and
+    the boundary front by descending crowding (stable: ties keep the loop's
+    order). Returns the survivors and every row's rank and crowding."""
+    rank, fronts = deb_reference_sort(objs)
+    crowding = np.zeros(len(objs))
+    survivors = []
+    for front in fronts:
+        crowding[front] = reference_crowding(objs, front)
+        if len(survivors) + len(front) <= n_pop:
+            survivors += front
+            continue
+        by_crowding = sorted(front, key=lambda p: -crowding[p])
+        survivors += by_crowding[: n_pop - len(survivors)]
+        break
+    return np.array(survivors, dtype=int), rank, crowding
+
+
 def deb_rank_crowding(objs):
     """Rank and crowding distance of every row, the crowding taken over each
     of `deb_reference_sort`'s fronts."""
-    rank, fronts = deb_reference_sort(objs)
-    crowding = np.zeros(len(objs))
-    for front in fronts:
-        crowding[front] = crowding_distance(objs, front)
+    _, rank, crowding = reference_select(objs, len(objs))
     return rank, crowding
 
 
@@ -68,7 +106,8 @@ def reference_generation(xs, fs, rank, crowding, problem, rng):
     crowding, then SBX (eta_c = 20) with its own two rows of draws, per pair
     of children. Deb's loop then forms the survivors one union front at a
     time from `deb_reference_sort`, assigning each front's crowding as it
-    admits it; it builds no bitsets and sorts no survivor set."""
+    admits it (`reference_select`); it builds no bitsets and stops no sort
+    early."""
     n_pop = len(xs)
 
     def tournament(i, j):
@@ -91,17 +130,7 @@ def reference_generation(xs, fs, rank, crowding, problem, rng):
     child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
-    union_rank, fronts = deb_reference_sort(union_f)
-    union_crowding = np.zeros(len(union_f))
-    survivors = []
-    for front in fronts:
-        union_crowding[front] = crowding_distance(union_f, front)
-        if len(survivors) + len(front) <= n_pop:
-            survivors += front
-            continue
-        by_crowding = sorted(front, key=lambda p: -union_crowding[p])  # stable: ties keep the loop's order
-        survivors += by_crowding[: n_pop - len(survivors)]
-        break
+    survivors, union_rank, union_crowding = reference_select(union_f, n_pop)
     return union_x[survivors], union_f[survivors], union_rank[survivors], union_crowding[survivors]
 
 
@@ -178,14 +207,14 @@ def test_sort_matches_deb_loop_front_order():
         ref_rank, ref_fronts = deb_reference_sort(objs)
         assert case >= 20 or len(fronts) > 5
         assert np.array_equal(rank, ref_rank), f"case {case}"
-        assert fronts == ref_fronts, f"case {case}"
+        assert [front.tolist() for front in fronts] == ref_fronts, f"case {case}"
 
 
 def test_sort_empty_and_all_equal():
     rank, fronts = fast_nondominated_sort(dominance(np.zeros((0, 3))))
     assert rank.shape == (0,) and fronts == []
     rank, fronts = fast_nondominated_sort(dominance(np.ones((5, 3))))
-    assert np.array_equal(rank, np.zeros(5)) and fronts == [[0, 1, 2, 3, 4]]
+    assert np.array_equal(rank, np.zeros(5)) and [front.tolist() for front in fronts] == [[0, 1, 2, 3, 4]]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 10])
@@ -217,6 +246,92 @@ def test_crowding_boundaries_infinite_interior_hand_value():
 def test_crowding_small_front_all_infinite():
     objs = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.all(np.isinf(crowding_distance(objs, [0, 1])))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 500])
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_crowding_matches_per_column_loop(size, m):
+    # Bit for bit, with a constant column, rounded ties, copied rows and mixed
+    # -0.0 / 0.0, on the whole front and on a shuffled subset of its rows.
+    rng = np.random.default_rng(5000 + 10 * size + m)
+    for decimals in (1, 3, None):
+        objs = rng.uniform(-1, 1, size=(size, m))
+        if decimals is not None:
+            objs = np.round(objs, decimals)
+        if size >= 4:
+            objs[rng.integers(0, size, size=size // 4)] = objs[rng.integers(0, size, size=size // 4)]
+            objs[: size // 2, 0] = np.where(rng.random(size // 2) < 0.5, -0.0, 0.0)
+        objs[:, m - 1] = 0.25
+        for front in (np.arange(size), rng.permutation(size)[: max(1, size // 2)]):
+            got = crowding_distance(objs, front)
+            assert got.tobytes() == reference_crowding(objs, front).tobytes()
+
+
+class GatherCount(np.ndarray):
+    """A dominance matrix that counts its row gathers, dom[front]."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            GatherCount.gathers += 1
+        return super().__getitem__(key)
+
+
+def test_sort_stops_at_the_boundary_front():
+    # The first front alone holds more than the target: one front, no gather.
+    rng = np.random.default_rng(2500)
+    objs = rng.uniform(0, 1, size=(60, 10))
+    full_rank, full_fronts = fast_nondominated_sort(dominance(objs))
+    first = full_fronts[0].size
+    assert len(full_fronts) > 1 and first > 20
+    GatherCount.gathers = 0
+    rank, fronts = fast_nondominated_sort(dominance(objs).view(GatherCount), 20)
+    assert len(fronts) == 1 and GatherCount.gathers == 0
+    assert np.array_equal(fronts[0], full_fronts[0])
+    assert np.array_equal(rank[fronts[0]], np.zeros(first)) and np.all(np.delete(rank, fronts[0]) == 1)
+    # Otherwise the sort peels the fronts the full sort does, up to the first
+    # that reaches the target, one gather per front before it. A target past
+    # the row count, like none, peels every front and gathers each.
+    objs = np.round(rng.uniform(0, 1, size=(200, 2)), 2)
+    _, full_fronts = fast_nondominated_sort(dominance(objs))
+    reached = np.cumsum([f.size for f in full_fronts])
+    for target in (1, reached[0], reached[0] + 1, reached[3], 199, 200, 201, None):
+        GatherCount.gathers = 0
+        _, fronts = fast_nondominated_sort(dominance(objs).view(GatherCount), target)
+        if target is None or target > 200:
+            count, gathers = len(full_fronts), len(full_fronts)
+        else:
+            count = int(np.searchsorted(reached, target)) + 1
+            gathers = count - 1
+        assert len(fronts) == count and GatherCount.gathers == gathers, f"target {target}"
+        assert all(np.array_equal(a, b) for a, b in zip(fronts, full_fronts))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10])
+def test_boundary_stop_matches_full_sort_selection(m):
+    # Survivors in order, their ranks and their crowding distances equal a
+    # full sort's bit for bit, for n_pop from one row to the whole union.
+    # Rows past the boundary front rank no better than any survivor and no
+    # worse than their true rank.
+    rng = np.random.default_rng(2600 + m)
+    for case in range(12):
+        size = int(rng.integers(2, 160))
+        objs = rng.uniform(0, 1, size=(size, m))
+        if case % 2 == 0:
+            objs = np.round(objs, 1)
+        objs[rng.integers(0, size, size=size // 4)] = objs[rng.integers(0, size, size=size // 4)]
+        for n_pop in sorted({1, 2, size // 3, size // 2, size - 1, size} - {0}):
+            survivors, rank, crowding = environmental_select(objs, dominance(objs), n_pop)
+            want, full_rank, full_crowding = reference_select(objs, n_pop)
+            assert np.array_equal(survivors, want), f"case {case}, n_pop {n_pop}"
+            assert np.array_equal(rank[survivors], full_rank[survivors])
+            assert crowding[survivors].tobytes() == full_crowding[survivors].tobytes()
+            past = rank > rank[survivors].max()
+            assert np.all(rank[~past] == full_rank[~past])
+            assert np.all(rank[past] <= full_rank[past])
+            if n_pop == size:
+                assert np.array_equal(rank, full_rank)
 
 
 def test_generation_preserves_size():

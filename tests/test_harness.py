@@ -173,8 +173,58 @@ def test_config_validation():
 
 
 def test_resolved_pop_size_snaps_to_lattice():
-    problem, vectors = resolve_setup(RunConfig(problem="dtlz2", objectives=3, pop_size=16))
+    vectors = resolve_setup(RunConfig(problem="dtlz2", objectives=3, pop_size=16))[1]
     assert vectors.shape[0] == 21  # smallest 3-objective lattice count >= 16
+
+
+def test_setup_is_built_once_per_problem_size_and_pop(monkeypatch):
+    # A second run with the same (problem, M, pop_size) samples no front and
+    # builds no lattice, also when the problem name differs only by case; a
+    # new pop_size or M builds its own.
+    monkeypatch.setattr(harness, "_SETUPS", {})
+    calls = {"sample_front": 0, "lattice_for": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "sample_front", counted(harness.sample_front))
+    monkeypatch.setattr(harness, "lattice_for", counted(harness.lattice_for))
+    run_single(small_cfg("nsga2", generations=1), 0)
+    assert calls == {"sample_front": 1, "lattice_for": 1}
+    run_single(small_cfg("nsga2", generations=1), 1)
+    run_single(small_cfg("rvea-wg", generations=1, problem="DTLZ2"), 0)
+    assert calls == {"sample_front": 1, "lattice_for": 1}
+    assert list(harness._SETUPS) == [("dtlz2", 3, 15)]
+    resolve_setup(small_cfg(pop_size=16))
+    resolve_setup(RunConfig(objectives=5, pop_size=15))
+    assert calls == {"sample_front": 3, "lattice_for": 3}
+
+
+def test_setup_arrays_are_read_only():
+    problem, vectors, front = resolve_setup(small_cfg())
+    for array in (vectors, front, problem.lower, problem.upper):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    again = resolve_setup(small_cfg(problem="Dtlz2"))
+    assert again[1] is vectors and again[2] is front
+
+
+def test_cold_and_warm_setup_give_identical_records(monkeypatch):
+    for alg in ("rvea-wg", "nsga2"):
+        cfg = small_cfg(alg, generations=2)
+        monkeypatch.setattr(harness, "_SETUPS", {})
+        cold = run_single(cfg, 6)
+        warm = run_single(cfg, 6)
+        assert harness._SETUPS
+        assert warm.config == cold.config and warm.evaluations == cold.evaluations
+        assert warm.igd_trace == cold.igd_trace
+        assert warm.final_x.tobytes() == cold.final_x.tobytes()
+        assert warm.final_f.tobytes() == cold.final_f.tobytes()
+        assert warm.gan_trace == cold.gan_trace
 
 
 def test_both_algorithms_snap_pop_size_alike():
