@@ -1,49 +1,47 @@
 """Small fully-connected networks in plain numpy, cut to what a WGAN-GP
 needs: a batched ``forward`` pass, one critic step (``critic_gradient``), one
-generator step (``generator_gradient``) and Adam (``adam_step``). The critic
-step differentiates its gradient penalty analytically: the critic's input
+generator step (``generator_gradient``) and Adam (``adam_step``). The steps
+are written out for the one shape ``wgan.init_networks`` builds: two tanh
+hidden layers and a linear or tanh output layer. A network of another depth
+fails with a ValueError where its weights are unpacked. The critic step
+differentiates its gradient penalty analytically: the critic's input
 gradient is differentiated in the penalty's descent direction with a forward
-(tangent) sweep, and that extended computation is then swept in reverse.
-Hidden activations are tanh throughout, which keeps this second
-differentiation smooth everywhere.
+(tangent) sweep, and that extended computation is then swept in reverse;
+tanh keeps this second differentiation smooth everywhere.
 
 Parameters are flat: a network keeps all its weights and biases in one
-contiguous ``params`` vector, layer by layer, the row-major weight matrix and
-then the bias. ``weights`` and ``biases`` are views into it. Gradients and the
-Adam moments are flat vectors in the same layout, and an Adam update is a few
-whole-vector operations.
+contiguous ``params`` vector, layer by layer, the row-major (out, in) weight
+matrix and then the bias. ``weights`` and ``biases`` are views into it.
+Gradients and the Adam moments are flat vectors in the same layout.
 
 ``critic_gradient`` does a whole critic step in one forward pass over the
 stacked [good; bad; mixed] rows and one reverse sweep over all of them,
 seeded with -1/b, +1/b and 1. The penalty's tangent and adjoint sweeps then
 run on the mixed block, with lambda_gp and the mean's 1/b folded into the
-penalty direction u (its gradient is linear in u), and each layer's penalty
-adjoint replaces the mixed rows of that layer's sweep. So each layer takes
-one weight-gradient product over all 3b rows (the output layer over the 2b
-good and bad rows), plus the penalty's tangent term. ``tests/reference_nets.py``
-checks the step bit for bit against ``folded_critic_step``, the same
-arithmetic one batch at a time, and to a few ulps against the separate
-single-batch sweeps, which sum in another order. Bit equality with the
-single-batch reference rests on the BLAS giving each row of the 3b stacked
-rows the bits it gives that row in a batch of b: OpenBLAS does at b = 32, the
-training batch, but at some other b its kernel for the row count changes the
-last bits. ``generator_gradient`` takes the generator's forward pass from
-its caller and the critic's input gradient from the forward pass that gives
-the scores.
+penalty direction u (its gradient is linear in u), and each hidden layer's
+penalty adjoint replaces the mixed rows of that layer's sweep. So each layer
+takes one weight-gradient product over all 3b rows (the output layer over
+the 2b good and bad rows), plus the penalty's tangent term.
 
-A layer multiplies a batch by the transpose of its (out, in) weight matrix,
-copied into a contiguous array once per pass (``critic_gradient`` shares its
-copies between the forward pass and the tangent sweep). With one OpenBLAS
-thread, float32 (32x64)@(64x300) takes about 17 us against 36 us through the
-transposed view, and the generator's stacked (6, 32)-row pass at width 12
-takes 77 against 109 us.
+``tests/reference_nets.py`` holds the sweeps for any depth, as loops over the
+layers: oracles that share no step code with this module. The critic step
+equals its ``folded_critic_step``, the same arithmetic one batch at a time,
+bit for bit, and its separate single-batch sweeps, which sum in another
+order, to a few ulps. The bits rest on the BLAS giving each of the 3b
+stacked rows the bits it gives that row in a batch of b, as OpenBLAS does at
+b = 32, the training batch; at some other b it changes the last bits.
+
+A layer multiplies a batch by a contiguous copy of its transposed weight,
+made once per pass and shared by ``critic_gradient``'s forward pass and
+tangent sweep. With one OpenBLAS thread, float32 (32x64)@(64x300) takes
+about 17 us against 36 us through the transposed view; the generator's
+stacked (6, 32)-row pass at width 12 takes 77 us against 109 us.
 
 Arithmetic runs in the dtype of ``params``: batches, sweep seeds, gradients
 and the Adam moments all take it. ``init_mlp`` draws in float64 and then
-casts, so a random stream is consumed alike at every dtype. Runs train float32
-networks (``wgan.init_networks``); ``init_mlp`` defaults to float64, which the
-gradient tests use. The stacked-row caveat above holds at both dtypes. Weight
-matrices are stored (out, in); batches are row-major (batch, features).
+casts, so a random stream is consumed alike at every dtype. Runs train
+float32 networks; ``init_mlp`` defaults to float64, which the gradient tests
+use. The stacked-row caveat above holds at both dtypes.
 """
 from __future__ import annotations
 
@@ -95,16 +93,13 @@ class Mlp:
         return [w.shape for w in self.weights]
 
     @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
     @property
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
+
 
 def save_params(net: Mlp, path) -> None:
     """Debug dump: little-endian float64, row-major, weights then bias per layer."""
@@ -131,53 +126,49 @@ def _as_batch(net: Mlp, x) -> np.ndarray:
     return x
 
 
-def _forward_sweep(net: Mlp, x: np.ndarray, wts=None) -> list[np.ndarray]:
-    """Post-activation output of every layer; the last entry is the network output.
-
-    x may stack batches along leading axes, and each (b, in) slice then gets
-    a BLAS product of its own. wts are the (in, out) matrices to multiply by,
-    by default contiguous copies of the weights' transposes.
-    """
-    if wts is None:
-        wts = [np.ascontiguousarray(w.T) for w in net.weights]
-    hs = []
-    h = x
-    last = net.n_layers - 1
-    for k, (wt, b) in enumerate(zip(wts, net.biases)):
-        h = h @ wt
-        h += b
-        if k < last or net.output_tanh:
-            np.tanh(h, out=h)
-        hs.append(h)
-    return hs
+def _transposes(net: Mlp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contiguous (in, out) copies of the three weights' transposes."""
+    w1, w2, w3 = net.weights
+    return np.ascontiguousarray(w1.T), np.ascontiguousarray(w2.T), np.ascontiguousarray(w3.T)
 
 
-def _reverse_sweep(net: Mlp, hs: list[np.ndarray], top: np.ndarray) -> tuple[list, list]:
-    """Per row, the derivative of sum(top * output) with respect to each
-    layer's pre-activation, and the tanh derivative 1 - h*h of each hidden layer."""
-    y = hs[-1]
-    sech2 = [h * h for h in hs[:-1]]
-    for s in sech2:
-        np.subtract(1.0, s, out=s)
-    ds = [None] * net.n_layers
-    ds[-1] = top * (1.0 - y * y) if net.output_tanh else top
-    for k in range(net.n_layers - 1, 0, -1):
-        w = net.weights[k]
-        # A one-row weight (the critic's output layer) is a broadcast multiply,
-        # the same products as the K=1 matrix product at a fraction of its cost.
-        back = ds[k] * w[0] if w.shape[0] == 1 else ds[k] @ w
-        back *= sech2[k - 1]
-        ds[k - 1] = back
-    return ds, sech2
+def _forward_sweep(net: Mlp, x: np.ndarray, wts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hidden outputs h1, h2 and the output y on x, multiplying by wts
+    (default ``_transposes(net)``). x may stack batches along leading axes;
+    each (b, in) slice then gets a BLAS product of its own."""
+    w1t, w2t, w3t = _transposes(net) if wts is None else wts
+    b1, b2, b3 = net.biases
+    h1 = x @ w1t
+    h1 += b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ w2t
+    h2 += b2
+    np.tanh(h2, out=h2)
+    y = h2 @ w3t
+    y += b3
+    if net.output_tanh:
+        np.tanh(y, out=y)
+    return h1, h2, y
 
 
-def _add_param_grads(x, hs, ds, grad_w: list, grad_b: list) -> None:
-    """Add the parameter gradient carried by a reverse sweep to the per-layer
-    gradient views grad_w and grad_b (see ``_layer_views``)."""
-    for k, d in enumerate(ds):
-        prev = x if k == 0 else hs[k - 1]
-        grad_w[k] += d.T @ prev
-        grad_b[k] += np.add.reduce(d, axis=0)
+def _reverse_sweep(net: Mlp, hs: tuple, top: np.ndarray) -> tuple[tuple, tuple]:
+    """Per row, the derivatives (d1, d2, d3) of sum(top * y) with respect to
+    each layer's pre-activation, and the hidden layers' tanh derivatives
+    (s1, s2) = 1 - h*h."""
+    h1, h2, y = hs
+    _, w2, w3 = net.weights
+    s1 = h1 * h1
+    np.subtract(1.0, s1, out=s1)
+    s2 = h2 * h2
+    np.subtract(1.0, s2, out=s2)
+    d3 = top * (1.0 - y * y) if net.output_tanh else top
+    # A one-row weight (the critic's output layer) is a broadcast multiply,
+    # the same products as the K=1 matrix product at a fraction of its cost.
+    d2 = d3 * w3[0] if w3.shape[0] == 1 else d3 @ w3
+    d2 *= s2
+    d1 = d2 @ w2
+    d1 *= s1
+    return (d1, d2, d3), (s1, s2)
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -218,15 +209,15 @@ def critic_gradient(
         raise ValueError(f"expected [good; bad; mixed] blocks of equal size, got {x.shape[0]} rows")
     if top is None:
         top = _critic_seed(b, x.dtype)
-    L = net.n_layers
-    wts = [np.ascontiguousarray(w.T) for w in net.weights]  # for the forward pass and the tangent sweep
-    hs = _forward_sweep(net, x, wts)
-    ds, sech2 = _reverse_sweep(net, hs, top)
-    mixed = slice(2 * b, None)
-    sech2_m = [s[mixed] for s in sech2]
+    w1, w2, w3 = net.weights
+    wts = _transposes(net)  # for the forward pass and the tangent sweep
+    h1, h2, y = _forward_sweep(net, x, wts)
+    (d1, d2, d3), (s1, s2) = _reverse_sweep(net, (h1, h2, y), top)
+    good_bad, mixed = slice(None, 2 * b), slice(2 * b, None)
+    s1m, s2m = s1[mixed], s2[mixed]
 
     # The penalty: the mixed rows' sweep, seeded with 1, gives their input gradient.
-    g = ds[0][mixed] @ net.weights[0]
+    g = d1[mixed] @ w1
     norms = np.sqrt(np.add.reduce(g * g, axis=1))
     penalty = float(np.add.reduce((norms - 1.0) ** 2) / b)
     # lambda_gp times the penalty's descent direction in input-gradient
@@ -236,57 +227,64 @@ def critic_gradient(
     scale *= lambda_gp / b
     u = scale[:, None] * g
 
-    # Tangent sweep along u: ta[k] is the tangent of layer k's pre-activation,
-    # th[k] that of its input (th[0] = u). The scalar u.g per row would be
-    # th[L-1] @ W_L^T; only its parameter gradient is needed.
-    ta, th = [], [u]
-    for k in range(L - 1):
-        ta.append(th[k] @ wts[k])
-        th.append(sech2_m[k] * ta[k])
+    # Tangent sweep along u: ta1, ta2 of the hidden pre-activations, t1, t2 of
+    # their outputs. u.g per row would be t2 @ w3^T; only its gradient is needed.
+    ta1 = u @ wts[0]
+    t1 = s1m * ta1
+    ta2 = t1 @ wts[1]
+    t2 = s2m * ta2
 
     grad = np.empty_like(net.params)
-    grad_w, grad_b = _layer_views(grad, net.shapes)
+    (gw1, gw2, gw3), (gb1, gb2, gb3) = _layer_views(grad, net.shapes)
     # The output layer: the good and bad rows, and u.g through its weight.
     # The penalty does not depend on the output bias.
-    prev = x if L == 1 else hs[-2]
-    np.matmul(ds[-1][:2 * b].T, prev[:2 * b], out=grad_w[-1])
-    grad_w[-1] += np.add.reduce(th[-1], axis=0)
-    np.add.reduce(ds[-1][:2 * b], axis=0, out=grad_b[-1])
+    np.matmul(d3[good_bad].T, h2[good_bad], out=gw3)
+    gw3 += np.add.reduce(t2, axis=0)
+    np.add.reduce(d3[good_bad], axis=0, out=gb3)
 
     # Reverse through the tangent chain (tbar, tabar) and the primal chain
-    # (hbar, abar). Each layer's penalty adjoint abar replaces the mixed rows
-    # of ds[k], whose seed-1 sweep has served its purpose, so one product
-    # over all 3b rows takes the weight gradient; the tangent term is added.
-    tbar = net.weights[-1][0]  # the same for every row until the first product below
-    for k in range(L - 2, -1, -1):
-        hbar = tbar * (-2.0 * hs[k][mixed] * ta[k])
-        if k < L - 2:
-            hbar += ds[k + 1][mixed] @ net.weights[k + 1]
-        tabar = tbar * sech2_m[k]
-        np.multiply(hbar, sech2_m[k], out=ds[k][mixed])
-        prev = x if k == 0 else hs[k - 1]
-        np.matmul(ds[k].T, prev, out=grad_w[k])
-        grad_w[k] += tabar.T @ th[k]
-        np.add.reduce(ds[k], axis=0, out=grad_b[k])
-        if k > 0:
-            tbar = tabar @ net.weights[k]
-    y = hs[-1]
+    # (hbar). Each hidden layer's penalty adjoint replaces the mixed rows of
+    # its seed-1 sweep d, so one product over all 3b rows takes the weight
+    # gradient; the tangent term is added.
+    tbar = w3[0]  # the same for every row until the product with w2 below
+    hbar = tbar * (-2.0 * h2[mixed] * ta2)
+    tabar = tbar * s2m
+    np.multiply(hbar, s2m, out=d2[mixed])
+    np.matmul(d2.T, h1, out=gw2)
+    gw2 += tabar.T @ t1
+    np.add.reduce(d2, axis=0, out=gb2)
+
+    tbar = tabar @ w2
+    hbar = tbar * (-2.0 * h1[mixed] * ta1)
+    hbar += d2[mixed] @ w2
+    tabar = tbar * s1m
+    np.multiply(hbar, s1m, out=d1[mixed])
+    np.matmul(d1.T, x, out=gw1)
+    gw1 += tabar.T @ u
+    np.add.reduce(d1, axis=0, out=gb1)
     return y[:b], y[b:2 * b], penalty, grad
 
 
-def generator_gradient(gen: Mlp, z: np.ndarray, hs: list, critic: Mlp) -> tuple[np.ndarray, np.ndarray]:
+def generator_gradient(gen: Mlp, z: np.ndarray, hs: tuple, critic: Mlp) -> tuple[np.ndarray, np.ndarray]:
     """Critic scores of G(z) and the gradient of -mean D(G(z)) with respect to
     the generator's parameters, given the generator's input z in its dtype
-    and the output of each of its layers, hs, as ``_forward_sweep`` gives
-    them; one critic forward pass serves both."""
+    and its forward pass hs = (h1, h2, G(z)) as ``_forward_sweep`` gives it;
+    one critic forward pass serves both."""
     _require_scalar_critic(critic)
-    fake = _as_batch(critic, hs[-1])
+    h1, h2, fake = hs
+    fake = _as_batch(critic, fake)
     critic_hs = _forward_sweep(critic, fake)
-    ds, _ = _reverse_sweep(critic, critic_hs, np.ones((len(fake), 1), dtype=fake.dtype))
-    d_fake = -(ds[0] @ critic.weights[0]) / len(fake)
-    gen_ds, _ = _reverse_sweep(gen, hs, d_fake)
+    (c1, _, _), _ = _reverse_sweep(critic, critic_hs, np.ones((len(fake), 1), dtype=fake.dtype))
+    d_fake = -(c1 @ critic.weights[0]) / len(fake)
+    (d1, d2, d3), _ = _reverse_sweep(gen, hs, d_fake)
     grad = np.zeros_like(gen.params)
-    _add_param_grads(z, hs, gen_ds, *_layer_views(grad, gen.shapes))
+    (gw1, gw2, gw3), (gb1, gb2, gb3) = _layer_views(grad, gen.shapes)
+    gw1 += d1.T @ z
+    gb1 += np.add.reduce(d1, axis=0)
+    gw2 += d2.T @ h1
+    gb2 += np.add.reduce(d2, axis=0)
+    gw3 += d3.T @ h2
+    gb3 += np.add.reduce(d3, axis=0)
     return critic_hs[-1], grad
 
 

@@ -184,9 +184,9 @@ def train(
     eps_all = rng.random((epochs, steps, b, 1), dtype=real.dtype)
     trace = []
     for epoch, (idx, z, eps) in enumerate(zip(idx_all, z_all, eps_all)):
-        gen_hs = _forward_sweep(gen, z)
-        critic_loss, penalty, w_est = _critic_steps(critic, critic_opt, real[idx], gen_hs[-1][:steps], eps)
-        scores, gen_grads = generator_gradient(gen, z[steps], [h[steps] for h in gen_hs], critic)
+        h1, h2, fake = _forward_sweep(gen, z)
+        critic_loss, penalty, w_est = _critic_steps(critic, critic_opt, real[idx], fake[:steps], eps)
+        scores, gen_grads = generator_gradient(gen, z[steps], (h1[steps], h2[steps], fake[steps]), critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")

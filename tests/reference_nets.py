@@ -1,14 +1,16 @@
-"""Single-batch network functions: the oracles for the fused steps.
+"""Single-batch network functions for any depth: the oracles for the fused steps.
 
-``rveawg.neuronet`` runs a critic step and a generator step each as one fused
-call. The functions here run the same sweeps on one batch at a time:
-backpropagation to parameters, the critic's per-sample input gradient and the
-gradient penalty's parameter gradient, each in its own sweeps, and
-``folded_critic_step``, the critic step in the fused step's summation order.
-The tests compare the fused critic step with ``folded_critic_step`` bit for
-bit at the training batch and with the sum of the separate sweeps to a few
-ulps, the generator step with ``backward`` bit for bit, and these functions
-with finite differences.
+``rveawg.neuronet`` writes its critic step and its generator step out for
+the two hidden layers that ``wgan.init_networks`` builds, each as one fused
+call. The functions here loop over the layers of a network of any depth, in
+sweeps of their own that share no step code with ``rveawg.neuronet``, and
+run one batch at a time: backpropagation to parameters, the critic's
+per-sample input gradient and the gradient penalty's parameter gradient,
+each in its own sweeps, and ``folded_critic_step``, the critic step in the
+fused step's summation order. The tests compare the fused critic step with
+``folded_critic_step`` bit for bit at the training batch and with the sum
+of the separate sweeps to a few ulps, the generator step with ``backward``
+bit for bit, and these functions with finite differences.
 
 A forward pass is kept as (x, hs): the batch as the network saw it and the
 post-activation output of every layer, the last entry being the output.
@@ -16,15 +18,53 @@ Gradients are flat vectors laid out like the network's ``params``.
 """
 import numpy as np
 
-from rveawg.neuronet import (
-    Mlp,
-    _add_param_grads,
-    _as_batch,
-    _forward_sweep,
-    _layer_views,
-    _require_scalar_critic,
-    _reverse_sweep,
-)
+from rveawg.neuronet import Mlp, _as_batch, _layer_views, _require_scalar_critic
+
+
+def _forward_sweep(net: Mlp, x: np.ndarray, wts=None) -> list[np.ndarray]:
+    """Post-activation output of every layer; the last entry is the network
+    output. wts are the (in, out) matrices to multiply by, by default
+    contiguous copies of the weights' transposes."""
+    if wts is None:
+        wts = [np.ascontiguousarray(w.T) for w in net.weights]
+    hs = []
+    h = x
+    last = len(net.weights) - 1
+    for k, (wt, b) in enumerate(zip(wts, net.biases)):
+        h = h @ wt
+        h += b
+        if k < last or net.output_tanh:
+            np.tanh(h, out=h)
+        hs.append(h)
+    return hs
+
+
+def _reverse_sweep(net: Mlp, hs: list[np.ndarray], top: np.ndarray) -> tuple[list, list]:
+    """Per row, the derivative of sum(top * output) with respect to each
+    layer's pre-activation, and the tanh derivative 1 - h*h of each hidden layer."""
+    y = hs[-1]
+    sech2 = [h * h for h in hs[:-1]]
+    for s in sech2:
+        np.subtract(1.0, s, out=s)
+    ds = [None] * len(net.weights)
+    ds[-1] = top * (1.0 - y * y) if net.output_tanh else top
+    for k in range(len(net.weights) - 1, 0, -1):
+        w = net.weights[k]
+        # A one-row weight (the critic's output layer) is a broadcast multiply,
+        # the same products as the K=1 matrix product.
+        back = ds[k] * w[0] if w.shape[0] == 1 else ds[k] @ w
+        back *= sech2[k - 1]
+        ds[k - 1] = back
+    return ds, sech2
+
+
+def _add_param_grads(x, hs, ds, grad_w: list, grad_b: list) -> None:
+    """Add the parameter gradient carried by a reverse sweep to the per-layer
+    gradient views grad_w and grad_b (see ``_layer_views``)."""
+    for k, d in enumerate(ds):
+        prev = x if k == 0 else hs[k - 1]
+        grad_w[k] += d.T @ prev
+        grad_b[k] += np.add.reduce(d, axis=0)
 
 
 def _penalty_backward(net: Mlp, x, hs, sech2, ds, wts, grad_w: list, grad_b: list) -> float:
@@ -35,7 +75,7 @@ def _penalty_backward(net: Mlp, x, hs, sech2, ds, wts, grad_w: list, grad_b: lis
     input gradient does not depend on it. A row whose input gradient is
     exactly zero contributes the subgradient 0 at the norm kink."""
     b = x.shape[0]
-    L = net.n_layers
+    L = len(net.weights)
     g = ds[0] @ net.weights[0]  # (b, in), per-sample input gradient
 
     # np.linalg.norm and np.mean, spelled as the reductions they run.
@@ -139,7 +179,7 @@ def folded_critic_step(net: Mlp, good, bad, mixed, lambda_gp: float) -> tuple:
     The output layer's product takes the good and bad rows only. Returns
     (D(good), D(bad), penalty, gradient)."""
     _require_scalar_critic(net)
-    b, L = len(good), net.n_layers
+    b, L = len(good), len(net.weights)
     passes = [forward_pass(net, rows) for rows in (good, bad, mixed)]
     dss = []
     for (x, hs), seed in zip(passes, (-1.0 / b, 1.0 / b, 1.0)):

@@ -88,7 +88,7 @@ def test_forward_matches_per_sample_loop():
         h = x[s]
         for k, (w, b) in enumerate(zip(net.weights, net.biases)):
             a = w @ h + b
-            h = np.tanh(a) if (k < net.n_layers - 1 or net.output_tanh) else a
+            h = np.tanh(a) if (k < len(net.weights) - 1 or net.output_tanh) else a
         assert np.allclose(batch[s], h, atol=1e-12)
 
 
@@ -324,7 +324,7 @@ def test_flat_adam_matches_per_array_loop():
             v += (1.0 - ADAM_BETA2) * g * g
             p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, ref_params))
-    L = net.n_layers
+    L = len(net.weights)
     for flat, ref in ((state.m, ref_m), (state.v, ref_v)):
         layout = [a.ravel() for k in range(L) for a in (ref[k], ref[L + k])]
         assert np.array_equal(flat, np.concatenate(layout))
@@ -391,7 +391,7 @@ def unfused_critic_step(net, good, bad, mixed, lam):
 
 @pytest.mark.parametrize("n", [12, 300])
 @pytest.mark.parametrize("b", [32, 7])
-@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("depth", [3])
 def test_fused_critic_step_equals_unfused(n, b, depth):
     """Bit for bit against the folded-order reference at the training batch
     of 32 rows; for other batch sizes OpenBLAS may pick another kernel for
@@ -456,6 +456,27 @@ def test_fused_critic_gradient_matches_finite_differences():
         return float(np.mean(y_bad) - np.mean(y_good) + 10.0 * penalty)
 
     assert_grads_close(got, fd_param_gradient(net, scalar), rtol=1e-3)
+
+
+@pytest.mark.parametrize("hidden", [1, 3])
+def test_steps_reject_other_depths(hidden):
+    """The steps are written for two hidden layers; a network of another
+    depth fails where its weights are unpacked."""
+    rng = np.random.default_rng(65 + hidden)
+    net = init_mlp([4] + [5] * hidden + [1], output_tanh=False, rng=rng)
+    two = init_mlp([4, 5, 5, 1], output_tanh=False, rng=rng)
+    gen = init_mlp([3] + [5] * hidden + [4], output_tanh=True, rng=rng)
+    z, hs = forward_pass(gen, rng.standard_normal((2, 3)))
+    two_gen = init_mlp([3, 5, 5, 4], output_tanh=True, rng=rng)
+    z2, hs2 = forward_pass(two_gen, z)
+    for call in (
+        lambda: forward(net, np.zeros((2, 4))),
+        lambda: critic_gradient(net, np.zeros((6, 4)), 10.0),
+        lambda: generator_gradient(gen, z, hs, two),
+        lambda: generator_gradient(two_gen, z2, hs2, net),
+    ):
+        with pytest.raises(ValueError, match="values to unpack"):
+            call()
 
 
 def random_pair(rng, rows):

@@ -317,7 +317,8 @@ def test_run_networks_stay_float32(monkeypatch):
     out. A silent upcast would cost the speed of float32 while every result
     still looked right."""
     # dtypes of every stacked critic-step batch, its seed, scores and
-    # gradient, and of every array the generator step sweeps for a gradient
+    # gradient, and of every array a reverse sweep takes or gives, the
+    # generator step's and its critic pass's among them
     seen = []
 
     def spy(module, name, arrays_of):
@@ -331,7 +332,7 @@ def test_run_networks_stay_float32(monkeypatch):
         monkeypatch.setattr(module, name, recording)
 
     spy(wgan, "critic_gradient", lambda args, result: [args[1], args[3], *result[:2], result[3]])
-    spy(neuronet, "_add_param_grads", lambda args, result: [args[0], *args[1], *args[2]])
+    spy(neuronet, "_reverse_sweep", lambda args, result: [*args[1], args[2], *result[0], *result[1]])
     data_rng = np.random.default_rng(71)
     real = data_rng.uniform(-0.5, 0.5, size=(30, 4))
     bad = data_rng.uniform(-1.0, 1.0, size=(20, 4))
