@@ -28,36 +28,40 @@ def dominance(objs: np.ndarray) -> np.ndarray:
     iff row p is no worse than row q in every objective and better in one.
 
     Built from packed bitsets, one bit per row. For each objective, one argsort
-    gives a table whose entry c is the set of the c rows that sort first. The
-    rows below f_p are the rows before f_p's tie group in the sorted column
-    and the rows up to f_p those up to its end; the group starts and ends of
-    all columns come from running maxima and minima over the sorted columns.
-    The table is read only at these tie-group boundaries, so the order of ties
-    within a group does not matter.
+    gives a table whose entry c is the set of the c rows that sort first; the
+    m tables are stacked as the m (n + 1) rows of one flat table. The rows
+    below f_p are the rows before f_p's tie group in the sorted column and the
+    rows up to f_p those up to its end. The tie groups of all columns are
+    numbered in one pass over the flat table's rows, each column's entry n
+    closing its last group, so a group's start and end are the flat rows where
+    it and the next group open. The table is read only at these tie-group
+    boundaries, so the order of ties within a group does not matter.
     p dominates q iff q is below p in no objective and not up to p in all of
     them, so the result is the complement of (OR of the below sets) | (AND of
-    the up-to sets), unpacked once.
+    the up-to sets), each set gathered with one `take`, unpacked once.
     """
     f = np.asarray(objs, dtype=float)
     n, m = f.shape
     cols = np.ascontiguousarray(f.T)
     order = np.argsort(cols, axis=1)
     k = np.arange(m)[:, None]
-    table = np.zeros((m, n + 1, (n + 63) // 64), dtype="<u8")
-    table[k, np.arange(1, n + 1), order >> 6] = _BIT[order & 63]
-    np.bitwise_or.accumulate(table, axis=1, out=table)
+    words = (n + 63) // 64
+    table = np.zeros((m * (n + 1), words), dtype="<u8")
+    table[k * (n + 1) + np.arange(1, n + 1), order >> 6] = _BIT[order & 63]
+    by_column = table.reshape(m, n + 1, words)
+    np.bitwise_or.accumulate(by_column, axis=1, out=by_column)
     ranked = cols[k, order]
     # starts[:, c]: sorted position c opens a tie group (c = n: past the end).
     starts = np.ones((m, n + 1), dtype=bool)
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:n])
-    pos = np.arange(n + 1)
-    group_start = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)[:, :n]
-    next_start = np.minimum.accumulate(np.where(starts, pos, n)[:, ::-1], axis=1)[:, ::-1][:, 1:]
-    below = np.empty((m, n), dtype=np.intp)
-    upto = np.empty((m, n), dtype=np.intp)
-    below[k, order] = group_start
-    upto[k, order] = next_start
-    spared = np.bitwise_or.reduce(table[k, below], axis=0) | np.bitwise_and.reduce(table[k, upto], axis=0)
+    # Tie group g of all columns opens at flat table row opens[g]; row p's
+    # group in column j is group[j, p] - 1, and group[j, p] is the next one.
+    opens = np.flatnonzero(starts)
+    group = np.empty((m, n), dtype=np.intp)
+    group[k, order] = np.cumsum(starts, dtype=np.intp).reshape(m, n + 1)[:, :n]
+    spared = np.bitwise_and.reduce(table.take(opens.take(group), axis=0), axis=0)
+    group -= 1
+    spared |= np.bitwise_or.reduce(table.take(opens.take(group), axis=0), axis=0)
     return ~np.unpackbits(spared.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -68,21 +72,24 @@ def fast_nondominated_sort(dom: np.ndarray, target: int | None = None) -> tuple[
     The fronts come in the order Deb's loop builds them, which the NSGA-II
     survivor order depends on: the first front by row index; each later front
     by the position, in the front before it, of a member's last dominator
-    there, then by row index. With a `target`, peeling stops at the first
-    front that brings the rows reached to `target`; the rows past it get rank
-    len(fronts), a lower bound on their true rank. Without one, every front
-    is peeled.
+    there, then by row index. The first front is the rows that no row
+    dominates; the dominator counts are built only if peeling goes past it.
+    With a `target`, peeling stops at the first front that brings the rows
+    reached to `target`; the rows past it get rank len(fronts), a lower bound
+    on their true rank. Without one, every front is peeled.
     """
     n = dom.shape[0]
-    count = np.add.reduce(dom.view(np.uint8), axis=0, dtype=np.int32)
     fronts = []
     reached = 0
-    front = np.flatnonzero(count == 0)
+    count = None
+    front = np.flatnonzero(~np.logical_or.reduce(dom, axis=0))
     while front.size:
         fronts.append(front)
         reached += front.size
         if target is not None and reached >= target:
             break
+        if count is None:
+            count = np.add.reduce(dom.view(np.uint8), axis=0, dtype=np.int32)
         sub = dom[front]
         count -= np.add.reduce(sub.view(np.uint8), axis=0, dtype=np.int32)
         nxt = np.flatnonzero((count == 0) & sub.any(axis=0))
@@ -96,27 +103,43 @@ def fast_nondominated_sort(dom: np.ndarray, target: int | None = None) -> tuple[
 
 
 def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
-    """Crowding distances for one front; boundary points get +inf.
+    """Crowding distances for one front of finite rows; boundary points get +inf.
 
     All columns are sorted and their normalized gaps taken at once; a column
     with no spread adds nothing. Each member's gaps are then summed in column
-    order, so the distances have the bits of a loop over the columns.
+    order, so the distances have the bits of a loop over the columns that
+    sorts each column stably. The columns are sorted unstably; when one has a
+    tie, each tie group is put back in front-position order by one sort of
+    the unique keys tie-group start * size + member, from which the members
+    are read back by subtracting the group part.
     """
-    f = np.asarray(objectives, dtype=float)[front]
-    size = len(f)
+    cols = np.asarray(objectives, dtype=float)[front].T
+    m, size = cols.shape
     if size <= 2:
         return np.full(size, np.inf)
-    order = np.argsort(f, axis=0, kind="stable")
-    col = np.arange(f.shape[1])
-    ranked = f[order, col]
-    spread = ranked[-1] - ranked[0]
-    gaps = np.zeros(f.shape)
-    gaps[[0, -1]] = np.inf
-    np.divide(ranked[2:] - ranked[:-2], spread, out=gaps[1:-1], where=spread != 0.0)
+    order = np.argsort(cols, axis=1)
+    k = np.arange(m)[:, None]
+    ranked = cols[k, order]
+    tied = ranked[:, 1:] == ranked[:, :-1]
+    if tied.any():
+        starts = np.ones((m, size), dtype=bool)
+        np.logical_not(tied, out=starts[:, 1:])
+        group = np.maximum.accumulate(np.where(starts, np.arange(size), 0), axis=1)
+        group *= size
+        keys = group + order
+        keys.sort(axis=1)
+        np.subtract(keys, group, out=order)
+        # Tied values are equal, so `ranked` stands: only a zero's sign can
+        # differ, and a gap's or the spread's zero sign never reaches a sum.
+    spread = ranked[:, -1:] - ranked[:, :1]
+    spread[spread == 0.0] = np.inf  # the column's gaps are 0
+    gaps = np.empty((m, size))
+    gaps[:, 0] = gaps[:, -1] = np.inf
+    np.divide(ranked[:, 2:] - ranked[:, :-2], spread, out=gaps[:, 1:-1])
     by_row = np.empty_like(gaps)
-    by_row[order, col] = gaps
+    by_row[k, order] = gaps
     dist = np.zeros(size)
-    for column in by_row.T:
+    for column in by_row:
         dist += column
     return dist
 

@@ -267,6 +267,27 @@ def test_crowding_matches_per_column_loop(size, m):
             assert got.tobytes() == reference_crowding(objs, front).tobytes()
 
 
+@pytest.mark.parametrize("size", [16, 17, 500])
+def test_crowding_puts_ties_back_in_front_order(size):
+    # Few distinct values, copied rows and mixed -0.0 / 0.0: numpy's default
+    # argsort, which crowding_distance uses, puts tied rows of this front out
+    # of front order. That is checked first, so the test cannot pass on a
+    # front the default sort happens to keep stable; the distances must still
+    # equal the stable per-column loop's bit for bit.
+    rng = np.random.default_rng(5500 + size)
+    objs = rng.integers(0, 4, size=(size, 3)) * 0.5
+    objs[rng.integers(0, size, size=size // 4)] = objs[rng.integers(0, size, size=size // 4)]
+    objs[objs == 0.0] = np.where(rng.random(np.count_nonzero(objs == 0.0)) < 0.5, -0.0, 0.0)
+    cols = objs.T
+    reordered = not np.array_equal(np.argsort(cols, axis=1), np.argsort(cols, axis=1, kind="stable"))
+    if not reordered and size <= 16:
+        # Without AVX-512 numpy insertion-sorts 16 or fewer values, stably.
+        pytest.skip("this numpy build's argsort keeps ties in order on 16 values")
+    assert reordered, "the default argsort kept every tie of this front in order"
+    for front in (np.arange(size), rng.permutation(size)[: size // 2 + 1]):
+        assert crowding_distance(objs, front).tobytes() == reference_crowding(objs, front).tobytes()
+
+
 class GatherCount(np.ndarray):
     """A dominance matrix that counts its row gathers, dom[front]."""
 
