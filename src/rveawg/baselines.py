@@ -16,9 +16,6 @@ import numpy as np
 from .core import evaluate
 from .variation import mutate_matrix, sbx_crossover
 
-# Distribution index of SBX crossover.
-ETA_C = 20.0
-
 # _BIT[b] is bit b of a 64-bit word.
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
@@ -192,7 +189,7 @@ def nsga2_generation(
     u = rng.random((pairs, 2, n_var))
     p1 = _tournament(rank, crowding, picks[:, 0], picks[:, 1])
     p2 = _tournament(rank, crowding, picks[:, 2], picks[:, 3])
-    c1, c2 = sbx_crossover(xs[p1], xs[p2], u[:, 0], u[:, 1], problem.lower, problem.upper, ETA_C)
+    c1, c2 = sbx_crossover(xs[p1], xs[p2], u[:, 0], u[:, 1], problem.lower, problem.upper)
     children = np.empty((2 * pairs, n_var))
     children[0::2] = c1
     children[1::2] = c2

@@ -39,7 +39,6 @@ SETTINGS = {
     "epochs": (int, "GAN epochs per generation"),
     "runs": (int, "repeated runs per configuration"),
     "seed": (int, "base seed; run i uses seed+i"),
-    "alpha": (float, "angle-penalty rate exponent"),
 }
 # The sweep's axes, each a comma-separated list: key -> (RunConfig field,
 # item type, the list a file without the key runs).

@@ -34,7 +34,6 @@ class RunConfig:
     objectives: int = 3
     pop_size: int | None = None      # None: lattice default for the objective count
     generations: int = 15
-    alpha: float = 2.0
     gan: GanConfig = field(default_factory=GanConfig)
 
     def validate(self) -> None:
@@ -42,8 +41,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown algorithm '{self.algorithm}'")
         if self.generations < 1:
             raise ConfigurationError("need at least one generation")
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigurationError(f"angle-penalty exponent alpha must be finite and >= 0, got {self.alpha}")
         self.gan.validate()
 
 
@@ -139,17 +136,17 @@ def _rvea_wg_generations(cfg, problem, initial, xs, fs, rng, record):
     eliminated_x = np.zeros((0, problem.n))
 
     for t in range(cfg.generations):
-        gen, gen_opt, critic, critic_opt = init_networks(problem.n, init_rng)
+        gen, critic = init_networks(problem.n, init_rng)
         real = normalize_to_net(xs, problem.lower, problem.upper)
         bad = normalize_to_net(eliminated_x, problem.lower, problem.upper)
-        pretrain_discriminator(critic, critic_opt, real, bad, gan_rng)
-        record.gan_trace.extend(train(gen, gen_opt, critic, critic_opt, real, cfg.gan.epochs, gan_rng))
+        pretrain_discriminator(critic, real, bad, gan_rng)
+        record.gan_trace.extend(train(gen, critic, real, cfg.gan.epochs, gan_rng))
         offspring = sample_offspring(gen, len(initial), problem.lower, problem.upper, gan_rng)
         offspring = mutate_matrix(offspring, problem.lower, problem.upper, mut_rng)
         union_x = np.vstack([xs, offspring])
         union_f = np.vstack([fs, evaluate(offspring, problem)])
 
-        kept = elitism_select(union_f, vectors, t, cfg.generations, cfg.alpha).selected_indices
+        kept = elitism_select(union_f, vectors, t, cfg.generations).selected_indices
         vectors = adapt(initial, union_f.max(axis=0), union_f.min(axis=0))
         eliminated_x = np.delete(union_x, kept, axis=0)
         xs, fs = union_x[kept], union_f[kept]

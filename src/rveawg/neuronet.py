@@ -65,16 +65,25 @@ def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.nd
 
 @dataclass
 class Mlp:
-    """A network whose layers are views into one flat ``params`` vector.
+    """A network whose layers are views into one flat ``params`` vector, and
+    the Adam optimizer that trains it: moments ``m`` and ``v`` laid out like
+    ``params``, zeroed at construction, a step count and a rate.
 
     The constructor copies the given layers into ``params``, so writing
-    through ``weights[k]`` or ``biases[k]`` updates ``params`` and back.
+    through ``weights[k]`` or ``biases[k]`` updates ``params`` and back. For
+    long training on a fixed corpus give the generator a rate well below the
+    critic's (two time scales); a shared rate orbits the target instead of
+    settling.
     """
 
     weights: list[np.ndarray]  # each (out, in)
     biases: list[np.ndarray]   # each (out,)
     output_tanh: bool
+    learning_rate: float = 1e-3
     params: np.ndarray = field(init=False, repr=False)
+    m: np.ndarray = field(init=False, repr=False)  # Adam's first moment
+    v: np.ndarray = field(init=False, repr=False)  # Adam's second moment
+    step: int = field(init=False, default=0)
 
     def __post_init__(self):
         shapes = [np.shape(w) for w in self.weights]
@@ -82,11 +91,13 @@ class Mlp:
             [np.ravel(a) for w, b in zip(self.weights, self.biases) for a in (w, b)]
         )
         self.weights, self.biases = _layer_views(self.params, shapes)
+        self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
 
     def __reduce__(self):
-        # Pickle the layers: unpickling packs them into a fresh params vector
-        # that the views alias again.
-        return Mlp, (self.weights, self.biases, self.output_tanh)
+        # Pickle the layers and the rate: unpickling packs the layers into a
+        # fresh params vector that the views alias again, and the Adam
+        # moments and step come back zeroed.
+        return Mlp, (self.weights, self.biases, self.output_tanh, self.learning_rate)
 
     @property
     def shapes(self) -> list[tuple[int, int]]:
@@ -294,43 +305,27 @@ ADAM_BETA2 = 0.9
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    """Adam moments, step count and rate of one network. For long training
-    on a fixed corpus give the generator a rate well below the critic's (two
-    time scales); a shared rate orbits the target instead of settling."""
-
-    m: np.ndarray  # first moment, laid out like the network's params
-    v: np.ndarray  # second moment
-    step: int = 0
-    learning_rate: float = 1e-3
-
-    @classmethod
-    def for_net(cls, net: Mlp, learning_rate=1e-3) -> "AdamState":
-        return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), learning_rate=learning_rate)
-
-
-def adam_step(net: Mlp, g: np.ndarray, state: AdamState) -> None:
+def adam_step(net: Mlp, g: np.ndarray) -> None:
     """Standard Adam update with bias correction by the flat gradient g,
-    applied in place to net's params and state's moments and step."""
+    applied in place to net's params, moments and step."""
     if not np.isfinite(g).all():
         raise TrainingError("non-finite gradient passed to the optimizer")
-    state.step += 1
-    c1 = 1.0 - ADAM_BETA1 ** state.step
-    c2 = 1.0 - ADAM_BETA2 ** state.step
+    net.step += 1
+    c1 = 1.0 - ADAM_BETA1 ** net.step
+    c2 = 1.0 - ADAM_BETA2 ** net.step
     # Two temporaries: t carries (1 - beta1) g, then (1 - beta2) g g, then
     # sqrt(v / c2) + eps; u carries lr (m / c1) / t.
     t = np.multiply(g, 1.0 - ADAM_BETA1)
-    state.m *= ADAM_BETA1
-    state.m += t
+    net.m *= ADAM_BETA1
+    net.m += t
     np.multiply(g, 1.0 - ADAM_BETA2, out=t)
     t *= g
-    state.v *= ADAM_BETA2
-    state.v += t
-    np.divide(state.v, c2, out=t)
+    net.v *= ADAM_BETA2
+    net.v += t
+    np.divide(net.v, c2, out=t)
     np.sqrt(t, out=t)
     t += ADAM_EPS
-    u = np.divide(state.m, c1)
-    u *= state.learning_rate
+    u = np.divide(net.m, c1)
+    u *= net.learning_rate
     u /= t
     net.params -= u

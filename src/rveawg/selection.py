@@ -8,6 +8,9 @@ import numpy as np
 from .core import EvaluationError
 from .refvec import _min_angles
 
+# RVEA's rate of the angle penalty's growth over the run (Cheng et al. 2016).
+ALPHA = 2.0
+
 
 @dataclass
 class SelectionResult:
@@ -43,25 +46,24 @@ def partition(rows: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.nda
     return assignment, best, norms
 
 
-def elitism_select(
-    objectives: np.ndarray,
-    vectors: np.ndarray,
-    t: int,
-    t_max: int,
-    alpha: float = 2.0,
-) -> SelectionResult:
+def apd_partitions(objectives: np.ndarray, vectors: np.ndarray, t: int, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each objective row's partition (as ``partition`` assigns it) and its
+    angle-penalized distance at generation t of t_max, both (P,)."""
+    rows = translate(objectives)
+    assignment, cosines, norms = partition(rows, vectors)
+    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
+    scale = vectors.shape[1] * (t / t_max) ** ALPHA
+    return assignment, (1.0 + scale * angles / _min_angles(vectors)[assignment]) * norms
+
+
+def elitism_select(objectives: np.ndarray, vectors: np.ndarray, t: int, t_max: int) -> SelectionResult:
     """Keep the minimum-APD row of a (P, M) objective matrix in every non-empty
     partition of the (N, M) unit reference vectors.
 
     APD ties resolve to the lowest row index. Empty partitions are skipped,
     so the output may be smaller than the vector count.
     """
-    rows = translate(objectives)
-    assignment, cosines, norms = partition(rows, vectors)
-    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
-    scale = vectors.shape[1] * (t / t_max) ** alpha
-    distances = (1.0 + scale * angles / _min_angles(vectors)[assignment]) * norms
-
+    assignment, distances = apd_partitions(objectives, vectors, t, t_max)
     # Sort by partition, then APD; lexsort is stable, so equal APDs keep row
     # order, and the first row of each partition is its survivor.
     order = np.lexsort((distances, assignment))

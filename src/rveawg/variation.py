@@ -3,20 +3,22 @@ from __future__ import annotations
 
 import numpy as np
 
-# Distribution index of polynomial mutation; the mutation rate is 1/n.
+# Distribution indices of polynomial mutation (its rate is 1/n) and of
+# simulated binary crossover.
 ETA_M = 20.0
+ETA_C = 20.0
 
 
-def mutation_delta(u: np.ndarray, delta1: np.ndarray, delta2: np.ndarray, eta: float) -> np.ndarray:
-    """Normalized polynomial perturbation for uniform draws u.
+def mutation_delta(u: np.ndarray, delta1: np.ndarray, delta2: np.ndarray) -> np.ndarray:
+    """Normalized polynomial perturbation at index ETA_M for uniform draws u.
 
     delta1/delta2 are the normalized distances to the lower/upper bound; the
     result is 0 at u = 0.5 and stays within [-delta1, delta2].
     """
-    exponent = 1.0 / (eta + 1.0)
+    exponent = 1.0 / (ETA_M + 1.0)
     low = u <= 0.5
-    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** (eta + 1.0)
-    val_high = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (eta + 1.0)
+    val_low = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - delta1) ** (ETA_M + 1.0)
+    val_high = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - delta2) ** (ETA_M + 1.0)
     return np.where(low, val_low**exponent - 1.0, 1.0 - val_high**exponent)
 
 
@@ -33,7 +35,7 @@ def mutate_matrix(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, rng: np.
     x, low, high = xs.take(at), lower[col], upper[col]
     span = high - low
     out = xs.copy()
-    out.flat[at] = x + mutation_delta(u.take(at), (x - low) / span, (high - x) / span, ETA_M) * span
+    out.flat[at] = x + mutation_delta(u.take(at), (x - low) / span, (high - x) / span) * span
     return np.clip(out, lower, upper, out=out)
 
 
@@ -44,9 +46,9 @@ def sbx_crossover(
     u_beta: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    eta_c: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover of parents a and b, elementwise on arrays of any shape.
+    """Simulated binary crossover at index ETA_C of parents a and b, elementwise
+    on arrays of any shape.
 
     A variable is crossed where its uniform draw u_cross <= 0.5, with spread
     factor from u_beta; the children's per-variable mean equals the parents'
@@ -59,8 +61,8 @@ def sbx_crossover(
     cross = u_cross <= 0.5
     beta = np.where(
         u_beta <= 0.5,
-        (2.0 * u_beta) ** (1.0 / (eta_c + 1.0)),
-        (1.0 / (2.0 * (1.0 - u_beta))) ** (1.0 / (eta_c + 1.0)),
+        (2.0 * u_beta) ** (1.0 / (ETA_C + 1.0)),
+        (1.0 / (2.0 * (1.0 - u_beta))) ** (1.0 / (ETA_C + 1.0)),
     )
     c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
     c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)

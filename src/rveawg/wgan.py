@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import ConfigurationError, TrainingError
 from .neuronet import (
-    AdamState,
     Mlp,
     _critic_seed,
     _forward_sweep,
@@ -82,17 +81,16 @@ def denormalize_from_net(y: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
     return np.clip(x, lower, upper)
 
 
-def init_networks(n_var: int, rng: np.random.Generator) -> tuple[Mlp, AdamState, Mlp, AdamState]:
-    """A freshly drawn (generator, generator Adam, critic, critic Adam), both
-    HIDDEN wide, both optimizers zeroed and at LEARNING_RATE."""
+def init_networks(n_var: int, rng: np.random.Generator) -> tuple[Mlp, Mlp]:
+    """A freshly drawn (generator, critic), both HIDDEN wide, both with zeroed
+    Adam moments and at LEARNING_RATE."""
     gen = init_mlp([LATENT_DIM, HIDDEN, HIDDEN, n_var], output_tanh=True, rng=rng, dtype=np.float32)
     critic = init_mlp([n_var, HIDDEN, HIDDEN, 1], output_tanh=False, rng=rng, dtype=np.float32)
-    return gen, AdamState.for_net(gen, LEARNING_RATE), critic, AdamState.for_net(critic, LEARNING_RATE)
+    gen.learning_rate = critic.learning_rate = LEARNING_RATE
+    return gen, critic
 
 
-def _critic_steps(
-    critic: Mlp, opt: AdamState, good: np.ndarray, bad: np.ndarray, eps: np.ndarray
-) -> tuple[float, float, float]:
+def _critic_steps(critic: Mlp, good: np.ndarray, bad: np.ndarray, eps: np.ndarray) -> tuple[float, float, float]:
     """One critic step per (b, n) block of the (steps, b, n) rows `good` and
     `bad`, each on loss mean D(bad) - mean D(good) + LAMBDA_GP * penalty with
     the penalty taken at the interpolates eps * good + (1 - eps) * bad, eps
@@ -116,14 +114,12 @@ def _critic_steps(
         loss = float(mean_bad - mean_good + LAMBDA_GP * penalty)
         if not np.isfinite(loss):
             raise TrainingError(f"critic loss diverged: {loss}")
-        adam_step(critic, grads, opt)
+        adam_step(critic, grads)
         stats = (loss, penalty, float(mean_good - mean_bad))
     return stats
 
 
-def pretrain_discriminator(
-    critic: Mlp, opt: AdamState, real: np.ndarray, bad: np.ndarray, rng: np.random.Generator
-) -> Mlp:
+def pretrain_discriminator(critic: Mlp, real: np.ndarray, bad: np.ndarray, rng: np.random.Generator) -> None:
     """Push the critic up on survivor rows `real` and down on eliminated rows
     `bad`, both (rows, n) in normalized coordinates, in PRETRAIN_EPOCHS
     critic steps.
@@ -136,7 +132,7 @@ def pretrain_discriminator(
     one step's rows are gathered at once.
     """
     if bad.shape[0] == 0:
-        return critic
+        return
     real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
     b = min(BATCH_SIZE, real.shape[0], bad.shape[0])
     good_idx = rng.integers(0, real.shape[0], size=(PRETRAIN_EPOCHS, b))
@@ -144,19 +140,10 @@ def pretrain_discriminator(
     eps = rng.random((PRETRAIN_EPOCHS, b, 1), dtype=real.dtype)
     for step in range(PRETRAIN_EPOCHS):
         one = slice(step, step + 1)
-        _critic_steps(critic, opt, real[good_idx[one]], bad[bad_idx[one]], eps[one])
-    return critic
+        _critic_steps(critic, real[good_idx[one]], bad[bad_idx[one]], eps[one])
 
 
-def train(
-    gen: Mlp,
-    gen_opt: AdamState,
-    critic: Mlp,
-    critic_opt: AdamState,
-    real: np.ndarray,
-    epochs: int,
-    rng: np.random.Generator,
-) -> list[EpochStats]:
+def train(gen: Mlp, critic: Mlp, real: np.ndarray, epochs: int, rng: np.random.Generator) -> list[EpochStats]:
     """Adversarial training on the (rows, n) survivor matrix `real` for
     `epochs` epochs (a run passes its GanConfig.epochs).
 
@@ -185,12 +172,12 @@ def train(
     trace = []
     for epoch, (idx, z, eps) in enumerate(zip(idx_all, z_all, eps_all)):
         h1, h2, fake = _forward_sweep(gen, z)
-        critic_loss, penalty, w_est = _critic_steps(critic, critic_opt, real[idx], fake[:steps], eps)
+        critic_loss, penalty, w_est = _critic_steps(critic, real[idx], fake[:steps], eps)
         scores, gen_grads = generator_gradient(gen, z[steps], (h1[steps], h2[steps], fake[steps]), critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")
-        adam_step(gen, gen_grads, gen_opt)
+        adam_step(gen, gen_grads)
         trace.append(EpochStats(epoch, critic_loss, gen_loss, w_est, penalty))
     return trace
 

@@ -10,7 +10,8 @@ each in its own sweeps, and ``folded_critic_step``, the critic step in the
 fused step's summation order. The tests compare the fused critic step with
 ``folded_critic_step`` bit for bit at the training batch and with the sum
 of the separate sweeps to a few ulps, the generator step with ``backward``
-bit for bit, and these functions with finite differences.
+bit for bit, and these functions with finite differences
+(``fd_param_gradient``, on ``random_net`` networks).
 
 A forward pass is kept as (x, hs): the batch as the network saw it and the
 post-activation output of every layer, the last entry being the output.
@@ -18,7 +19,10 @@ Gradients are flat vectors laid out like the network's ``params``.
 """
 import numpy as np
 
-from rveawg.neuronet import Mlp, _as_batch, _layer_views, _require_scalar_critic
+from rveawg.neuronet import Mlp, _as_batch, _layer_views, _require_scalar_critic, init_mlp
+
+# Finite-difference step.
+H = 1e-5
 
 
 def _forward_sweep(net: Mlp, x: np.ndarray, wts=None) -> list[np.ndarray]:
@@ -223,3 +227,30 @@ def folded_critic_step(net: Mlp, good, bad, mixed, lambda_gp: float) -> tuple:
         grad_w[k] += tangent[k]
         grad_b[k][...] = np.add.reduce(d, axis=0)
     return passes[0][1][-1], passes[1][1][-1], penalty, grad
+
+
+def fd_param_gradient(net, scalar_fn):
+    """Central finite differences of scalar_fn over every parameter, laid out like params."""
+    grad = np.zeros_like(net.params)
+    for i, old in enumerate(net.params.copy()):
+        net.params[i] = old + H
+        up = scalar_fn()
+        net.params[i] = old - H
+        down = scalar_fn()
+        net.params[i] = old
+        grad[i] = (up - down) / (2 * H)
+    return grad
+
+
+def assert_grads_close(got, want, rtol):
+    denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-3)
+    assert np.max(np.abs(got - want) / denom) < rtol
+
+
+def random_net(rng, out_dim=1, output_tanh=False):
+    sizes = [int(rng.integers(2, 6)), int(rng.integers(3, 8)), int(rng.integers(3, 8)), out_dim]
+    net = init_mlp(sizes, output_tanh=output_tanh, rng=rng)
+    # Non-zero biases so their gradients are exercised off the origin.
+    for b in net.biases:
+        b += 0.1 * rng.standard_normal(b.shape)
+    return net

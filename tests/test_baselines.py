@@ -12,85 +12,14 @@ from rveawg.baselines import (
 from rveawg.core import child
 from rveawg.variation import mutate_matrix
 
-
-def dominates(a, b) -> bool:
-    """True iff a is no worse everywhere and strictly better somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective lengths differ: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
-def reference_dominance(objs):
-    """dom[p, q] by broadcasting: p is no worse everywhere and better somewhere."""
-    f = np.asarray(objs, dtype=float)
-    le = np.all(f[:, None, :] <= f[None, :, :], axis=2)
-    lt = np.any(f[:, None, :] < f[None, :, :], axis=2)
-    return le & lt
-
-
-def deb_reference_sort(objs):
-    """Deb's loop one row at a time (NSGA-II, IEEE TEVC 2002): each front in the
-    order the loop appends its members, which fixes the NSGA-II survivor order."""
-    n = len(objs)
-    dom = reference_dominance(objs)
-    dominated_by = [np.flatnonzero(dom[p]).tolist() for p in range(n)]
-    domination_count = dom.sum(axis=0).tolist()
-    rank = np.zeros(n, dtype=int)
-    fronts = [[p for p in range(n) if domination_count[p] == 0]]
-    while fronts[-1]:
-        nxt = []
-        for p in fronts[-1]:
-            for q in dominated_by[p]:
-                domination_count[q] -= 1
-                if domination_count[q] == 0:
-                    rank[q] = len(fronts)
-                    nxt.append(q)
-        fronts.append(nxt)
-    fronts.pop()
-    return rank, fronts
-
-
-def reference_crowding(objectives, front):
-    """Crowding distances of one front by a loop over the columns: one stable
-    sort per column, boundary rows set to +inf, interior gaps normalized by
-    the column's spread and added in column order; a column without spread
-    adds nothing."""
-    f = np.asarray(objectives, dtype=float)[front]
-    size = len(front)
-    dist = np.zeros(size)
-    if size <= 2:
-        dist[:] = np.inf
-        return dist
-    for col in range(f.shape[1]):
-        order = np.argsort(f[:, col], kind="stable")
-        spread = f[order[-1], col] - f[order[0], col]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if spread == 0.0:
-            continue
-        gaps = (f[order[2:], col] - f[order[:-2], col]) / spread
-        dist[order[1:-1]] += gaps
-    return dist
-
-
-def reference_select(objs, n_pop):
-    """Deb's loop forming P_{t+1} from a full sort: every front's rank, each
-    front's crowding as the loop admits it, whole fronts while they fit and
-    the boundary front by descending crowding (stable: ties keep the loop's
-    order). Returns the survivors and every row's rank and crowding."""
-    rank, fronts = deb_reference_sort(objs)
-    crowding = np.zeros(len(objs))
-    survivors = []
-    for front in fronts:
-        crowding[front] = reference_crowding(objs, front)
-        if len(survivors) + len(front) <= n_pop:
-            survivors += front
-            continue
-        by_crowding = sorted(front, key=lambda p: -crowding[p])
-        survivors += by_crowding[: n_pop - len(survivors)]
-        break
-    return np.array(survivors, dtype=int), rank, crowding
+from oracles import (
+    brute_force_fronts,
+    deb_reference_sort,
+    dominates,
+    reference_crowding,
+    reference_dominance,
+    reference_select,
+)
 
 
 def deb_rank_crowding(objs):
@@ -125,29 +54,13 @@ def reference_generation(xs, fs, rank, crowding, problem, rng):
         p1 = tournament(int(picks[k, 0]), int(picks[k, 1]))
         p2 = tournament(int(picks[k, 2]), int(picks[k, 3]))
         u_cross, u_beta = u[k]
-        c1, c2 = sbx_crossover(xs[p1], xs[p2], u_cross, u_beta, problem.lower, problem.upper, 20.0)
+        c1, c2 = sbx_crossover(xs[p1], xs[p2], u_cross, u_beta, problem.lower, problem.upper)
         children.extend([c1, c2])
     child_x = mutate_matrix(np.array(children[:n_pop]), problem.lower, problem.upper, rng)
     union_x = np.vstack([xs, child_x])
     union_f = np.vstack([fs, evaluate(child_x, problem)])
     survivors, union_rank, union_crowding = reference_select(union_f, n_pop)
     return union_x[survivors], union_f[survivors], union_rank[survivors], union_crowding[survivors]
-
-
-def brute_force_fronts(objs):
-    """O(N^3)-ish dominance counting, independent of the library's sweep."""
-    n = len(objs)
-    remaining = set(range(n))
-    fronts = []
-    while remaining:
-        front = [
-            i
-            for i in remaining
-            if not any(dominates(objs[j], objs[i]) for j in remaining if j != i)
-        ]
-        fronts.append(sorted(front))
-        remaining -= set(front)
-    return fronts
 
 
 def test_dominates_truth_table():

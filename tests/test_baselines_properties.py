@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rveawg.baselines import crowding_distance, dominance, environmental_select
-from test_baselines import reference_crowding, reference_dominance, reference_select
+from oracles import reference_crowding, reference_dominance, reference_select
 
 SEARCH = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 

@@ -101,7 +101,7 @@ def test_generation_zero_trains_first_init_draw():
     record = run_single(cfg, 12)
     n_var = record.final_x.shape[1]
     init_rng = child(child(np.random.default_rng(12), "gan"), "init")
-    gen, _, critic, _ = init_networks(n_var, init_rng)
+    gen, critic = init_networks(n_var, init_rng)
     assert np.array_equal(record.networks["generator"].params, gen.params)
     assert np.array_equal(record.networks["critic"].params, critic.params)
 
@@ -122,9 +122,9 @@ def test_adam_steps_follow_the_trainer_schedule(monkeypatch):
     cfg = small_cfg(generations=3)
     run_single(cfg, 6)
     epochs = cfg.gan.epochs
-    assert [gen_opt.step for _, gen_opt, _, _ in pairs] == [epochs] * 3
+    assert [gen.step for gen, _ in pairs] == [epochs] * 3
     pretrain = [0, PRETRAIN_EPOCHS, PRETRAIN_EPOCHS]
-    assert [critic_opt.step for _, _, _, critic_opt in pairs] == [p + epochs * CRITIC_STEPS for p in pretrain]
+    assert [critic.step for _, critic in pairs] == [p + epochs * CRITIC_STEPS for p in pretrain]
 
 
 def test_vectors_adapt_to_the_union_range_every_generation(monkeypatch):
@@ -160,9 +160,6 @@ def test_config_validation():
         RunConfig(algorithm="spea2").validate()
     with pytest.raises(ConfigurationError):
         RunConfig(generations=0).validate()
-    for alpha in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigurationError):
-            RunConfig(alpha=alpha).validate()
     with pytest.raises(ConfigurationError):
         resolve_setup(RunConfig(problem="nope"))
     for size in (0, -7):
@@ -399,9 +396,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad)]) == 1
     for line, message in (
         ("runs = two", "runs = "),
-        ("alpha = x", "alpha = "),
         ("objectives = 3, ten", "objectives = "),
-        ("alpha = nan", "angle-penalty exponent alpha must be finite and >= 0, got nan"),
         ("seed = -1", "seed must be >= 0, got -1"),
         ("problems = ,", "problems lists nothing to run"),
         ("objectives =", "objectives lists nothing to run"),
@@ -423,7 +418,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "unknown key 'generation'" in err and "generations" in err
     assert main(["run", "--epochs", "-1", "--out", str(tmp_path / "out")]) == 1
     small = ["--generations", "2", "--epochs", "2", "--runs", "1", "--out", str(tmp_path / "out")]
-    for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--alpha", "-1"], ["--alpha", "nan"], ["--jobs", "-3"], ["--seed", "-1"]):
+    for bad_input in (["--pop-size", "0"], ["--pop-size", "-7"], ["--jobs", "-3"], ["--seed", "-1"]):
         assert main(["run", *bad_input, *small]) == 1, bad_input
     assert not (tmp_path / "out").exists()  # rejected before writing anything
     # Runs, seed and the output directory each have one source: the file sets
@@ -453,6 +448,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert f"{bad}:4: key 'runs' already set on line 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_alpha_is_not_a_setting(tmp_path, capsys):
+    """RVEA's alpha is the constant selection.ALPHA: a flag or a file key that
+    sets it is a configuration error, like any unknown one."""
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["run", "--alpha", "2.0", *out]) == 1
+    cfgfile = tmp_path / "alpha.cfg"
+    cfgfile.write_text("problems = dtlz2\nalpha = 2.0\n")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfgfile), *out]) == 1
+    assert "unknown key 'alpha'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -572,7 +580,7 @@ def test_cli_run_byte_identical_repeat(tmp_path):
 def test_cli_run_is_the_one_row_sweep(tmp_path, capsys):
     """`rveawg run` and a one-row `rveawg sweep` with the same settings write
     the same results.csv, byte for byte."""
-    settings = {"generations": "2", "epochs": "2", "runs": "2", "seed": "3", "alpha": "1.5"}
+    settings = {"generations": "2", "epochs": "2", "runs": "2", "seed": "3"}
     flags = [f"--{key}={value}" for key, value in settings.items()]
     assert main(["run", "--problem", "lsmop1", "--objectives", "3", "--algorithm", "rvea-wg", *flags,
                  "--out", str(tmp_path / "run")]) == 0
@@ -603,12 +611,12 @@ def test_omitted_settings_keep_library_defaults(tmp_path, monkeypatch):
     # Given ones reach the field they name, and only they do.
     assert main(["run", "--epochs", "7", "--seed", "4", "--jobs", "2", "--pop-size", "9"]) == 2
     assert calls.pop() == ([RunConfig(pop_size=9, gan=GanConfig(epochs=7))], {"seed": 4, "jobs": 2})
-    cfgfile.write_text("objectives = 4\nruns = 3\nalpha = 1.5\n")
+    cfgfile.write_text("objectives = 4\nruns = 3\ngenerations = 5\n")
     assert main(["sweep", "--config", str(cfgfile)]) == 2
     configs, kwargs = calls.pop()
     assert kwargs == {"runs": 3}
     assert configs == [
-        RunConfig(problem=p, objectives=4, algorithm=a, alpha=1.5)
+        RunConfig(problem=p, objectives=4, algorithm=a, generations=5)
         for p in ("dtlz1", "dtlz2", "dtlz3", "dtlz4")
         for a in ("rvea-wg", "nsga2")
     ]

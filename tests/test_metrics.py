@@ -7,22 +7,7 @@ import pytest
 from rveawg import ConfigurationError, RunConfig, harness, igd, metrics, run_experiment
 from rveawg.metrics import IGD_BLOCK
 
-
-def naive_igd(reference, solutions):
-    """Literal double loop, the defining form of the indicator."""
-    total = 0.0
-    for r in reference:
-        best = math.inf
-        for s in solutions:
-            acc = 0.0
-            for rk, sk in zip(r, s):
-                d = rk - sk
-                acc += d * d
-            dist = math.sqrt(acc)
-            if dist < best:
-                best = dist
-        total += best
-    return total / len(reference)
+from oracles import naive_igd
 
 
 def test_igd_zero_when_sets_coincide():

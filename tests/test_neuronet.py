@@ -8,7 +8,6 @@ from rveawg.neuronet import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    AdamState,
     Mlp,
     _layer_views,
     adam_step,
@@ -20,41 +19,16 @@ from rveawg.neuronet import (
 )
 
 from reference_nets import (
+    H,
+    assert_grads_close,
     backward,
+    fd_param_gradient,
     folded_critic_step,
     forward_pass,
     gradient_penalty_backward,
     input_gradient,
+    random_net,
 )
-
-H = 1e-5
-
-
-def fd_param_gradient(net, scalar_fn):
-    """Central finite differences of scalar_fn over every parameter, laid out like params."""
-    grad = np.zeros_like(net.params)
-    for i, old in enumerate(net.params.copy()):
-        net.params[i] = old + H
-        up = scalar_fn()
-        net.params[i] = old - H
-        down = scalar_fn()
-        net.params[i] = old
-        grad[i] = (up - down) / (2 * H)
-    return grad
-
-
-def assert_grads_close(got, want, rtol):
-    denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-3)
-    assert np.max(np.abs(got - want) / denom) < rtol
-
-
-def random_net(rng, out_dim=1, output_tanh=False):
-    sizes = [int(rng.integers(2, 6)), int(rng.integers(3, 8)), int(rng.integers(3, 8)), out_dim]
-    net = init_mlp(sizes, output_tanh=output_tanh, rng=rng)
-    # Non-zero biases so their gradients are exercised off the origin.
-    for b in net.biases:
-        b += 0.1 * rng.standard_normal(b.shape)
-    return net
 
 
 def test_forward_zero_net_tanh_outputs_zero():
@@ -208,7 +182,7 @@ def test_adam_zero_gradient_keeps_parameters():
     rng = np.random.default_rng(8)
     net = random_net(rng)
     before = [w.copy() for w in net.weights]
-    adam_step(net, np.zeros_like(net.params), AdamState.for_net(net))
+    adam_step(net, np.zeros_like(net.params))
     assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
 
 
@@ -217,10 +191,10 @@ def test_adam_first_step_is_signed_learning_rate():
     net = random_net(rng)
     grad = rng.standard_normal(net.params.shape)
     before = net.params.copy()
-    state = AdamState.for_net(net, learning_rate=1e-3)
-    adam_step(net, grad, state)
+    adam_step(net, grad)
     # First bias-corrected step is -lr * g / (|g| + eps) = -lr * sign(g).
     nz = np.abs(grad) > 1e-12
+    assert net.learning_rate == 1e-3
     assert np.allclose((net.params - before)[nz], -1e-3 * np.sign(grad[nz]), atol=1e-9)
 
 
@@ -228,14 +202,12 @@ def test_adam_replay_is_deterministic():
     rng = np.random.default_rng(77)
     net_a = random_net(rng)
     net_b = Mlp(net_a.weights, net_a.biases, net_a.output_tanh)
-    state_a = AdamState.for_net(net_a)
-    state_b = AdamState.for_net(net_b)
     seq_rng = np.random.default_rng(78)
     seq = [seq_rng.standard_normal(net_a.params.shape) for _ in range(3)]
     for g in seq:
-        adam_step(net_a, g, state_a)
+        adam_step(net_a, g)
     for g in seq:
-        adam_step(net_b, g, state_b)
+        adam_step(net_b, g)
     assert all(np.array_equal(a, b) for a, b in zip(net_a.weights, net_b.weights))
     assert all(np.array_equal(a, b) for a, b in zip(net_a.biases, net_b.biases))
 
@@ -246,7 +218,7 @@ def test_adam_rejects_nonfinite_gradient():
     grad = np.zeros_like(net.params)
     grad[0] = np.nan
     with pytest.raises(TrainingError):
-        adam_step(net, grad, AdamState.for_net(net))
+        adam_step(net, grad)
 
 
 def test_gradient_checks_across_twenty_random_nets():
@@ -291,10 +263,18 @@ def test_constructor_shares_no_memory():
 
 
 def test_pickle_round_trip_keeps_views():
-    net = random_net(np.random.default_rng(23))
+    """The layers and the rate survive a pickle; the Adam moments and step
+    come back zeroed."""
+    rng = np.random.default_rng(23)
+    net = random_net(rng)
+    net.learning_rate = 7e-3
+    adam_step(net, rng.standard_normal(net.params.shape))
     back = pickle.loads(pickle.dumps(net))
     assert np.array_equal(back.params, net.params)
-    assert back.output_tanh == net.output_tanh
+    assert back.output_tanh == net.output_tanh and back.learning_rate == 7e-3
+    assert net.step == 1 and net.m.any() and net.v.any()
+    assert back.step == 0 and back.m.shape == back.v.shape == back.params.shape
+    assert not back.m.any() and not back.v.any()
     back.weights[1] *= 2.0
     back.biases[-1] += 3.0
     assert np.array_equal(back.params[: net.weights[0].size], net.weights[0].ravel())
@@ -309,23 +289,23 @@ def test_flat_adam_matches_per_array_loop():
     ref_params = [a.copy() for a in net.weights + net.biases]
     ref_m = [np.zeros_like(a) for a in ref_params]
     ref_v = [np.zeros_like(a) for a in ref_params]
-    state = AdamState.for_net(net, learning_rate=7e-3)
+    net.learning_rate = 7e-3
     for step in range(1, 4):
         grad = np.zeros_like(net.params)
         grad_w, grad_b = _layer_views(grad, net.shapes)
         for g in grad_w + grad_b:
             g += rng.standard_normal(g.shape)
-        adam_step(net, grad, state)
+        adam_step(net, grad)
         c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
         for p, g, m, v in zip(ref_params, grad_w + grad_b, ref_m, ref_v):
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            p -= net.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, ref_params))
     L = len(net.weights)
-    for flat, ref in ((state.m, ref_m), (state.v, ref_v)):
+    for flat, ref in ((net.m, ref_m), (net.v, ref_v)):
         layout = [a.ravel() for k in range(L) for a in (ref[k], ref[L + k])]
         assert np.array_equal(flat, np.concatenate(layout))
 
@@ -355,8 +335,7 @@ def test_init_mlp_casts_float64_draws():
     assert rng64.random() == rng32.random()
     for same in (Mlp(net32.weights, net32.biases, net32.output_tanh), pickle.loads(pickle.dumps(net32))):
         assert same.params.dtype == np.float32 and np.array_equal(same.params, net32.params)
-    state = AdamState.for_net(net32)
-    assert state.m.dtype == state.v.dtype == np.float32
+    assert net32.m.dtype == net32.v.dtype == np.float32
 
 
 def test_float32_critic_step_tracks_float64():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rveawg import ConfigurationError, dtlz, lsmop, make_problem, sample_front
-from test_baselines import dominates
+from oracles import dominates
 
 
 def test_dtlz_dimensions():

@@ -8,52 +8,7 @@ from rveawg import adapt, elitism_select, lattice_for, to_unit_vectors, translat
 from rveawg.core import EvaluationError
 from rveawg.selection import partition
 
-
-def apd(translated_row, angle: float, gamma_j: float, t: int, t_max: int, alpha: float, m: int) -> float:
-    """Angle-penalized distance of one translated objective vector."""
-    if t_max < 1 or not 0 <= t <= t_max:
-        raise ValueError(f"need 0 <= t <= t_max with t_max >= 1, got t={t}, t_max={t_max}")
-    if gamma_j <= 0.0:
-        raise ValueError("gamma must be positive (reference vectors must be distinct)")
-    norm = float(np.linalg.norm(np.asarray(translated_row, dtype=float)))
-    penalty = m * (t / t_max) ** alpha * (angle / gamma_j)
-    return (1.0 + penalty) * norm
-
-
-def oracle_select(objs, vectors, t, t_max, alpha):
-    """Naive loop transcription of translation, partition, angle penalty, elitism."""
-    objs = [list(map(float, row)) for row in objs]
-    p, m = len(objs), len(objs[0])
-    n = len(vectors)
-    z_min = [min(row[k] for row in objs) for k in range(m)]
-    rows = [[row[k] - z_min[k] for k in range(m)] for row in objs]
-
-    def norm(v):
-        return math.sqrt(sum(c * c for c in v))
-
-    def angle_between(a, b):
-        cos = sum(x * y for x, y in zip(a, b)) / (norm(a) * norm(b))
-        return math.acos(max(-1.0, min(1.0, cos)))
-
-    gamma = []
-    for j in range(n):
-        gamma.append(min(angle_between(vectors[j], vectors[i]) for i in range(n) if i != j))
-
-    best = {}
-    for i in range(p):
-        ni = norm(rows[i])
-        if ni == 0.0:
-            k, theta = 0, 0.0
-        else:
-            cosines = []
-            for j in range(n):
-                cosines.append(sum(a * b for a, b in zip(rows[i], vectors[j])) / (ni * norm(vectors[j])))
-            k = max(range(n), key=lambda j: (cosines[j], -j))
-            theta = math.acos(max(-1.0, min(1.0, cosines[k])))
-        d = (1.0 + m * (t / t_max) ** alpha * (theta / gamma[k])) * ni
-        if k not in best or d < best[k][1]:
-            best[k] = (i, d)
-    return [best[k][0] for k in sorted(best)]
+from oracles import apd, oracle_select
 
 
 def test_translate_column_minima():
@@ -204,6 +159,6 @@ def test_selection_matches_bruteforce_oracle_on_random_instances():
         objs = rng.uniform(0.0, 10.0, size=(p, m))
         t_max = int(rng.integers(1, 30))
         t = int(rng.integers(0, t_max + 1))
-        result = elitism_select(objs, vectors, t=t, t_max=t_max, alpha=2.0)
+        result = elitism_select(objs, vectors, t=t, t_max=t_max)
         expected = oracle_select(objs.tolist(), vectors.tolist(), t, t_max, 2.0)
         assert list(result.selected_indices) == expected, f"case {case}"

@@ -1,7 +1,7 @@
 import numpy as np
 
 from rveawg import sbx_crossover
-from rveawg.variation import ETA_M, mutate_matrix, mutation_delta
+from rveawg.variation import mutate_matrix, mutation_delta
 
 LOWER = np.zeros(6)
 UPPER = np.ones(6)
@@ -11,7 +11,7 @@ def test_delta_zero_at_symmetry_point():
     u = np.full(4, 0.5)
     d1 = np.array([0.1, 0.3, 0.5, 0.9])
     d2 = 1.0 - d1
-    assert np.allclose(mutation_delta(u, d1, d2, 20.0), 0.0, atol=1e-15)
+    assert np.allclose(mutation_delta(u, d1, d2), 0.0, atol=1e-15)
 
 
 def test_mutation_stays_in_bounds():
@@ -53,7 +53,7 @@ def full_grid_mutation(xs, lower, upper, rng):
     span = upper - lower
     mask = rng.random(xs.shape) < 1.0 / xs.shape[-1]
     u = rng.random(xs.shape)
-    moved = xs + mutation_delta(u, (xs - lower) / span, (upper - xs) / span, ETA_M) * span
+    moved = xs + mutation_delta(u, (xs - lower) / span, (upper - xs) / span) * span
     return np.clip(np.where(mask, moved, xs), lower, upper)
 
 
@@ -77,7 +77,7 @@ def test_mutation_matches_full_grid_formula():
 def test_sbx_identical_parents_unchanged():
     x = np.linspace(0.2, 0.8, 6)
     rng = np.random.default_rng(5)
-    c1, c2 = sbx_crossover(x, x, rng.random(6), rng.random(6), LOWER, UPPER, 20.0)
+    c1, c2 = sbx_crossover(x, x, rng.random(6), rng.random(6), LOWER, UPPER)
     assert np.allclose(c1, x, atol=1e-12) and np.allclose(c2, x, atol=1e-12)
 
 
@@ -86,7 +86,7 @@ def test_sbx_preserves_per_variable_mean():
     for _ in range(100):
         a = rng.uniform(0.2, 0.8, 6)
         b = rng.uniform(0.2, 0.8, 6)
-        c1, c2 = sbx_crossover(a, b, rng.random(6), rng.random(6), LOWER, UPPER, 20.0)
+        c1, c2 = sbx_crossover(a, b, rng.random(6), rng.random(6), LOWER, UPPER)
         # Interior parents with eta 20 keep children interior, so the clamp
         # never bites and the mean identity is exact.
         assert np.allclose(c1 + c2, a + b, atol=1e-9)
@@ -98,6 +98,6 @@ def test_sbx_bounds_monte_carlo():
         a = rng.uniform(0, 1, 6)
         b = rng.uniform(0, 1, 6)
         for _ in range(10):
-            c1, c2 = sbx_crossover(a, b, rng.random(6), rng.random(6), LOWER, UPPER, 20.0)
+            c1, c2 = sbx_crossover(a, b, rng.random(6), rng.random(6), LOWER, UPPER)
             assert np.all(c1 >= 0) and np.all(c1 <= 1)
             assert np.all(c2 >= 0) and np.all(c2 <= 1)

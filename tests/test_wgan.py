@@ -3,7 +3,7 @@ import pytest
 
 from rveawg import GanConfig, neuronet, wgan
 from rveawg.core import ConfigurationError, TrainingError, child
-from rveawg.neuronet import AdamState, Mlp, adam_step, forward, generator_gradient, init_mlp
+from rveawg.neuronet import Mlp, adam_step, forward, generator_gradient, init_mlp
 from rveawg.wgan import (
     BATCH_SIZE,
     CRITIC_STEPS,
@@ -31,9 +31,9 @@ def fresh_pair(n_var, seed, rate=LEARNING_RATE, gen_rate=None, dtype=np.float64)
     rng = np.random.default_rng(seed)
     gen = init_mlp([LATENT_DIM, HIDDEN, HIDDEN, n_var], output_tanh=True, rng=child(rng, "g"), dtype=dtype)
     critic = init_mlp([n_var, HIDDEN, HIDDEN, 1], output_tanh=False, rng=child(rng, "c"), dtype=dtype)
-    gopt = AdamState.for_net(gen, rate if gen_rate is None else gen_rate)
-    copt = AdamState.for_net(critic, rate)
-    return gen, gopt, critic, copt, child(rng, "train")
+    gen.learning_rate = rate if gen_rate is None else gen_rate
+    critic.learning_rate = rate
+    return gen, critic, child(rng, "train")
 
 
 def layer_sizes(net):
@@ -59,40 +59,40 @@ def test_normalize_round_trip():
 
 
 def test_pretrain_skips_without_bad_data():
-    _, _, critic, copt, rng = fresh_pair(4, 1)
+    _, critic, rng = fresh_pair(4, 1)
     before = params_of(critic)
-    pretrain_discriminator(critic, copt, np.zeros((10, 4)), np.zeros((0, 4)), rng)
+    pretrain_discriminator(critic, np.zeros((10, 4)), np.zeros((0, 4)), rng)
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(critic)))
 
 
 def test_pretrain_zero_epochs_is_noop(monkeypatch):
     monkeypatch.setattr(wgan, "PRETRAIN_EPOCHS", 0)
-    _, _, critic, copt, rng = fresh_pair(4, 2)
+    _, critic, rng = fresh_pair(4, 2)
     before = params_of(critic)
-    pretrain_discriminator(critic, copt, np.zeros((10, 4)), np.ones((10, 4)), rng)
+    pretrain_discriminator(critic, np.zeros((10, 4)), np.ones((10, 4)), rng)
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(critic)))
 
 
 def test_pretrain_separates_clusters(monkeypatch):
     monkeypatch.setattr(wgan, "PRETRAIN_EPOCHS", 200)
-    _, _, critic, copt, rng = fresh_pair(4, 3)
+    _, critic, rng = fresh_pair(4, 3)
     data_rng = np.random.default_rng(30)
     good = 0.5 + 0.05 * child(data_rng, "g").standard_normal((40, 4))
     bad = -0.5 + 0.05 * child(data_rng, "b").standard_normal((40, 4))
-    pretrain_discriminator(critic, copt, good, bad, rng)
+    pretrain_discriminator(critic, good, bad, rng)
     assert forward(critic, good).mean() > forward(critic, bad).mean()
 
 
 def test_critic_divergence_leaves_critic_untouched():
     for dtype in (np.float64, np.float32):
-        _, _, critic, copt, rng = fresh_pair(4, 6, dtype=dtype)
+        _, critic, rng = fresh_pair(4, 6, dtype=dtype)
         before = [p.tobytes() for p in params_of(critic)]
         bad = np.ones((10, 4))
         bad[:, 1] = np.nan  # every batch, so the first step diverges
         with pytest.raises(TrainingError, match="critic loss diverged"):
-            pretrain_discriminator(critic, copt, np.zeros((10, 4)), bad, rng)
+            pretrain_discriminator(critic, np.zeros((10, 4)), bad, rng)
         assert [p.tobytes() for p in params_of(critic)] == before
-        assert copt.step == 0
+        assert critic.step == 0
 
 
 def test_generator_divergence_leaves_generator_untouched(monkeypatch):
@@ -100,37 +100,37 @@ def test_generator_divergence_leaves_generator_untouched(monkeypatch):
     # the first generator step diverges before its Adam update.
     monkeypatch.setattr(wgan, "CRITIC_STEPS", 0)
     for dtype in (np.float64, np.float32):
-        gen, gopt, critic, copt, rng = fresh_pair(4, 6, dtype=dtype)
+        gen, critic, rng = fresh_pair(4, 6, dtype=dtype)
         critic.params[:] = np.nan
         before = gen.params.tobytes()
         with pytest.raises(TrainingError, match="^generator loss diverged at epoch 0$"):
-            train(gen, gopt, critic, copt, np.zeros((8, 4)), 2, rng)
+            train(gen, critic, np.zeros((8, 4)), 2, rng)
         assert gen.params.tobytes() == before
-        assert gopt.step == 0
+        assert gen.step == 0
 
 
 def test_train_zero_epochs_is_noop():
-    gen, gopt, critic, copt, rng = fresh_pair(4, 4)
+    gen, critic, rng = fresh_pair(4, 4)
     before = params_of(gen) + params_of(critic)
     state = rng.bit_generator.state
-    trace = train(gen, gopt, critic, copt, np.zeros((8, 4)), 0, rng)
+    trace = train(gen, critic, np.zeros((8, 4)), 0, rng)
     assert trace == []
     assert rng.bit_generator.state == state
     assert all(np.array_equal(a, b) for a, b in zip(before, params_of(gen) + params_of(critic)))
 
 
 def test_train_rejects_empty_corpus():
-    gen, gopt, critic, copt, rng = fresh_pair(4, 5)
+    gen, critic, rng = fresh_pair(4, 5)
     with pytest.raises(TrainingError):
-        train(gen, gopt, critic, copt, np.zeros((0, 4)), 1, rng)
+        train(gen, critic, np.zeros((0, 4)), 1, rng)
 
 
 def test_train_collapses_to_repeated_point():
     # Degenerate-distribution run in the two-time-scale regime; the benchmark
     # default rates are deliberately coarser and would orbit the target.
     point = np.array([0.5, -0.25, 0.1, 0.75])
-    gen, gopt, critic, copt, rng = fresh_pair(4, 100, rate=1e-3, gen_rate=2e-4)
-    trace = train(gen, gopt, critic, copt, np.tile(point, (64, 1)), 300, rng)
+    gen, critic, rng = fresh_pair(4, 100, rate=1e-3, gen_rate=2e-4)
+    trace = train(gen, critic, np.tile(point, (64, 1)), 300, rng)
     assert len(trace) == 300
     assert all(np.isfinite([s.critic_loss, s.gen_loss, s.wasserstein, s.penalty]).all() for s in trace)
     samples = forward(gen, np.random.default_rng(1000).standard_normal((256, LATENT_DIM)))
@@ -143,8 +143,8 @@ def test_train_covers_two_clusters():
     real = np.vstack(
         [c + 0.03 * child(data_rng, i).standard_normal((32, 4)) for i, c in enumerate(centers)]
     )
-    gen, gopt, critic, copt, rng = fresh_pair(4, 200, rate=1e-3, gen_rate=2e-4)
-    train(gen, gopt, critic, copt, real, 300, rng)
+    gen, critic, rng = fresh_pair(4, 200, rate=1e-3, gen_rate=2e-4)
+    train(gen, critic, real, 300, rng)
     samples = forward(gen, np.random.default_rng(2000).standard_normal((256, LATENT_DIM)))
     inter = np.linalg.norm(centers[0] - centers[1])
     nearest = np.minimum(
@@ -153,7 +153,7 @@ def test_train_covers_two_clusters():
     assert np.median(nearest) < inter / 2
 
 
-def reference_critic_update(critic, opt, good, bad, eps, lambda_gp):
+def reference_critic_update(critic, good, bad, eps, lambda_gp):
     """One critic step on its own [good; bad; mixed] rows."""
     mixed = eps * good + (1.0 - eps) * bad
     y_good, y_bad, penalty, grads = neuronet.critic_gradient(critic, np.vstack([good, bad, mixed]), lambda_gp)
@@ -161,11 +161,11 @@ def reference_critic_update(critic, opt, good, bad, eps, lambda_gp):
     loss = float(mean_bad - mean_good + lambda_gp * penalty)
     if not np.isfinite(loss):
         raise TrainingError(f"critic loss diverged: {loss}")
-    adam_step(critic, grads, opt)
+    adam_step(critic, grads)
     return loss, penalty, float(mean_good - mean_bad)
 
 
-def reference_pretrain(critic, opt, real, bad, epochs, rng):
+def reference_pretrain(critic, real, bad, epochs, rng):
     """`pretrain_discriminator` as a per-epoch loop that stacks each step's
     rows with np.vstack, on the same up-front draws."""
     real, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (real, bad))
@@ -174,7 +174,7 @@ def reference_pretrain(critic, opt, real, bad, epochs, rng):
     bad_idx = rng.integers(0, len(bad), size=(epochs, b))
     eps = rng.random((epochs, b, 1), dtype=real.dtype)
     for e in range(epochs):
-        reference_critic_update(critic, opt, real[good_idx[e]], bad[bad_idx[e]], eps[e], LAMBDA_GP)
+        reference_critic_update(critic, real[good_idx[e]], bad[bad_idx[e]], eps[e], LAMBDA_GP)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -187,18 +187,18 @@ def test_pretrain_equals_per_epoch_loop(n_bad, dtype, monkeypatch):
     data_rng = np.random.default_rng(92)
     real = data_rng.uniform(-0.8, 0.8, size=(40, 12))
     bad = data_rng.uniform(-1.0, 1.0, size=(n_bad, 12))
-    _, _, want, want_opt, want_rng = fresh_pair(12, 93, dtype=dtype)
-    _, _, got, got_opt, got_rng = fresh_pair(12, 93, dtype=dtype)
-    reference_pretrain(want, want_opt, real, bad, epochs, want_rng)
-    pretrain_discriminator(got, got_opt, real, bad, got_rng)
+    _, want, want_rng = fresh_pair(12, 93, dtype=dtype)
+    _, got, got_rng = fresh_pair(12, 93, dtype=dtype)
+    reference_pretrain(want, real, bad, epochs, want_rng)
+    pretrain_discriminator(got, real, bad, got_rng)
     assert got.params.dtype == dtype
     assert got.params.tobytes() == want.params.tobytes()
-    assert got_opt.step == want_opt.step == epochs
-    assert got_opt.m.tobytes() == want_opt.m.tobytes() and got_opt.v.tobytes() == want_opt.v.tobytes()
+    assert got.step == want.step == epochs
+    assert got.m.tobytes() == want.m.tobytes() and got.v.tobytes() == want.v.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def reference_train(gen, gen_opt, critic, critic_opt, real, epochs, steps, rng):
+def reference_train(gen, critic, real, epochs, steps, rng):
     """`train` as a per-step loop on the same up-front draws: each critic
     step runs the generator on its own latents, and the generator step runs
     it once more."""
@@ -214,14 +214,14 @@ def reference_train(gen, gen_opt, critic, critic_opt, real, epochs, steps, rng):
         for s in range(steps):
             fake = forward(gen, z[epoch, s])
             critic_loss, penalty, w_est = reference_critic_update(
-                critic, critic_opt, real[idx[epoch, s]], fake, eps[epoch, s], LAMBDA_GP
+                critic, real[idx[epoch, s]], fake, eps[epoch, s], LAMBDA_GP
             )
         gen_z, gen_hs = forward_pass(gen, z[epoch, steps])
         scores, gen_grads = generator_gradient(gen, gen_z, gen_hs, critic)
         gen_loss = float(-np.mean(scores))
         if not np.isfinite(gen_loss):
             raise TrainingError(f"generator loss diverged at epoch {epoch}")
-        adam_step(gen, gen_grads, gen_opt)
+        adam_step(gen, gen_grads)
         trace.append(EpochStats(epoch, critic_loss, gen_loss, w_est, penalty))
     return trace
 
@@ -237,16 +237,15 @@ def test_train_equals_per_step_loop(n_rows, critic_steps, dtype, monkeypatch):
     real = np.random.default_rng(90).uniform(-0.8, 0.8, size=(n_rows, 12))
     want = fresh_pair(12, 91, dtype=dtype)
     got = fresh_pair(12, 91, dtype=dtype)
-    want_trace = reference_train(*want[:4], real, 4, critic_steps, want[4])
-    got_trace = train(*got[:4], real, 4, got[4])
+    want_trace = reference_train(*want[:2], real, 4, critic_steps, want[2])
+    got_trace = train(*got[:2], real, 4, got[2])
     assert got_trace == want_trace and len(got_trace) == 4
-    for net_w, net_g in ((want[0], got[0]), (want[2], got[2])):
+    for net_w, net_g in zip(want[:2], got[:2]):
         assert net_g.params.dtype == dtype
         assert net_g.params.tobytes() == net_w.params.tobytes()
-    for opt_w, opt_g in ((want[1], got[1]), (want[3], got[3])):
-        assert opt_g.step == opt_w.step
-        assert opt_g.m.tobytes() == opt_w.m.tobytes() and opt_g.v.tobytes() == opt_w.v.tobytes()
-    assert got[4].bit_generator.state == want[4].bit_generator.state
+        assert net_g.step == net_w.step
+        assert net_g.m.tobytes() == net_w.m.tobytes() and net_g.v.tobytes() == net_w.v.tobytes()
+    assert got[2].bit_generator.state == want[2].bit_generator.state
 
 
 def test_sample_offspring_zero_generator_hits_midpoint():
@@ -285,9 +284,9 @@ def test_generation_step_is_reproducible():
 
     def one(seed):
         rng = np.random.default_rng(seed)
-        gen, gopt, critic, copt = init_networks(4, child(rng, "init"))
-        pretrain_discriminator(critic, copt, real, bad, rng)
-        train(gen, gopt, critic, copt, real, 3, rng)
+        gen, critic = init_networks(4, child(rng, "init"))
+        pretrain_discriminator(critic, real, bad, rng)
+        train(gen, critic, real, 3, rng)
         return sample_offspring(gen, 8, LOWER4, UPPER4, rng)
 
     assert np.array_equal(one(3), one(3))
@@ -297,19 +296,19 @@ def test_generation_step_is_reproducible():
 def test_init_networks_draws_fresh_pair_with_zeroed_adam():
     rng = np.random.default_rng(8)
     first, second = init_networks(4, rng), init_networks(4, rng)
-    for gen, gopt, critic, copt in (first, second):
+    for gen, critic in (first, second):
         assert layer_sizes(gen) == [LATENT_DIM, HIDDEN, HIDDEN, 4]
         assert layer_sizes(critic) == [4, HIDDEN, HIDDEN, 1]
         assert gen.output_tanh and not critic.output_tanh
-        for net, opt in ((gen, gopt), (critic, copt)):
-            assert opt.step == 0 and opt.learning_rate == LEARNING_RATE
-            assert opt.m.shape == opt.v.shape == net.params.shape
-            assert not opt.m.any() and not opt.v.any()
+        for net in (gen, critic):
+            assert net.step == 0 and net.learning_rate == LEARNING_RATE
+            assert net.m.shape == net.v.shape == net.params.shape
+            assert not net.m.any() and not net.v.any()
     # Each call draws new weights from the stream and shares no memory.
-    for k in (0, 2):
+    for k in (0, 1):
         assert not np.array_equal(first[k].params, second[k].params)
         assert not np.shares_memory(first[k].params, second[k].params)
-        assert not np.shares_memory(first[k + 1].m, second[k + 1].m)
+        assert not np.shares_memory(first[k].m, second[k].m)
 
 
 def test_run_networks_stay_float32(monkeypatch):
@@ -337,11 +336,11 @@ def test_run_networks_stay_float32(monkeypatch):
     real = data_rng.uniform(-0.5, 0.5, size=(30, 4))
     bad = data_rng.uniform(-1.0, 1.0, size=(20, 4))
     rng = np.random.default_rng(7)
-    gen, gopt, critic, copt = init_networks(4, child(rng, "init"))
-    pretrain_discriminator(critic, copt, real, bad, rng)
-    train(gen, gopt, critic, copt, real, 3, rng)
-    assert copt.step == PRETRAIN_EPOCHS + 3 * CRITIC_STEPS and gopt.step == 3
-    for array in (gen.params, critic.params, gopt.m, gopt.v, copt.m, copt.v):
+    gen, critic = init_networks(4, child(rng, "init"))
+    pretrain_discriminator(critic, real, bad, rng)
+    train(gen, critic, real, 3, rng)
+    assert critic.step == PRETRAIN_EPOCHS + 3 * CRITIC_STEPS and gen.step == 3
+    for array in (gen.params, critic.params, gen.m, gen.v, critic.m, critic.v):
         assert array.dtype == np.float32
 
     # float64 batches are cast on entry: scores and gradients come out float32.
