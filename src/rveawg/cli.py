@@ -3,28 +3,20 @@ the (problem, M, algorithm) product a config file lists. `run` is the
 product's one-row case: both build their configs with `build_configs`, keep
 the library default (`RunConfig`, `GanConfig`, `run_experiment`) of each
 setting not given, and share one tail that runs, writes results.csv and
-maps failed runs to exit status 2."""
+maps failed runs to exit status 2. This module writes every output file;
+the library only computes."""
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import math
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from .core import ConfigurationError
-from .harness import (
-    ALGORITHMS,
-    ExperimentRow,
-    RunConfig,
-    emit_plot_data,
-    resolve_setup,
-    run_experiment,
-    write_csv,
-    write_experiment_csv,
-)
-from .neuronet import save_params
+from .harness import ALGORITHMS, ExperimentRow, RunConfig, resolve_setup, run_experiment
 from .problems import PROBLEM_NAMES
 from .wgan import GanConfig
 
@@ -146,13 +138,41 @@ def build_configs(axes: dict[str, list], settings: dict) -> tuple[list[RunConfig
     return [RunConfig(**dict(zip(axes, c)), **own, gan=GanConfig(**gan)) for c in combos], experiment
 
 
+def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write `rows` under `header` (no header row when it is empty). Python
+    floats are written as their repr, which round-trips exactly."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_experiment_csv(rows: list[ExperimentRow], path: Path) -> Path:
+    runs = len(rows[0].per_run) if rows else 0
+    header = ["problem", "M", "algorithm", "runs", "mean_igd", "std_igd"]
+    header += [f"run_{i}" for i in range(runs)]
+    header.append("best")
+    table = []
+    for row in rows:
+        cells = [row.problem, row.objectives, row.algorithm, runs]
+        cells += [f"{row.mean_igd:.5e}", f"{row.std_igd:.5e}"]
+        cells += [f"{v:.5e}" for v in row.per_run]
+        cells.append(int(row.best))
+        table.append(cells)
+    return write_csv(path, header, table)
+
+
 def _run_table(args, axes: dict[str, list], settings: dict) -> tuple[list[RunConfig], list[ExperimentRow], Path]:
     """The steps `run` and `sweep` share: the configs of `axes` under
     `settings` and the flags given, their runs, and results.csv in --out."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
     configs, experiment = build_configs(axes, {**settings, **flags})
-    rows = run_experiment(configs, **experiment)
     out = Path(args.out)
+    if blocker := next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None):
+        raise ConfigurationError(f"--out {out}: {blocker} is not a directory")
+    rows = run_experiment(configs, **experiment)
     out.mkdir(parents=True, exist_ok=True)
     return configs, rows, write_experiment_csv(rows, out / "results.csv")
 
@@ -171,18 +191,23 @@ def cmd_run(args) -> list[ExperimentRow]:
     (cfg,), rows, path = _run_table(args, {}, {})
     print(f"wrote {path}")
     out = path.parent
-    refvecs = write_csv(out / "refvecs.csv", [], resolve_setup(cfg)[1].tolist())
-    print(f"wrote {refvecs}")
-
+    tables = {"refvecs.csv": ([], resolve_setup(cfg)[1].tolist())}
     # None when the base-seed run failed; that failure is on stderr and exits 2.
     record = rows[0].base_record
+    networks = {}
     if record is not None:
-        for written in emit_plot_data(record, out):
-            print(f"wrote {written}")
-        for name, net in (record.networks or {}).items():  # rvea-wg runs only
-            target = out / f"{name}_params.bin"
-            save_params(net, target)
-            print(f"wrote {target}")
+        tables["igd_trace.csv"] = (["generation", "igd"], enumerate(record.igd_trace))
+        tables["objectives.csv"] = ([f"f{i + 1}" for i in range(cfg.objectives)], record.final_f.tolist())
+        if record.networks is not None:  # rvea-wg runs only; only the header at 0 epochs
+            header = ["epoch", "critic_loss", "gen_loss", "wasserstein_estimate", "penalty"]
+            tables["gan_trace.csv"] = (header, map(astuple, record.gan_trace))
+            networks = record.networks
+    for name, (header, table) in tables.items():  # full precision, round-trippable
+        print(f"wrote {write_csv(out / name, header, table)}")
+    for name, net in networks.items():
+        target = out / f"{name}_params.bin"
+        net.params.astype("<f8").tofile(target)  # flat params: per layer the row-major weights, then the bias
+        print(f"wrote {target}")
     mean, runs = rows[0].mean_igd, len(rows[0].per_run)
     print(f"{cfg.problem} M={cfg.objectives} {cfg.algorithm}: mean IGD {mean:.5e} over {runs} runs")
     return rows

@@ -2,15 +2,13 @@
 count, IGD trace, record) around the generation steps of rvea-wg and NSGA-II,
 and experiments that repeat every config over the same paired seeds.
 `RunConfig` describes one run; the run count and base seed belong to the
-experiment (`run_experiment`). One CSV writer writes every table."""
+experiment (`run_experiment`)."""
 from __future__ import annotations
 
-import csv
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -242,43 +240,3 @@ def run_experiment(configs: list[RunConfig], runs: int = 10, seed: int = 0, jobs
         if finite_rows:
             min(finite_rows, key=lambda r: r.mean_igd).best = True
     return rows
-
-
-def write_csv(path: Path, header: list[str], rows) -> Path:
-    """Write `rows` under `header` (no header row when it is empty). Python
-    floats are written as their repr, which round-trips exactly."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def write_experiment_csv(rows: list[ExperimentRow], path: Path) -> Path:
-    runs = len(rows[0].per_run) if rows else 0
-    header = ["problem", "M", "algorithm", "runs", "mean_igd", "std_igd"]
-    header += [f"run_{i}" for i in range(runs)]
-    header.append("best")
-    table = []
-    for row in rows:
-        cells = [row.problem, row.objectives, row.algorithm, runs]
-        cells += [f"{row.mean_igd:.5e}", f"{row.std_igd:.5e}"]
-        cells += [f"{v:.5e}" for v in row.per_run]
-        cells.append(int(row.best))
-        table.append(cells)
-    return write_csv(path, header, table)
-
-
-def emit_plot_data(record: RunRecord, out_dir: Path) -> list[Path]:
-    """Write igd_trace.csv, objectives.csv and, for rvea-wg, gan_trace.csv (full precision, round-trippable)."""
-    out_dir = Path(out_dir)
-    objectives = [f"f{i + 1}" for i in range(record.final_f.shape[1])]
-    written = [
-        write_csv(out_dir / "igd_trace.csv", ["generation", "igd"], enumerate(record.igd_trace)),
-        write_csv(out_dir / "objectives.csv", objectives, record.final_f.tolist()),
-    ]
-    if record.networks is not None:  # an rvea-wg record; only the header at 0 epochs
-        header = ["epoch", "critic_loss", "gen_loss", "wasserstein_estimate", "penalty"]
-        written.append(write_csv(out_dir / "gan_trace.csv", header, map(astuple, record.gan_trace)))
-    return written

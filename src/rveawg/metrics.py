@@ -10,9 +10,9 @@ reference points. The implementation matches that loop bit for bit on float64:
   [1/2, 1), exactly in float64 bar subnormal bits. The reference side is
   shifted and scaled in its transposed (M, K) layout and written straight
   into the float32 operand [r; 1]; the solution side fills [-2 c, |c|^2].
-  Per block of reference rows one product gives p[j, i] = |c_j|^2 - 2 r_i.c_j,
-  the squared distance less |r_i|^2. Every solution with p <= min_j p + slack_i
-  stays a candidate. Float32 rounding moves p by at most about
+  One product gives p[j, i] = |c_j|^2 - 2 r_i.c_j, the squared distance
+  less |r_i|^2, and every solution with p <= min_j p + slack_i stays a
+  candidate. Float32 rounding moves p by at most about
   3 (M + 2) 2^-24 (|r_i|^2 + max_j |c_j|^2); the slack, SCREEN_SLACK = 1e-4
   times the same, is over 2.5 times the gap two such errors open for M up to
   100, so the loop's minimiser is always a candidate, whatever order, kernel
@@ -22,10 +22,10 @@ reference points. The implementation matches that loop bit for bit on float64:
   are added: float32's smallest normal number for products in float32's
   subnormal range, and the smallest normal double, in scaled units, for the
   loop's own squares that underflow.
-- Recompute, once per call: for the candidates of all blocks, squared
-  differences of the float64 values are added in objective order from 0.0,
-  as the loop does; the row minimum is taken before the square root (sqrt is
-  correctly rounded and monotone), and the mean is a left-to-right sum.
+- Recompute: for the candidates, squared differences of the float64 values
+  are added in objective order from 0.0, as the loop does; the row minimum
+  is taken before the square root (sqrt is correctly rounded and monotone),
+  and the mean is a left-to-right sum.
 
 A slack that is too wide only costs time: at worst every pair is a candidate.
 """
@@ -42,9 +42,6 @@ class IgdResult:
     value: float
 
 
-# Reference rows per block; bounds the (N, rows) float32 screen product. The
-# fronts of up to 10 objectives (2002 rows at most) take one block.
-IGD_BLOCK = 2048
 # Screen slack relative to |r_i|^2 + max_j |c_j|^2 in scaled units; see above.
 SCREEN_SLACK = 1e-4
 
@@ -66,7 +63,7 @@ def igd(reference, solutions) -> IgdResult:
     ref_h -= centre[:, None]
     sol_h = 0.5 * sol - centre
     exp = int(np.frexp(max(ref_h.max(), -ref_h.min(), sol_h.max(), -sol_h.min()))[1])
-    # p = [-2 c, |c|^2] @ [r, 1]^T, one column per reference row of the block.
+    # p = [-2 c, |c|^2] @ [r, 1]^T, one column per reference row.
     ref_1 = np.empty((m + 1, k), dtype=np.float32)
     ref_32 = ref_1[:m]
     np.ldexp(ref_h, -exp, out=ref_32)
@@ -79,14 +76,10 @@ def igd(reference, solutions) -> IgdResult:
     # Squares scale by 2^(-2 exp - 2); past 2^8 the loop's floor admits every pair.
     floor = np.finfo(np.float32).tiny + math.ldexp(np.finfo(float).tiny, min(-2 * exp - 2, 1030))
     slack = SCREEN_SLACK * (np.einsum("ij,ij->j", ref_32, ref_32) + sol_sq.max()) + floor
-    hits = []
-    for start in range(0, k, IGD_BLOCK):
-        p = sol_2 @ ref_1[:, start:start + IGD_BLOCK]
-        limit = p.min(axis=0)
-        limit += slack[start:start + IGD_BLOCK]
-        col, row = np.divmod(np.flatnonzero(p <= limit), p.shape[1])
-        hits.append((row + start, col))
-    rows, cols = (np.concatenate(h) for h in zip(*hits))
+    p = sol_2 @ ref_1
+    limit = p.min(axis=0)
+    limit += slack
+    cols, rows = np.divmod(np.flatnonzero(p <= limit), k)
     diff = ref[rows] - sol[cols]
     diff *= diff
     acc = np.zeros(rows.size)

@@ -112,11 +112,6 @@ class Mlp:
         return self.weights[-1].shape[0]
 
 
-def save_params(net: Mlp, path) -> None:
-    """Debug dump: little-endian float64, row-major, weights then bias per layer."""
-    net.params.astype("<f8").tofile(path)
-
-
 def init_mlp(layer_sizes: list[int], output_tanh: bool, rng: np.random.Generator, dtype=np.float64) -> Mlp:
     """Glorot-range uniform weights, zero biases, in the given dtype; the
     weights are drawn in float64 and then cast."""

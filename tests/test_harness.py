@@ -11,8 +11,9 @@ import pytest
 
 from rveawg import ConfigurationError, RunConfig, cli, harness, run_experiment, run_single
 from rveawg.cli import SWEEP_KEYS, build_configs, build_parser, main, parse_config_file, sweep_settings
+from rveawg.cli import write_experiment_csv
 from rveawg.core import child
-from rveawg.harness import resolve_setup, write_experiment_csv
+from rveawg.harness import resolve_setup
 from rveawg.refvec import lattice_for, to_unit_vectors
 from rveawg.wgan import CRITIC_STEPS, PRETRAIN_EPOCHS, GanConfig, init_networks
 
@@ -271,9 +272,9 @@ def test_experiment_cardinality_for_sweep_shape():
     assert len(configs) == 4 * 4 * 2
 
 
-def test_emit_plot_data_round_trip(tmp_path, monkeypatch, capsys):
-    """Every CSV file `rveawg run` writes for its base-seed run reads back as
-    the record's values and the unit reference vectors, exactly."""
+def test_run_files_round_trip(tmp_path, monkeypatch, capsys):
+    """Every file `rveawg run` writes for its base-seed run reads back as the
+    record's values and the unit reference vectors, exactly."""
     records = []
     real_run_single = harness.run_single
 
@@ -286,8 +287,9 @@ def test_emit_plot_data_round_trip(tmp_path, monkeypatch, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 0
     (record,) = records
     printed = capsys.readouterr().out.splitlines()
-    for name in ("results.csv", "refvecs.csv", "igd_trace.csv", "objectives.csv", "gan_trace.csv"):
-        assert f"wrote {tmp_path / name}" in printed
+    names = ["results.csv", "refvecs.csv", "igd_trace.csv", "objectives.csv", "gan_trace.csv"]
+    names += ["generator_params.bin", "critic_params.bin"]
+    assert printed[:-1] == [f"wrote {tmp_path / name}" for name in names]
 
     def table(name):
         with (tmp_path / name).open() as fh:
@@ -303,6 +305,12 @@ def test_emit_plot_data_round_trip(tmp_path, monkeypatch, capsys):
     assert [[int(row[0]), *map(float, row[1:])] for row in gan_rows] == [list(astuple(s)) for s in record.gan_trace]
     vectors = np.array([[float(v) for v in row] for row in table("refvecs.csv")])
     assert np.array_equal(vectors, to_unit_vectors(lattice_for(3, 15)))
+    # Each network's flat float32 params, widened to little-endian float64;
+    # they narrow back bit for bit.
+    for name, net in record.networks.items():
+        raw = (tmp_path / f"{name}_params.bin").read_bytes()
+        assert raw == net.params.astype("<f8").tobytes()
+        assert np.frombuffer(raw, "<f8").astype(np.float32).tobytes() == net.params.tobytes()
 
 
 def test_record_rerunnable_from_snapshot():
@@ -353,6 +361,19 @@ def test_cli_plots_and_dump_reuse_base_seed_run(tmp_path, monkeypatch):
         table = list(csv.DictReader(fh))
     assert table[0]["run_0"] == f"{last:.5e}"
     assert (tmp_path / "generator_params.bin").exists() and (tmp_path / "critic_params.bin").exists()
+
+
+def test_out_that_is_not_a_directory_is_rejected_before_any_run(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "run_single", lambda cfg, seed: calls.append(seed))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        capsys.readouterr()
+        assert main(["run", "--generations", "1", "--runs", "2", "--out", str(out)]) == 1, out
+        assert "configuration error: --out" in capsys.readouterr().err
+    assert calls == []
+    assert taken.read_text() == ""
 
 
 def test_config_file_parsing(tmp_path):

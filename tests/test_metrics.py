@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rveawg import ConfigurationError, RunConfig, harness, igd, metrics, run_experiment
-from rveawg.metrics import IGD_BLOCK
+from rveawg import ConfigurationError, RunConfig, harness, igd, run_experiment
 
 from oracles import naive_igd
 
@@ -73,16 +72,10 @@ def test_igd_matches_naive_loop_bit_exactly():
         assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist()), f"case {case}"
 
 
-# Block boundaries are checked at a block this small, where the loop oracle
-# stays cheap; nothing in the screen depends on the block's size.
-BLOCK = 96
-
-
-@pytest.mark.parametrize("n_ref", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
-def test_igd_matches_naive_loop_across_blocks(n_ref, monkeypatch):
-    # Reference sets that end inside, at and one past a block boundary, and
-    # M from 2 to 15 with a single solution and with many.
-    monkeypatch.setattr(metrics, "IGD_BLOCK", BLOCK)
+@pytest.mark.parametrize("n_ref", [1, 95, 96, 97, 305])
+def test_igd_matches_naive_loop_across_blocks(n_ref):
+    # Reference sets of several sizes, and M from 2 to 15 with a single
+    # solution and with many.
     rng = np.random.default_rng(26 + n_ref)
     for m, n_sol in [(2, 1), (3, 300), (7, 45), (10, 128)] + [(m, n) for m in range(2, 16) for n in (1, 50)]:
         ref = rng.uniform(-5, 5, size=(n_ref, m))
@@ -91,8 +84,9 @@ def test_igd_matches_naive_loop_across_blocks(n_ref, monkeypatch):
 
 
 def test_igd_matches_naive_loop_past_the_block():
+    # More reference rows than any front of up to 10 objectives has (2002).
     rng = np.random.default_rng(30)
-    ref = rng.uniform(-5, 5, size=(IGD_BLOCK + 1, 3))
+    ref = rng.uniform(-5, 5, size=(2049, 3))
     sols = rng.uniform(-5, 5, size=(20, 3))
     assert igd(ref, sols).value == naive_igd(ref.tolist(), sols.tolist())
 

@@ -15,7 +15,6 @@ from rveawg.neuronet import (
     forward,
     generator_gradient,
     init_mlp,
-    save_params,
 )
 
 from reference_nets import (
@@ -308,19 +307,6 @@ def test_flat_adam_matches_per_array_loop():
     for flat, ref in ((net.m, ref_m), (net.v, ref_v)):
         layout = [a.ravel() for k in range(L) for a in (ref[k], ref[L + k])]
         assert np.array_equal(flat, np.concatenate(layout))
-
-
-def test_save_params_layout(tmp_path):
-    net = random_net(np.random.default_rng(25), out_dim=2)
-    save_params(net, tmp_path / "net.bin")
-    want = b"".join(a.astype("<f8").tobytes() for w, b in zip(net.weights, net.biases) for a in (w, b))
-    assert (tmp_path / "net.bin").read_bytes() == want
-    # float32 nets are written widened to float64, which narrows back exactly.
-    net32 = init_mlp([5, 7, 3], output_tanh=True, rng=np.random.default_rng(26), dtype=np.float32)
-    net32.biases[0] += 0.1
-    save_params(net32, tmp_path / "net32.bin")
-    back = np.fromfile(tmp_path / "net32.bin", "<f8").astype(np.float32)
-    assert back.tobytes() == net32.params.tobytes()
 
 
 def test_init_mlp_casts_float64_draws():
