@@ -10,10 +10,10 @@ from .core import (
     init_population,
 )
 from .harness import RunConfig, RunRecord, run_experiment, run_single
-from .metrics import IgdResult, igd
-from .problems import PROBLEM_NAMES, ProblemDef, dtlz, lsmop, make_problem, sample_front
+from .metrics import igd
+from .problems import PROBLEM_NAMES, dtlz, lsmop, make_problem, sample_front
 from .refvec import adapt, lattice_for, simplex_lattice, to_unit_vectors, two_layer_lattice
-from .selection import elitism_select, partition, translate
+from .selection import elitism_select, translate
 from .variation import sbx_crossover
 from .wgan import GanConfig
 
@@ -23,9 +23,7 @@ __all__ = [
     "ConfigurationError",
     "EvaluationError",
     "GanConfig",
-    "IgdResult",
     "PROBLEM_NAMES",
-    "ProblemDef",
     "RunConfig",
     "RunRecord",
     "TrainingError",
@@ -38,7 +36,6 @@ __all__ = [
     "lattice_for",
     "lsmop",
     "make_problem",
-    "partition",
     "run_experiment",
     "run_single",
     "sample_front",

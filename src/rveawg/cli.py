@@ -204,9 +204,9 @@ def cmd_run(args) -> list[ExperimentRow]:
             networks = record.networks
     for name, (header, table) in tables.items():  # full precision, round-trippable
         print(f"wrote {write_csv(out / name, header, table)}")
-    for name, net in networks.items():
+    for name, params in networks.items():
         target = out / f"{name}_params.bin"
-        net.params.astype("<f8").tofile(target)  # flat params: per layer the row-major weights, then the bias
+        params.astype("<f8").tofile(target)  # per layer the row-major weights, then the bias
         print(f"wrote {target}")
     mean, runs = rows[0].mean_igd, len(rows[0].per_run)
     print(f"{cfg.problem} M={cfg.objectives} {cfg.algorithm}: mean IGD {mean:.5e} over {runs} runs")

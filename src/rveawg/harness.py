@@ -52,7 +52,8 @@ class RunRecord:
     evaluations: int
     duration: float
     gan_trace: list[EpochStats] = field(default_factory=list)
-    networks: dict | None = None  # final generator/critic, rvea-wg runs only
+    # rvea-wg runs only: the flat params of the last generation's networks
+    networks: dict[str, np.ndarray] | None = None  # "generator" and "critic"
 
     @property
     def final_igd(self) -> float:
@@ -125,7 +126,7 @@ def _rvea_wg_generations(cfg, problem, initial, xs, fs, rng, record):
     every generation. RVEA (Cheng et al. 2016, Algorithm 3) adapts to the
     ranges of the survivors P_{t+1} instead, and only every f_r * t_max
     generations (f_r = 0.1); this reproduction keeps its rule, see the
-    README. The epoch statistics and the last pair go on `record`.
+    README. The epoch statistics and the last pair's params go on `record`.
     """
     vectors = initial
     gan_rng = child(rng, "gan")
@@ -149,7 +150,7 @@ def _rvea_wg_generations(cfg, problem, initial, xs, fs, rng, record):
         eliminated_x = np.delete(union_x, kept, axis=0)
         xs, fs = union_x[kept], union_f[kept]
         yield xs, fs
-    record.networks = {"generator": gen, "critic": critic}
+    record.networks = {"generator": gen.params, "critic": critic.params}
 
 
 def _nsga2_generations(cfg, problem, vectors, xs, fs, rng, record):

@@ -1,18 +1,18 @@
 """Small fully-connected networks in plain numpy, cut to what a WGAN-GP
 needs: a batched ``forward`` pass, one critic step (``critic_gradient``), one
-generator step (``generator_gradient``) and Adam (``adam_step``). The steps
-are written out for the one shape ``wgan.init_networks`` builds: two tanh
-hidden layers and a linear or tanh output layer. A network of another depth
-fails with a ValueError where its weights are unpacked. The critic step
-differentiates its gradient penalty analytically: the critic's input
-gradient is differentiated in the penalty's descent direction with a forward
-(tangent) sweep, and that extended computation is then swept in reverse;
-tanh keeps this second differentiation smooth everywhere.
+generator step (``generator_gradient``) and Adam (``adam_step``). An ``Mlp``
+has one shape, two tanh hidden layers and a linear or tanh output layer, and
+is built from its four sizes (n_in, h1, h2, n_out) and one flat parameter
+vector, so no other depth can be built; the steps are written out for it.
+The critic step differentiates its gradient penalty analytically: the
+critic's input gradient is differentiated in the penalty's descent direction
+with a forward (tangent) sweep, and that extended computation is then swept
+in reverse; tanh keeps this second differentiation smooth everywhere.
 
 Parameters are flat: a network keeps all its weights and biases in one
 contiguous ``params`` vector, layer by layer, the row-major (out, in) weight
-matrix and then the bias. ``weights`` and ``biases`` are views into it.
-Gradients and the Adam moments are flat vectors in the same layout.
+matrix and then the bias. ``weights`` and ``biases`` are views into it, made
+once. Gradients and the Adam moments are flat vectors in the same layout.
 
 ``critic_gradient`` does a whole critic step in one forward pass over the
 stacked [good; bad; mixed] rows and one reverse sweep over all of them,
@@ -24,12 +24,13 @@ takes one weight-gradient product over all 3b rows (the output layer over
 the 2b good and bad rows), plus the penalty's tangent term.
 
 ``tests/reference_nets.py`` holds the sweeps for any depth, as loops over the
-layers: oracles that share no step code with this module. The critic step
-equals its ``folded_critic_step``, the same arithmetic one batch at a time,
-bit for bit, and its separate single-batch sweeps, which sum in another
-order, to a few ulps. The bits rest on the BLAS giving each of the 3b
-stacked rows the bits it gives that row in a batch of b, as OpenBLAS does at
-b = 32, the training batch; at some other b it changes the last bits.
+layers, and builds its own one-layer networks: oracles that share no step
+code with this module. The critic step equals its ``folded_critic_step``,
+the same arithmetic one batch at a time, bit for bit, and its separate
+single-batch sweeps, which sum in another order, to a few ulps. The bits
+rest on the BLAS giving each of the 3b stacked rows the bits it gives that
+row in a batch of b, as OpenBLAS does at b = 32, the training batch; at some
+other b it changes the last bits.
 
 A layer multiplies a batch by a contiguous copy of its transposed weight,
 made once per pass and shared by ``critic_gradient``'s forward pass and
@@ -52,77 +53,75 @@ import numpy as np
 from .core import TrainingError
 
 
-def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into a flat vector (weights then bias per layer)."""
-    weights, biases, start = [], [], 0
-    for out_dim, in_dim in shapes:
-        end = start + out_dim * in_dim
-        weights.append(flat[start:end].reshape(out_dim, in_dim))
-        biases.append(flat[end:end + out_dim])
-        start = end + out_dim
-    return weights, biases
+def _unpack(flat: np.ndarray, sizes: tuple) -> tuple[np.ndarray, ...]:
+    """The views (w1, b1, w2, b2, w3, b3) of a flat vector laid out like params."""
+    n_in, h1, h2, n_out = sizes
+    a = h1 * n_in
+    b = a + h1
+    c = b + h2 * h1
+    d = c + h2
+    e = d + n_out * h2
+    return (
+        flat[:a].reshape(h1, n_in), flat[a:b], flat[b:c].reshape(h2, h1), flat[c:d],
+        flat[d:e].reshape(n_out, h2), flat[e:],
+    )
 
 
 @dataclass
 class Mlp:
-    """A network whose layers are views into one flat ``params`` vector, and
-    the Adam optimizer that trains it: moments ``m`` and ``v`` laid out like
-    ``params``, zeroed at construction, a step count and a rate.
-
-    The constructor copies the given layers into ``params``, so writing
-    through ``weights[k]`` or ``biases[k]`` updates ``params`` and back. For
-    long training on a fixed corpus give the generator a rate well below the
-    critic's (two time scales); a shared rate orbits the target instead of
-    settling.
+    """A network of sizes (n_in, h1, h2, n_out) and the Adam optimizer that
+    trains it: moments ``m`` and ``v`` laid out like ``params``, zeroed at
+    construction, a step count and a rate. The constructor copies
+    ``params``; ``weights`` and ``biases`` are the three (out, in) weight
+    views and the three bias views of the copy, so writing through them
+    updates ``params`` and back (a pickle would part them: send ``params``).
+    For long training on a fixed corpus give the generator a rate well below
+    the critic's (two time scales); a shared rate orbits the target instead
+    of settling.
     """
 
-    weights: list[np.ndarray]  # each (out, in)
-    biases: list[np.ndarray]   # each (out,)
+    sizes: tuple[int, int, int, int]
+    params: np.ndarray = field(repr=False)
     output_tanh: bool
     learning_rate: float = 1e-3
-    params: np.ndarray = field(init=False, repr=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
     m: np.ndarray = field(init=False, repr=False)  # Adam's first moment
     v: np.ndarray = field(init=False, repr=False)  # Adam's second moment
     step: int = field(init=False, default=0)
 
     def __post_init__(self):
-        shapes = [np.shape(w) for w in self.weights]
-        self.params = np.concatenate(
-            [np.ravel(a) for w, b in zip(self.weights, self.biases) for a in (w, b)]
-        )
-        self.weights, self.biases = _layer_views(self.params, shapes)
+        self.sizes, self.params = tuple(self.sizes), np.array(self.params)
+        n_in, h1, h2, n_out = self.sizes  # a ValueError unless four sizes
+        count = h1 * (n_in + 1) + h2 * (h1 + 1) + n_out * (h2 + 1)
+        if self.params.shape != (count,):
+            raise ValueError(f"sizes {self.sizes} take {count} params, got shape {self.params.shape}")
+        views = _unpack(self.params, self.sizes)
+        self.weights, self.biases = views[0::2], views[1::2]
         self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
-
-    def __reduce__(self):
-        # Pickle the layers and the rate: unpickling packs the layers into a
-        # fresh params vector that the views alias again, and the Adam
-        # moments and step come back zeroed.
-        return Mlp, (self.weights, self.biases, self.output_tanh, self.learning_rate)
-
-    @property
-    def shapes(self) -> list[tuple[int, int]]:
-        return [w.shape for w in self.weights]
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.sizes[0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.sizes[-1]
 
 
-def init_mlp(layer_sizes: list[int], output_tanh: bool, rng: np.random.Generator, dtype=np.float64) -> Mlp:
-    """Glorot-range uniform weights, zero biases, in the given dtype; the
-    weights are drawn in float64 and then cast."""
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least an input and an output size")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+def init_mlp(sizes: tuple[int, int, int, int], output_tanh: bool, rng: np.random.Generator, dtype=np.float64) -> Mlp:
+    """A network of sizes (n_in, h1, h2, n_out) with zero biases and
+    Glorot-range uniform weights, drawn w1, w2, w3 in that order in float64
+    and then cast to dtype."""
+    n_in, h1, h2, n_out = sizes
+
+    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype))
-        biases.append(np.zeros(fan_out, dtype=dtype))
-    return Mlp(weights=weights, biases=biases, output_tanh=output_tanh)
+        return rng.uniform(-limit, limit, size=(fan_out, fan_in)).ravel()
+
+    w1, w2, w3 = glorot(n_in, h1), glorot(h1, h2), glorot(h2, n_out)
+    params = np.concatenate([w1, np.zeros(h1), w2, np.zeros(h2), w3, np.zeros(n_out)])
+    return Mlp(sizes, params.astype(dtype), output_tanh)
 
 
 def _as_batch(net: Mlp, x) -> np.ndarray:
@@ -241,7 +240,7 @@ def critic_gradient(
     t2 = s2m * ta2
 
     grad = np.empty_like(net.params)
-    (gw1, gw2, gw3), (gb1, gb2, gb3) = _layer_views(grad, net.shapes)
+    gw1, gb1, gw2, gb2, gw3, gb3 = _unpack(grad, net.sizes)
     # The output layer: the good and bad rows, and u.g through its weight.
     # The penalty does not depend on the output bias.
     np.matmul(d3[good_bad].T, h2[good_bad], out=gw3)
@@ -284,7 +283,7 @@ def generator_gradient(gen: Mlp, z: np.ndarray, hs: tuple, critic: Mlp) -> tuple
     d_fake = -(c1 @ critic.weights[0]) / len(fake)
     (d1, d2, d3), _ = _reverse_sweep(gen, hs, d_fake)
     grad = np.zeros_like(gen.params)
-    (gw1, gw2, gw3), (gb1, gb2, gb3) = _layer_views(grad, gen.shapes)
+    gw1, gb1, gw2, gb2, gw3, gb3 = _unpack(grad, gen.sizes)
     gw1 += d1.T @ z
     gb1 += np.add.reduce(d1, axis=0)
     gw2 += d2.T @ h1

@@ -84,8 +84,8 @@ def denormalize_from_net(y: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
 def init_networks(n_var: int, rng: np.random.Generator) -> tuple[Mlp, Mlp]:
     """A freshly drawn (generator, critic), both HIDDEN wide, both with zeroed
     Adam moments and at LEARNING_RATE."""
-    gen = init_mlp([LATENT_DIM, HIDDEN, HIDDEN, n_var], output_tanh=True, rng=rng, dtype=np.float32)
-    critic = init_mlp([n_var, HIDDEN, HIDDEN, 1], output_tanh=False, rng=rng, dtype=np.float32)
+    gen = init_mlp((LATENT_DIM, HIDDEN, HIDDEN, n_var), output_tanh=True, rng=rng, dtype=np.float32)
+    critic = init_mlp((n_var, HIDDEN, HIDDEN, 1), output_tanh=False, rng=rng, dtype=np.float32)
     gen.learning_rate = critic.learning_rate = LEARNING_RATE
     return gen, critic
 

@@ -45,8 +45,8 @@ def fingerprint(record) -> str:
     for s in record.gan_trace:
         row = [s.epoch, s.critic_loss, s.gen_loss, s.wasserstein, s.penalty]
         digest.update(np.array(row, dtype=np.float64).tobytes())
-    for net in (record.networks or {}).values():
-        digest.update(net.params.tobytes())
+    for params in (record.networks or {}).values():
+        digest.update(params.tobytes())
     return digest.hexdigest()[:16]
 
 

@@ -13,16 +13,52 @@ of the separate sweeps to a few ulps, the generator step with ``backward``
 bit for bit, and these functions with finite differences
 (``fd_param_gradient``, on ``random_net`` networks).
 
+The functions take an ``rveawg.neuronet.Mlp``, which always has two hidden
+layers, or any object with the same ``params``, ``weights``, ``biases``,
+``output_tanh``, ``in_dim`` and ``out_dim``, such as the one-layer critic
+``linear_net`` builds.
+
 A forward pass is kept as (x, hs): the batch as the network saw it and the
 post-activation output of every layer, the last entry being the output.
 Gradients are flat vectors laid out like the network's ``params``.
 """
+from types import SimpleNamespace
+
 import numpy as np
 
-from rveawg.neuronet import Mlp, _as_batch, _layer_views, _require_scalar_critic, init_mlp
+from rveawg.neuronet import Mlp, _as_batch, _require_scalar_critic, init_mlp
 
 # Finite-difference step.
 H = 1e-5
+
+
+def layer_views(flat: np.ndarray, net) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat vector laid out like
+    net's params: per layer the row-major (out, in) weight, then the bias."""
+    weights, biases, start = [], [], 0
+    for out_dim, in_dim in (w.shape for w in net.weights):
+        end = start + out_dim * in_dim
+        weights.append(flat[start:end].reshape(out_dim, in_dim))
+        biases.append(flat[end:end + out_dim])
+        start = end + out_dim
+    return weights, biases
+
+
+def linear_net(w) -> SimpleNamespace:
+    """A scalar critic of one linear layer with the (1, in) weight w and a
+    zero bias, its params laid out like an Mlp's."""
+    params = np.append(np.ravel(w), 0.0)
+    weight, bias = params[:-1].reshape(1, -1), params[-1:]
+    return SimpleNamespace(
+        params=params, weights=[weight], biases=[bias], output_tanh=False, in_dim=weight.shape[1], out_dim=1
+    )
+
+
+def zero_net(sizes, output_tanh=False) -> Mlp:
+    """An Mlp of the given sizes whose parameters are all zero."""
+    net = init_mlp(sizes, output_tanh, np.random.default_rng(0))
+    net.params[...] = 0.0
+    return net
 
 
 def _forward_sweep(net: Mlp, x: np.ndarray, wts=None) -> list[np.ndarray]:
@@ -64,7 +100,7 @@ def _reverse_sweep(net: Mlp, hs: list[np.ndarray], top: np.ndarray) -> tuple[lis
 
 def _add_param_grads(x, hs, ds, grad_w: list, grad_b: list) -> None:
     """Add the parameter gradient carried by a reverse sweep to the per-layer
-    gradient views grad_w and grad_b (see ``_layer_views``)."""
+    gradient views grad_w and grad_b (see ``layer_views``)."""
     for k, d in enumerate(ds):
         prev = x if k == 0 else hs[k - 1]
         grad_w[k] += d.T @ prev
@@ -142,7 +178,7 @@ def backward(net: Mlp, x: np.ndarray, hs: list[np.ndarray], loss_grad) -> np.nda
         raise ValueError(f"loss_grad shape {loss_grad.shape} does not match output {y.shape}")
     ds, _ = _reverse_sweep(net, hs, loss_grad)
     grad = np.zeros_like(net.params)
-    _add_param_grads(x, hs, ds, *_layer_views(grad, net.shapes))
+    _add_param_grads(x, hs, ds, *layer_views(grad, net))
     return grad
 
 
@@ -170,7 +206,7 @@ def gradient_penalty_backward(net: Mlp, interpolated) -> tuple[float, np.ndarray
     ds, sech2 = _ones_sweep(net, x, hs)
     grad = np.zeros_like(net.params)
     wts = [w.T for w in net.weights]
-    penalty = _penalty_backward(net, x, hs, sech2, ds, wts, *_layer_views(grad, net.shapes))
+    penalty = _penalty_backward(net, x, hs, sech2, ds, wts, *layer_views(grad, net))
     return penalty, grad
 
 
@@ -218,7 +254,7 @@ def folded_critic_step(net: Mlp, good, bad, mixed, lambda_gp: float) -> tuple:
         tbar = tabar @ net.weights[k]
 
     grad = np.empty_like(net.params)
-    grad_w, grad_b = _layer_views(grad, net.shapes)
+    grad_w, grad_b = layer_views(grad, net)
     for k in range(L):
         blocks = [dss[0][k], dss[1][k]] + ([abar[k]] if k < L - 1 else [])
         d = np.vstack(blocks)

@@ -103,8 +103,10 @@ def test_generation_zero_trains_first_init_draw():
     n_var = record.final_x.shape[1]
     init_rng = child(child(np.random.default_rng(12), "gan"), "init")
     gen, critic = init_networks(n_var, init_rng)
-    assert np.array_equal(record.networks["generator"].params, gen.params)
-    assert np.array_equal(record.networks["critic"].params, critic.params)
+    for name, net in (("generator", gen), ("critic", critic)):
+        params = record.networks[name]
+        assert params.dtype == np.float32 and params.ndim == 1
+        assert params.tobytes() == net.params.tobytes()
 
 
 def test_adam_steps_follow_the_trainer_schedule(monkeypatch):
@@ -307,10 +309,12 @@ def test_run_files_round_trip(tmp_path, monkeypatch, capsys):
     assert np.array_equal(vectors, to_unit_vectors(lattice_for(3, 15)))
     # Each network's flat float32 params, widened to little-endian float64;
     # they narrow back bit for bit.
-    for name, net in record.networks.items():
+    assert list(record.networks) == ["generator", "critic"]
+    for name, params in record.networks.items():
+        assert params.dtype == np.float32 and params.ndim == 1
         raw = (tmp_path / f"{name}_params.bin").read_bytes()
-        assert raw == net.params.astype("<f8").tobytes()
-        assert np.frombuffer(raw, "<f8").astype(np.float32).tobytes() == net.params.tobytes()
+        assert raw == params.astype("<f8").tobytes()
+        assert np.frombuffer(raw, "<f8").astype(np.float32).tobytes() == params.tobytes()
 
 
 def test_record_rerunnable_from_snapshot():

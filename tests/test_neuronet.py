@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from rveawg.neuronet import (
     ADAM_BETA2,
     ADAM_EPS,
     Mlp,
-    _layer_views,
     adam_step,
     critic_gradient,
     forward,
@@ -26,26 +23,23 @@ from reference_nets import (
     forward_pass,
     gradient_penalty_backward,
     input_gradient,
+    layer_views,
+    linear_net,
     random_net,
+    zero_net,
 )
 
 
 def test_forward_zero_net_tanh_outputs_zero():
-    net = Mlp(
-        weights=[np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((2, 3))],
-        biases=[np.zeros(3), np.zeros(3), np.zeros(2)],
-        output_tanh=True,
-    )
+    net = zero_net((2, 3, 3, 2), output_tanh=True)
     y = forward(net, np.array([[0.3, -0.8], [1.0, 2.0]]))
     assert np.array_equal(y, np.zeros((2, 2)))
 
 
 def test_forward_identity_path_linear():
-    net = Mlp(
-        weights=[np.eye(2) * 1e-8, np.eye(2), np.eye(2) * 1e8],
-        biases=[np.zeros(2), np.zeros(2), np.zeros(2)],
-        output_tanh=False,
-    )
+    net = zero_net((2, 2, 2, 2))
+    for w, scale in zip(net.weights, (1e-8, 1.0, 1e8)):
+        w[...] = np.eye(2) * scale
     x = np.array([[0.25, -0.5]])
     y = forward(net, x)
     # tanh is identity to first order at tiny pre-activations.
@@ -66,7 +60,7 @@ def test_forward_matches_per_sample_loop():
 
 
 def test_forward_rejects_wrong_width():
-    net = init_mlp([3, 4, 4, 1], output_tanh=False, rng=np.random.default_rng(0))
+    net = init_mlp((3, 4, 4, 1), output_tanh=False, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         forward(net, np.zeros((2, 5)))
 
@@ -105,17 +99,13 @@ def test_backward_linear_in_loss_grad():
 
 
 def test_input_gradient_zero_critic():
-    net = Mlp(
-        weights=[np.zeros((3, 4)), np.zeros((3, 3)), np.zeros((1, 3))],
-        biases=[np.zeros(3), np.zeros(3), np.zeros(1)],
-        output_tanh=False,
-    )
+    net = zero_net((4, 3, 3, 1))
     assert np.array_equal(input_gradient(net, np.ones((2, 4))), np.zeros((2, 4)))
 
 
 def test_input_gradient_single_linear_layer_returns_weights():
     w = np.array([[0.3, -0.7, 2.0]])
-    net = Mlp(weights=[w.copy()], biases=[np.zeros(1)], output_tanh=False)
+    net = linear_net(w)
     g = input_gradient(net, np.random.default_rng(0).normal(size=(5, 3)))
     assert np.allclose(g, np.tile(w, (5, 1)), atol=1e-12)
 
@@ -146,19 +136,14 @@ def test_input_gradient_requires_scalar_linear_output():
 
 
 def test_penalty_unit_norm_linear_critic_is_minimum():
-    w = np.array([[0.6, 0.8]])  # unit row
-    net = Mlp(weights=[w.copy()], biases=[np.zeros(1)], output_tanh=False)
+    net = linear_net([[0.6, 0.8]])  # unit row
     penalty, grad = gradient_penalty_backward(net, np.random.default_rng(1).normal(size=(4, 2)))
     assert abs(penalty) < 1e-15
     assert np.allclose(grad, 0.0, atol=1e-12)
 
 
 def test_penalty_zero_critic_is_one_with_zero_subgradient():
-    net = Mlp(
-        weights=[np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((1, 3))],
-        biases=[np.zeros(3), np.zeros(3), np.zeros(1)],
-        output_tanh=False,
-    )
+    net = zero_net((2, 3, 3, 1))
     penalty, grad = gradient_penalty_backward(net, np.ones((4, 2)))
     assert penalty == 1.0
     assert np.all(grad == 0.0)
@@ -200,7 +185,7 @@ def test_adam_first_step_is_signed_learning_rate():
 def test_adam_replay_is_deterministic():
     rng = np.random.default_rng(77)
     net_a = random_net(rng)
-    net_b = Mlp(net_a.weights, net_a.biases, net_a.output_tanh)
+    net_b = Mlp(net_a.sizes, net_a.params, net_a.output_tanh)
     seq_rng = np.random.default_rng(78)
     seq = [seq_rng.standard_normal(net_a.params.shape) for _ in range(3)]
     for g in seq:
@@ -241,8 +226,8 @@ def test_layers_are_views_of_params():
     for w, b in zip(net.weights, net.biases):
         assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
     before = net.params.copy()
-    net.weights[-1] *= 50.0
-    net.biases[0] += 1.0
+    net.weights[-1][...] *= 50.0
+    net.biases[0][...] += 1.0
     assert not np.array_equal(net.params, before)
     layout = [a.ravel() for w, b in zip(net.weights, net.biases) for a in (w, b)]
     assert np.array_equal(net.params, np.concatenate(layout))
@@ -252,34 +237,13 @@ def test_layers_are_views_of_params():
 
 def test_constructor_shares_no_memory():
     net = random_net(np.random.default_rng(22))
-    twin = Mlp(net.weights, net.biases, net.output_tanh)
+    twin = Mlp(net.sizes, net.params, net.output_tanh)
     assert np.array_equal(twin.params, net.params) and twin.output_tanh == net.output_tanh
-    for a in [twin.params] + twin.weights + twin.biases:
-        for b in [net.params] + net.weights + net.biases:
+    for a in (twin.params, *twin.weights, *twin.biases):
+        for b in (net.params, *net.weights, *net.biases):
             assert not np.shares_memory(a, b)
-    twin.weights[0] += 1.0
+    twin.weights[0][...] += 1.0
     assert not np.array_equal(twin.params, net.params)
-
-
-def test_pickle_round_trip_keeps_views():
-    """The layers and the rate survive a pickle; the Adam moments and step
-    come back zeroed."""
-    rng = np.random.default_rng(23)
-    net = random_net(rng)
-    net.learning_rate = 7e-3
-    adam_step(net, rng.standard_normal(net.params.shape))
-    back = pickle.loads(pickle.dumps(net))
-    assert np.array_equal(back.params, net.params)
-    assert back.output_tanh == net.output_tanh and back.learning_rate == 7e-3
-    assert net.step == 1 and net.m.any() and net.v.any()
-    assert back.step == 0 and back.m.shape == back.v.shape == back.params.shape
-    assert not back.m.any() and not back.v.any()
-    back.weights[1] *= 2.0
-    back.biases[-1] += 3.0
-    assert np.array_equal(back.params[: net.weights[0].size], net.weights[0].ravel())
-    for w, b in zip(back.weights, back.biases):
-        assert np.shares_memory(w, back.params) and np.shares_memory(b, back.params)
-    assert not np.array_equal(back.params, net.params)
 
 
 def test_flat_adam_matches_per_array_loop():
@@ -291,7 +255,7 @@ def test_flat_adam_matches_per_array_loop():
     net.learning_rate = 7e-3
     for step in range(1, 4):
         grad = np.zeros_like(net.params)
-        grad_w, grad_b = _layer_views(grad, net.shapes)
+        grad_w, grad_b = layer_views(grad, net)
         for g in grad_w + grad_b:
             g += rng.standard_normal(g.shape)
         adam_step(net, grad)
@@ -310,7 +274,7 @@ def test_flat_adam_matches_per_array_loop():
 
 
 def test_init_mlp_casts_float64_draws():
-    sizes = [5, 7, 1]
+    sizes = (5, 7, 6, 1)
     rng64, rng32 = np.random.default_rng(27), np.random.default_rng(27)
     net64 = init_mlp(sizes, output_tanh=False, rng=rng64)
     net32 = init_mlp(sizes, output_tanh=False, rng=rng32, dtype=np.float32)
@@ -319,8 +283,8 @@ def test_init_mlp_casts_float64_draws():
     assert net32.params.tobytes() == net64.params.astype(np.float32).tobytes()
     # Both draws consumed the stream alike.
     assert rng64.random() == rng32.random()
-    for same in (Mlp(net32.weights, net32.biases, net32.output_tanh), pickle.loads(pickle.dumps(net32))):
-        assert same.params.dtype == np.float32 and np.array_equal(same.params, net32.params)
+    same = Mlp(net32.sizes, net32.params, net32.output_tanh)
+    assert same.params.dtype == np.float32 and np.array_equal(same.params, net32.params)
     assert net32.m.dtype == net32.v.dtype == np.float32
 
 
@@ -328,11 +292,9 @@ def test_float32_critic_step_tracks_float64():
     """The float32 step computes the float64 one, to float32 rounding: the
     tolerance is 1e-5 of the largest entry, about 84 float32 ulps."""
     rng = np.random.default_rng(28)
-    net64 = init_mlp([12, 64, 64, 1], output_tanh=False, rng=rng)
+    net64 = init_mlp((12, 64, 64, 1), output_tanh=False, rng=rng)
     net64.params += 0.05 * rng.standard_normal(net64.params.shape)
-    net32 = Mlp(
-        [w.astype(np.float32) for w in net64.weights], [b.astype(np.float32) for b in net64.biases], False
-    )
+    net32 = Mlp(net64.sizes, net64.params.astype(np.float32), False)
     good, bad = rng.uniform(-1.0, 1.0, size=(2, 32, 12))
     eps = rng.random((32, 1))
     mixed = eps * good + (1.0 - eps) * bad
@@ -391,7 +353,7 @@ def test_fused_critic_step_zero_input_gradient():
     bit; the lambda_gp folded into the penalty direction reaches no row."""
     rng = np.random.default_rng(64)
     for dtype in (np.float64, np.float32):
-        net = init_mlp([12, 64, 64, 1], output_tanh=False, rng=rng, dtype=dtype)
+        net = init_mlp((12, 64, 64, 1), output_tanh=False, rng=rng, dtype=dtype)
         net.weights[0][...] = 0.0
         for bias in net.biases:
             bias += (0.1 * rng.standard_normal(bias.shape)).astype(dtype)
@@ -423,25 +385,19 @@ def test_fused_critic_gradient_matches_finite_differences():
     assert_grads_close(got, fd_param_gradient(net, scalar), rtol=1e-3)
 
 
-@pytest.mark.parametrize("hidden", [1, 3])
-def test_steps_reject_other_depths(hidden):
-    """The steps are written for two hidden layers; a network of another
-    depth fails where its weights are unpacked."""
-    rng = np.random.default_rng(65 + hidden)
-    net = init_mlp([4] + [5] * hidden + [1], output_tanh=False, rng=rng)
-    two = init_mlp([4, 5, 5, 1], output_tanh=False, rng=rng)
-    gen = init_mlp([3] + [5] * hidden + [4], output_tanh=True, rng=rng)
-    z, hs = forward_pass(gen, rng.standard_normal((2, 3)))
-    two_gen = init_mlp([3, 5, 5, 4], output_tanh=True, rng=rng)
-    z2, hs2 = forward_pass(two_gen, z)
-    for call in (
-        lambda: forward(net, np.zeros((2, 4))),
-        lambda: critic_gradient(net, np.zeros((6, 4)), 10.0),
-        lambda: generator_gradient(gen, z, hs, two),
-        lambda: generator_gradient(two_gen, z2, hs2, net),
-    ):
-        with pytest.raises(ValueError, match="values to unpack"):
-            call()
+def test_mlp_takes_four_sizes_and_their_params():
+    """An Mlp has two hidden layers: it is built from (n_in, h1, h2, n_out)
+    and exactly the h1 (n_in + 1) + h2 (h1 + 1) + n_out (h2 + 1) params of
+    that layout, and from nothing else."""
+    assert Mlp((4, 5, 3, 2), np.zeros(5 * 5 + 3 * 6 + 2 * 4), False).params.shape == (51,)
+    for sizes in ((4, 1), (4, 5, 1), (4, 5, 5, 5, 1)):
+        with pytest.raises(ValueError):
+            Mlp(sizes, np.zeros(64), False)
+    for count in (0, 50, 52):
+        with pytest.raises(ValueError, match=f"take 51 params, got shape \\({count},\\)"):
+            Mlp((4, 5, 3, 2), np.zeros(count), False)
+    with pytest.raises(ValueError, match="take 51 params"):
+        Mlp((4, 5, 3, 2), np.zeros((51, 1)), False)
 
 
 def random_pair(rng, rows):

@@ -3,7 +3,7 @@ import pytest
 
 from rveawg import GanConfig, neuronet, wgan
 from rveawg.core import ConfigurationError, TrainingError, child
-from rveawg.neuronet import Mlp, adam_step, forward, generator_gradient, init_mlp
+from rveawg.neuronet import adam_step, forward, generator_gradient, init_mlp
 from rveawg.wgan import (
     BATCH_SIZE,
     CRITIC_STEPS,
@@ -21,7 +21,7 @@ from rveawg.wgan import (
     train,
 )
 
-from reference_nets import forward_pass, input_gradient
+from reference_nets import forward_pass, input_gradient, zero_net
 
 LOWER4 = np.array([0.0, -1.0, 2.0, 10.0])
 UPPER4 = np.array([1.0, 3.0, 4.0, 30.0])
@@ -249,11 +249,7 @@ def test_train_equals_per_step_loop(n_rows, critic_steps, dtype, monkeypatch):
 
 
 def test_sample_offspring_zero_generator_hits_midpoint():
-    gen = Mlp(
-        weights=[np.zeros((4, LATENT_DIM)), np.zeros((4, 4)), np.zeros((4, 4))],
-        biases=[np.zeros(4), np.zeros(4), np.zeros(4)],
-        output_tanh=True,
-    )
+    gen = zero_net((LATENT_DIM, 4, 4, 4), output_tanh=True)
     xs = sample_offspring(gen, 5, LOWER4, UPPER4, np.random.default_rng(1))
     mid = (LOWER4 + UPPER4) / 2
     assert xs.shape == (5, 4)
@@ -264,7 +260,7 @@ def test_sample_offspring_count_and_bounds():
     rng = np.random.default_rng(9)
     gen = init_mlp([LATENT_DIM, 8, 8, 4], output_tanh=True, rng=rng)
     # Saturate the outputs to check clamping stays inside the box.
-    gen.weights[-1] *= 50.0
+    gen.weights[-1][...] *= 50.0
     xs = sample_offspring(gen, 37, LOWER4, UPPER4, rng)
     assert xs.shape == (37, 4)
     assert np.all(xs >= LOWER4) and np.all(xs <= UPPER4)
