@@ -390,15 +390,27 @@ def test_mlp_takes_four_sizes_and_their_params():
     and exactly the h1 (n_in + 1) + h2 (h1 + 1) + n_out (h2 + 1) params of
     that layout, and from nothing else."""
     assert Mlp((4, 5, 3, 2), np.zeros(5 * 5 + 3 * 6 + 2 * 4), False).params.shape == (51,)
-    for sizes in ((4, 1), (4, 5, 1), (4, 5, 5, 5, 1)):
-        with pytest.raises(ValueError):
-            Mlp(sizes, np.zeros(64), False)
+    with pytest.raises(ValueError):
+        Mlp((4, 1), np.zeros(64), False)
     for count in (0, 50, 52):
         with pytest.raises(ValueError, match=f"take 51 params, got shape \\({count},\\)"):
             Mlp((4, 5, 3, 2), np.zeros(count), False)
     with pytest.raises(ValueError, match="take 51 params"):
         Mlp((4, 5, 3, 2), np.zeros((51, 1)), False)
 
+
+
+@pytest.mark.parametrize("hidden", [1, 3])
+def test_steps_reject_other_depths(hidden):
+    """The steps are written for two hidden layers; a network of another
+    depth is refused where its sizes are unpacked, before any step runs."""
+    rng = np.random.default_rng(65 + hidden)
+    for sizes, tanh in (([4] + [5] * hidden + [1], False), ([3] + [5] * hidden + [4], True)):
+        with pytest.raises(ValueError, match="values to unpack"):
+            init_mlp(sizes, output_tanh=tanh, rng=rng)
+        count = sum(o * (i + 1) for i, o in zip(sizes[:-1], sizes[1:]))
+        with pytest.raises(ValueError, match="values to unpack"):
+            Mlp(sizes, np.zeros(count), tanh)
 
 def random_pair(rng, rows):
     """A random scalar critic, a tanh generator into its input space, and the
