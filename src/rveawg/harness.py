@@ -2,16 +2,20 @@
 count, IGD trace, record) around the generation steps of rvea-wg and NSGA-II,
 and experiments that repeat every config over the same paired seeds.
 `RunConfig` describes one run; the run count and base seed belong to the
-experiment (`run_experiment`)."""
+experiment (`run_experiment`).
+
+A run takes its BLAS products on one thread, whatever the caller's count,
+and gives the caller's count back when it returns. Only `run_experiment` at
+more than one worker loads the process pool."""
 from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ._blas import one_thread
 from .baselines import dominance, environmental_select, nsga2_generation
 from .core import ConfigurationError, child, evaluate, init_population
 from .metrics import igd
@@ -89,30 +93,33 @@ def resolve_setup(cfg: RunConfig) -> tuple[ProblemDef, np.ndarray, np.ndarray]:
 def run_single(cfg: RunConfig, seed: int) -> RunRecord:
     """One optimization run under the protocol both algorithms share: the
     seed's initial population, N evaluations per generation and IGD against
-    the reference front after each generation."""
-    problem, vectors, front = resolve_setup(cfg)
-    n_pop = vectors.shape[0]
-    started = time.perf_counter()
+    the reference front after each generation. BLAS runs on one thread for
+    the length of the call, so the bits do not depend on the caller's count
+    (under some OpenBLAS kernels a product sums differently on two)."""
+    with one_thread():
+        problem, vectors, front = resolve_setup(cfg)
+        n_pop = vectors.shape[0]
+        started = time.perf_counter()
 
-    rng = np.random.default_rng(seed)
-    xs = init_population(problem, n_pop, child(rng, "init"))
-    fs = evaluate(xs, problem)
-    record = RunRecord(
-        config={**asdict(cfg), "resolved_pop_size": n_pop},
-        seed=seed,
-        igd_trace=[],
-        final_x=xs,
-        final_f=fs,
-        evaluations=n_pop,
-        duration=0.0,
-    )
-    generations = _rvea_wg_generations if cfg.algorithm == "rvea-wg" else _nsga2_generations
-    for xs, fs in generations(cfg, problem, vectors, xs, fs, rng, record):
-        record.evaluations += n_pop  # one offspring per vector or parent
-        record.igd_trace.append(igd(front, fs).value)
-    record.final_x, record.final_f = xs, fs
-    record.duration = time.perf_counter() - started
-    return record
+        rng = np.random.default_rng(seed)
+        xs = init_population(problem, n_pop, child(rng, "init"))
+        fs = evaluate(xs, problem)
+        record = RunRecord(
+            config={**asdict(cfg), "resolved_pop_size": n_pop},
+            seed=seed,
+            igd_trace=[],
+            final_x=xs,
+            final_f=fs,
+            evaluations=n_pop,
+            duration=0.0,
+        )
+        generations = _rvea_wg_generations if cfg.algorithm == "rvea-wg" else _nsga2_generations
+        for xs, fs in generations(cfg, problem, vectors, xs, fs, rng, record):
+            record.evaluations += n_pop  # one offspring per vector or parent
+            record.igd_trace.append(igd(front, fs).value)
+        record.final_x, record.final_f = xs, fs
+        record.duration = time.perf_counter() - started
+        return record
 
 
 def _rvea_wg_generations(cfg, problem, initial, xs, fs, rng, record):
@@ -211,6 +218,8 @@ def run_experiment(configs: list[RunConfig], runs: int = 10, seed: int = 0, jobs
     # A fork pool starts all its workers up front: no more than there are runs.
     workers = min(jobs, len(jobs_list))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pool runs only
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs_list))
     else:

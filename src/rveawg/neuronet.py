@@ -74,7 +74,9 @@ class Mlp:
     construction, a step count and a rate. The constructor copies
     ``params``; ``weights`` and ``biases`` are the three (out, in) weight
     views and the three bias views of the copy, so writing through them
-    updates ``params`` and back (a pickle would part them: send ``params``).
+    updates ``params`` and back. Pickling or copying an Mlp raises
+    ``TypeError``, since the copy's views would part from its ``params``:
+    send ``params``.
     For long training on a fixed corpus give the generator a rate well below
     the critic's (two time scales); a shared rate orbits the target instead
     of settling.
@@ -99,6 +101,9 @@ class Mlp:
         views = _unpack(self.params, self.sizes)
         self.weights, self.biases = views[0::2], views[1::2]
         self.m, self.v = np.zeros_like(self.params), np.zeros_like(self.params)
+
+    def __reduce__(self):
+        raise TypeError("an Mlp's weights are views of its params, which a copy would part; send params")
 
     @property
     def in_dim(self) -> int:

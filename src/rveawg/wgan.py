@@ -96,20 +96,22 @@ def _critic_steps(critic: Mlp, good: np.ndarray, bad: np.ndarray, eps: np.ndarra
     the penalty taken at the interpolates eps * good + (1 - eps) * bad, eps
     the (steps, b, 1) weights.
 
-    The steps' [good; bad; mixed] rows are filled up front into one
-    (steps, 3b, n) array in the critic's dtype. Returns the last step's
-    (loss, penalty, mean D(good) - mean D(bad)), zeros without steps.
+    The rows are cast to the critic's dtype and every step's mixed rows are
+    made in one pass; each step's [good; bad; mixed] rows are then copied
+    into one reused (3b, n) buffer, so only one step's stack is held. Returns
+    the last step's (loss, penalty, mean D(good) - mean D(bad)), zeros
+    without steps.
     """
     steps, b, n = good.shape
-    x = np.empty((steps, 3 * b, n), dtype=critic.params.dtype)
-    x[:, :b], x[:, b:2 * b] = good, bad
-    mixed = x[:, 2 * b:]
-    np.multiply(eps, x[:, :b], out=mixed)
-    mixed += (1.0 - eps) * x[:, b:2 * b]
+    good, bad = (np.asarray(a, dtype=critic.params.dtype) for a in (good, bad))
+    mixed = eps * good
+    mixed += (1.0 - eps) * bad
+    x = np.empty((3 * b, n), dtype=good.dtype)
     top = _critic_seed(b, x.dtype)
     stats = (0.0, 0.0, 0.0)
-    for rows in x:
-        y_good, y_bad, penalty, grads = critic_gradient(critic, rows, LAMBDA_GP, top)
+    for rows in zip(good, bad, mixed):
+        np.concatenate(rows, out=x)
+        y_good, y_bad, penalty, grads = critic_gradient(critic, x, LAMBDA_GP, top)
         mean_good, mean_bad = (np.add.reduce(y, axis=None) / b for y in (y_good, y_bad))
         loss = float(mean_bad - mean_good + LAMBDA_GP * penalty)
         if not np.isfinite(loss):
@@ -129,7 +131,8 @@ def pretrain_discriminator(critic: Mlp, real: np.ndarray, bad: np.ndarray, rng: 
     survivor row indices, the (PRETRAIN_EPOCHS, b) eliminated row indices
     and the (PRETRAIN_EPOCHS, b, 1) interpolation weights in the critic's
     dtype. The steps then go through `_critic_steps` one at a time, so only
-    one step's rows are gathered at once.
+    one step's rows are gathered at once: gathering all of them raised the
+    peak memory of an n=300 run.
     """
     if bad.shape[0] == 0:
         return

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from rveawg import RunConfig, run_experiment, run_single
+from rveawg._blas import openblas
 
 PATH = Path(__file__).with_name("fingerprints.json")
 
@@ -50,20 +51,10 @@ def fingerprint(record) -> str:
     return digest.hexdigest()[:16]
 
 
-def _openblas(restype, symbol: str):
-    """Call a no-argument function of the OpenBLAS numpy loaded; None if there is none."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        fn = getattr(ctypes.CDLL(path), symbol, None)
-        if fn is not None:
-            fn.argtypes = []
-            fn.restype = restype
-            return fn()
-    return None
+def _openblas(restype, name: str):
+    """What OpenBLAS's no-argument function `name` returns; None without OpenBLAS."""
+    fn = openblas(name, restype)
+    return None if fn is None else fn()
 
 
 def environment() -> dict:
@@ -73,14 +64,14 @@ def environment() -> dict:
         simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     except (TypeError, KeyError):  # numpy before 1.25 prints its config only
         simd = None
-    config = _openblas(ctypes.c_char_p, "scipy_openblas_get_config64_")
-    core = _openblas(ctypes.c_char_p, "scipy_openblas_get_corename64_")
+    config = _openblas(ctypes.c_char_p, "get_config")
+    core = _openblas(ctypes.c_char_p, "get_corename")
     return {
         "numpy": np.__version__,
         "numpy_simd": simd,
         "openblas_config": config.decode() if config else None,
         "openblas_core": core.decode() if core else None,
-        "blas_threads": _openblas(ctypes.c_int, "scipy_openblas_get_num_threads64_"),
+        "blas_threads": _openblas(ctypes.c_int, "get_num_threads"),
     }
 
 

@@ -507,13 +507,63 @@ def test_pool_capped_at_run_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     rows = run_experiment([small_cfg("nsga2")], runs=2, jobs=64)
     assert sizes == [2]
     assert rows[0].per_run == run_experiment([small_cfg("nsga2")], runs=2)[0].per_run
     run_experiment([small_cfg("nsga2"), small_cfg("nsga2")], runs=2, jobs=2)
     run_experiment([small_cfg("nsga2")], runs=1, jobs=64)
     assert sizes == [2, 2]
+
+
+
+def _child(code: str, **env) -> str:
+    """Stdout of `code` run by a fresh interpreter on this checkout's src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=pythonpath, **env),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_serial_runs_load_no_process_pool():
+    """The CLI's import and a serial experiment leave multiprocessing out:
+    only run_experiment's pool branch imports it."""
+    code = (
+        "import sys, rveawg.cli\n"
+        "from rveawg import RunConfig, run_experiment\n"
+        "run_experiment([RunConfig(algorithm='nsga2', pop_size=15, generations=1)], runs=2)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))\n"
+    )
+    assert _child(code).strip() == "[]"
+
+
+def test_run_single_pins_one_blas_thread_and_restores():
+    """A process started with two BLAS threads runs run_single on one (seen
+    from a spy on its evaluations) and has two again after it returns."""
+    code = (
+        "import ctypes\n"
+        "from rveawg import RunConfig, harness\n"
+        "from rveawg._blas import openblas\n"
+        "get = openblas('get_num_threads', ctypes.c_int)\n"
+        "if get is None:\n"
+        "    print('no OpenBLAS'); raise SystemExit\n"
+        "seen, real = [], harness.evaluate\n"
+        "def spy(xs, problem):\n"
+        "    seen.append(get())\n"
+        "    return real(xs, problem)\n"
+        "harness.evaluate = spy\n"
+        "before = get()\n"
+        "harness.run_single(RunConfig(algorithm='rvea-wg', pop_size=15, generations=2), 0)\n"
+        "print(before, sorted(set(seen)), len(seen), get())\n"
+    )
+    out = _child(code, OPENBLAS_NUM_THREADS="2").strip()
+    if out == "no OpenBLAS" or out.startswith("1 "):
+        pytest.skip(f"no second BLAS thread to pin away here: {out}")
+    assert out == "2 [1] 3 2"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

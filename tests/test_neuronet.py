@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -244,6 +247,19 @@ def test_constructor_shares_no_memory():
             assert not np.shares_memory(a, b)
     twin.weights[0][...] += 1.0
     assert not np.array_equal(twin.params, net.params)
+
+
+def test_pickle_and_copy_refused_params_travel():
+    """A pickled or copied Mlp would keep weight arrays apart from its params,
+    so Adam on the copy would move params while forward read stale weights:
+    both raise TypeError. Its params pickle, and rebuild the same network."""
+    net = random_net(np.random.default_rng(23))
+    for make_copy in (pickle.dumps, copy.copy, copy.deepcopy):
+        with pytest.raises(TypeError, match="send params"):
+            make_copy(net)
+    twin = Mlp(net.sizes, pickle.loads(pickle.dumps(net.params)), net.output_tanh)
+    x = np.random.default_rng(24).standard_normal((5, net.in_dim))
+    assert forward(twin, x).tobytes() == forward(net, x).tobytes()
 
 
 def test_flat_adam_matches_per_array_loop():
